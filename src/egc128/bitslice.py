@@ -4,7 +4,30 @@ Layout: a batch of N samples is stored as one uint64 "lane" array per
 state bit, shape (width, N/64); bit j of word w in lane b is bit b of
 sample 64*w + j.  Every cipher operation (Rule-A, branch XOR, LFSR
 update, round-constant injection) is bit-local, so the whole cipher
-runs as vectorised word operations, 64 samples per machine word.
+runs as vectorised word operations, 64 samples per machine word
+(the layout of Biham, "A fast new DES implementation in software",
+FSE 1997).
+
+Cache tiling: :meth:`BitslicedCipher.encrypt` walks the word axis in
+column tiles of ``_TILE_BYTES`` per lane array (1,024 words at width
+16, 256 at width 64) and runs every round on one tile before moving to
+the next, so the working set stays in L2 instead of streaming each
+round's temporaries through memory.  Each call allocates its tile
+buffers once, and a round is a fixed sequence of in-place ufuncs on
+them:
+
+* the circulant reads of F_core are slice rotations: a tile of R
+  carries copies of its wraparound lanes (``_Padding``), so the lanes
+  read at each neighbour offset form one contiguous row range;
+* the round key enters as one XOR with a precomputed ``(width, 1)``
+  broadcast column, which also carries F_core's final NOT;
+* with one key per sample, the key-schedule LFSR is unrolled into rows
+  (state r is rows r..r+width-1), so a step appends one lane instead of
+  shifting all of them.
+
+Snapshot rounds are written tile by tile into preallocated outputs.
+The engine keeps no scratch on the instance, so one engine may serve
+several threads at once.
 
 Results are bit-identical to the scalar implementation in
 :mod:`egc128.cipher`; the test suite cross-checks the two routes.
@@ -19,6 +42,9 @@ from .params import CipherParams, MasterKey
 
 _ONE = np.uint64(1)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+#: Bytes of one lane array of a tile (the word count follows from the width).
+_TILE_BYTES = 1 << 17
 
 
 def pack_words(values: np.ndarray, width: int) -> np.ndarray:
@@ -57,18 +83,20 @@ def unpack_words(lanes: np.ndarray, count: int | None = None) -> np.ndarray:
 
 
 def random_lanes(rng: np.random.Generator, width: int, words: int) -> np.ndarray:
-    """Uniform random lanes; equivalent to packing uniform random samples."""
-    raw = rng.bytes(8 * width * words)
-    return np.frombuffer(raw, dtype=np.uint64).reshape(width, words).copy()
+    """Uniform random lanes; equivalent to packing uniform random samples.
+
+    The draw is the byte stream of ``rng.bytes(8 * width * words)``
+    (which numpy builds from the same uint32 draws), read as uint64.
+    """
+    raw = rng.integers(0, 1 << 32, 2 * width * words, dtype=np.uint32)
+    return raw.view(np.uint64).reshape(width, words)
 
 
-def broadcast_word(value: int, width: int, words: int) -> np.ndarray:
-    """Lanes in which every sample holds the same width-bit value."""
-    lanes = np.zeros((width, words), dtype=np.uint64)
-    for b in range(width):
-        if (value >> b) & 1:
-            lanes[b] = _FULL
-    return lanes
+def broadcast_columns(values, width: int) -> np.ndarray:
+    """(len(values), width, 1) lanes: column i gives every sample the
+    width-bit value values[i], broadcasting against any word count."""
+    v = np.array(values, dtype=np.uint64).reshape(-1, 1, 1)
+    return ((v >> np.arange(width, dtype=np.uint64)[:, None]) & _ONE) * _FULL
 
 
 def popcount_lanes(lanes: np.ndarray) -> int:
@@ -85,8 +113,55 @@ def tail_mask(count: int, words: int) -> np.ndarray:
     return mask
 
 
-def _rule_a_lanes(x0, x1, x2, x3):
-    return ~((x2 & ~(x0 ^ x1 ^ (x0 & x3))) ^ (x1 & x3))
+def _signed(offset: int, width: int) -> int:
+    """The neighbour offset as a lane shift in (-width/2, width/2]."""
+    k = offset % width
+    return k if k <= width // 2 else k - width
+
+
+class _Padding:
+    """Row layout of a tile padded with copies of its wraparound lanes.
+
+    Lane i of a width-w state sits in row ``lo + i``; rows ``0..lo-1``
+    repeat lanes ``w-lo..w-1`` and the last ``hi`` rows repeat lanes
+    ``0..hi-1``, so the lanes read at neighbour shift s form the
+    contiguous rows ``lo+s .. lo+s+w-1`` for every shift in [-lo, hi].
+    """
+
+    def __init__(self, params: CipherParams):
+        w = params.branch_width
+        self.width = w
+        self.shifts = tuple(_signed(o, w) for o in params.offsets)
+        self.lo = max(0, -min(self.shifts))
+        self.hi = max(0, *self.shifts)
+        self.rows = self.lo + w + self.hi
+
+    def at(self, P: np.ndarray, shift: int = 0) -> np.ndarray:
+        return P[self.lo + shift : self.lo + shift + self.width]
+
+    def wrap(self, P: np.ndarray) -> None:
+        """Refresh the padding rows of P from its lanes (slice rotation)."""
+        lo, w = self.lo, self.width
+        np.copyto(P[:lo], P[w : w + lo])
+        np.copyto(P[lo + w :], P[lo : lo + self.hi])
+
+
+def _not_f_core(pad: _Padding, Rp, Np, A, B):
+    """A <- NOT F_core(R) for R held in the padded rows Rp; Np and B are
+    scratch of the shapes of Rp and A.
+
+    Rule-A at vertex i reads x0 = R[i], x1 = R[i+s1], x2 = R[i+s2] and
+    x3 = R[i+s3] and equals NOT((x2 & ~g) ^ (x1 & x3)) with
+    g = x0 ^ x1 ^ (x0 & x3), that is ~g = (x0 & ~x3) ^ ~x1.  The final
+    NOT is left to the caller, which folds it into the round-key column.
+    """
+    s1, s2, s3 = pad.shifts
+    np.invert(Rp, out=Np)
+    np.bitwise_and(pad.at(Rp), pad.at(Np, s3), out=A)          # x0 & ~x3
+    np.bitwise_xor(A, pad.at(Np, s1), out=A)                   # ~g
+    np.bitwise_and(A, pad.at(Rp, s2), out=A)                   # x2 & ~g
+    np.bitwise_and(pad.at(Rp, s1), pad.at(Rp, s3), out=B)      # x1 & x3
+    A ^= B
 
 
 class BitslicedCipher:
@@ -94,30 +169,17 @@ class BitslicedCipher:
 
     def __init__(self, params: CipherParams | None = None):
         self.params = params or CipherParams.full()
+        self._pad = _Padding(self.params)
 
     def f_core(self, R: np.ndarray) -> np.ndarray:
-        o1, o2, o3 = self.params.offsets
-        w = self.params.branch_width
-        x1 = np.roll(R, -(o1 % w), axis=0)
-        x2 = np.roll(R, -(o2 % w), axis=0)
-        x3 = np.roll(R, -(o3 % w), axis=0)
-        return _rule_a_lanes(R, x1, x2, x3)
-
-    def _lfsr_init(self, KH: np.ndarray) -> np.ndarray:
-        S = KH.copy()
-        nonzero = KH[0].copy()
-        for b in range(1, self.params.branch_width):
-            nonzero |= KH[b]
-        S[0] |= ~nonzero
-        return S
-
-    def _lfsr_step(self, S: np.ndarray) -> np.ndarray:
-        fb = S[self.params.lfsr_taps[0]].copy()
-        for t in self.params.lfsr_taps[1:]:
-            fb ^= S[t]
-        S = np.roll(S, -1, axis=0)
-        S[-1] = fb
-        return S
+        """F_core of every sample of lanes R (width along axis 0)."""
+        pad = self._pad
+        Rp = np.empty((pad.rows,) + R.shape[1:], dtype=np.uint64)
+        np.copyto(pad.at(Rp), R)
+        pad.wrap(Rp)
+        A = np.empty_like(R)
+        _not_f_core(pad, Rp, np.empty_like(Rp), A, np.empty_like(R))
+        return np.invert(A, out=A)
 
     def encrypt(
         self,
@@ -127,7 +189,7 @@ class BitslicedCipher:
         rounds: int | None = None,
         snapshot_rounds=None,
     ):
-        """Encrypt a batch in place of (L, R) lanes.
+        """Encrypt a batch of (L, R) lanes; the inputs are not modified.
 
         `key` is either a scalar :class:`MasterKey` shared by every
         sample (the schedule is then precomputed once) or a pair of
@@ -136,47 +198,80 @@ class BitslicedCipher:
         Returns (L, R) lanes, or a dict {round: (L, R)} when
         `snapshot_rounds` is given (round 0 is the input state).
         """
-        p = self.params
+        p, pad = self.params, self._pad
+        w = p.branch_width
         nr = p.rounds if rounds is None else rounds
         if not 0 <= nr <= p.rounds:
             raise ValueError("round override outside schedule length")
-        L = L.copy()
-        R = R.copy()
+        want = None if snapshot_rounds is None else sorted(set(snapshot_rounds))
+        if want is not None and any(not 0 <= r <= nr for r in want):
+            raise ValueError(f"snapshot rounds {want} outside 0..{nr}")
+        if L.shape != R.shape or L.ndim != 2 or L.shape[0] != w:
+            raise ValueError(f"L and R must both be ({w}, words) lane arrays")
         words = L.shape[1]
 
-        scalar_rks = None
-        S = KL = None
-        if isinstance(key, MasterKey):
-            scalar_rks = derive_round_keys(key, p)
-        else:
+        # Column r is NOT(RK_r), or NOT(RC_r) with one key per sample;
+        # the NOT is F_core's final one.
+        per_sample = not isinstance(key, MasterKey)
+        if per_sample:
             KH, KL = key
-            S = self._lfsr_init(KH)
+            consts = p.round_constants
+        else:
+            consts = derive_round_keys(key, p)
+        cols = broadcast_columns([consts[r] ^ p.branch_mask for r in range(nr)], w)
+        # Every lane of a column is all zeros or all ones, so its first byte
+        # serves as the column of a uint8 view: numpy XORs a broadcast uint8
+        # column about twice as fast as a broadcast uint64 one.
+        col_bytes = cols.view(np.uint8)[:, :, :1]
 
-        rc_bits = [
-            [b for b in range(p.branch_width) if (p.round_constants[r] >> b) & 1]
-            for r in range(nr)
-        ]
+        if want is None:
+            outputs = {nr: (np.empty_like(L), np.empty_like(R))}
+        else:
+            outputs = {r: (np.empty_like(L), np.empty_like(R)) for r in want}
 
-        snaps = {}
-        want = set(snapshot_rounds) if snapshot_rounds is not None else None
-        if want is not None and 0 in want:
-            snaps[0] = (L.copy(), R.copy())
-        for r in range(nr):
-            F = self.f_core(R)
-            newR = L ^ F
-            if scalar_rks is not None:
-                rk = scalar_rks[r]
-                for b in range(p.branch_width):
-                    if (rk >> b) & 1:
-                        newR[b] = ~newR[b]
-            else:
-                newR ^= KL ^ S
-                for b in rc_bits[r]:
-                    newR[b] = ~newR[b]
-                S = self._lfsr_step(S)
-            L, R = R, newR
-            if want is not None and (r + 1) in want:
-                snaps[r + 1] = (L.copy(), R.copy())
-        if want is not None:
-            return snaps
-        return L, R
+        taps = p.lfsr_taps[1:]
+        tile = min(words, max(1, _TILE_BYTES // (8 * w)))
+        padded = np.empty((3, pad.rows, tile), dtype=np.uint64)
+        scratch = np.empty((2, w, tile), dtype=np.uint64)
+        if per_sample:
+            # Unrolled key-schedule LFSR: state S_r is rows r..r+w-1, and
+            # each step appends the feedback as row w+r.
+            lfsr = np.empty((w + nr, tile), dtype=np.uint64)
+            klow = np.empty((w, tile), dtype=np.uint64)
+        for c0 in range(0, words, tile):
+            cs = slice(c0, min(c0 + tile, words))
+            m = cs.stop - c0
+            Lp, Rp, Np = padded[:, :, :m]
+            A, B = scratch[:, :, :m]
+            np.copyto(pad.at(Rp), R[:, cs])
+            pad.wrap(Rp)
+            if per_sample:
+                S, KLt = lfsr[:, :m], klow[:, :m]
+                np.copyto(S[:w], KH[:, cs])
+                np.copyto(KLt, KL[:, cs])
+                # A zero high key half starts the LFSR at 1 (A[0] is scratch).
+                np.bitwise_or.reduce(S[:w], axis=0, out=A[0])
+                np.invert(A[0], out=A[0])
+                S[0] |= A[0]
+            if 0 in outputs:
+                np.copyto(outputs[0][0][:, cs], L[:, cs])
+                np.copyto(outputs[0][1][:, cs], R[:, cs])
+            for r in range(nr):
+                _not_f_core(pad, Rp, Np, A, B)
+                newR = pad.at(Lp)
+                # Round 1 reads L from the input, saving a copy-in.
+                np.bitwise_xor(newR if r else L[:, cs], A, out=newR)
+                np.bitwise_xor(newR.view(np.uint8), col_bytes[r], out=newR.view(np.uint8))
+                if per_sample:
+                    newR ^= KLt
+                    newR ^= S[r : r + w]
+                    feedback = S[w + r]
+                    np.copyto(feedback, S[r])            # tap 0
+                    for t in taps:
+                        feedback ^= S[r + t]
+                pad.wrap(Lp)
+                Lp, Rp = Rp, Lp
+                if r + 1 in outputs:
+                    np.copyto(outputs[r + 1][0][:, cs], pad.at(Lp))
+                    np.copyto(outputs[r + 1][1][:, cs], pad.at(Rp))
+        return outputs[nr] if want is None else outputs

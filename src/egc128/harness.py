@@ -17,6 +17,7 @@ import numpy as np
 
 from .bitslice import (
     BitslicedCipher,
+    broadcast_columns,
     pack_words,
     popcount_lanes,
     random_lanes,
@@ -260,6 +261,8 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
     fixed input difference, fresh random key per sample."""
     if delta.to_int() == 0:
         raise ValueError("input difference must be nonzero")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = cfg.generator("empirical_dp", delta.to_int(), rounds, samples)
     n = samples
     pad = _pad64(n)
@@ -404,8 +407,10 @@ def invariant_subspace_search(dims, trials_per_dim: int,
     `map_fn` substitutes another vectorised map over uint64 arrays
     (the identity map serves as the positive control)."""
     dims = tuple(sorted(dims))
-    if any(d < 1 or d > 16 for d in dims):
-        raise ValueError("supported subspace dimensions are 1..16")
+    if not dims or any(d < 1 or d > 16 for d in dims):
+        raise ValueError("dims must list one or more subspace dimensions in 1..16")
+    if trials_per_dim < 1:
+        raise ValueError("trials_per_dim must be >= 1")
     fn = map_fn if map_fn is not None else _fcore_vec
     mask = np.uint64((1 << width) - 1)
     found = 0
@@ -525,6 +530,7 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
         key = MasterKey(int(krng.integers(1, 1 << 16)),
                         int(krng.integers(0, 1 << 16)), 16)
     engine = BitslicedCipher(p)
+    flip = broadcast_columns([delta.left, delta.right], p.branch_width)
     check_hw1 = rounds in (0, 2, 3)
     total = 1 << 32 if exhaustive else samples
     zero_hits = 0
@@ -543,19 +549,17 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
             rng = cfg.generator("zero_diff", delta.to_int(), rounds, chunk_idx)
             L = random_lanes(rng, 16, words)
             R = random_lanes(rng, 16, words)
-        fL, fR = L.copy(), R.copy()
-        for b in range(16):
-            if (delta.left >> b) & 1:
-                fL[b] = ~fL[b]
-            if (delta.right >> b) & 1:
-                fR[b] = ~fR[b]
         bL, bR = engine.encrypt(L, R, key, rounds=rounds)
-        qL, qR = engine.encrypt(fL, fR, key, rounds=rounds)
-        dL, dR = bL ^ qL, bR ^ qR
+        qL, qR = engine.encrypt(L ^ flip[0], R ^ flip[1], key, rounds=rounds)
+        bL ^= qL
+        bR ^= qR
+        # Carry-save count of the 32 difference lanes per sample, saturating
+        # at 2: c0 holds the count's low bit, c1 is set once it reaches 2.
         c0 = np.zeros(words, dtype=np.uint64)
         c1 = np.zeros(words, dtype=np.uint64)
-        for lane in list(dL) + list(dR):
-            carry = c0 & lane
+        carry = np.empty(words, dtype=np.uint64)
+        for lane in (*bL, *bR):
+            np.bitwise_and(c0, lane, out=carry)
             c0 ^= lane
             c1 |= carry
         valid = tail_mask(m, words)
@@ -694,6 +698,9 @@ def truncated_coverage_scan(pairs: int, checkpoints=(5, 10, 15, 18, 20),
     if pairs < 100:
         raise ValueError("need at least 100 pairs")
     checkpoints = tuple(sorted(checkpoints))
+    rounds = _FULL_PARAMS.rounds
+    if not checkpoints or not all(0 <= c <= rounds for c in checkpoints):
+        raise ValueError(f"checkpoints must be one or more rounds in 0..{rounds}")
     rng = cfg.generator("coverage", pairs, checkpoints)
     n = pairs
     pad = _pad64(n)

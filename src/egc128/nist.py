@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitslice import BitslicedCipher, pack_words, random_lanes
+from .bitslice import BitslicedCipher, broadcast_columns, pack_words, random_lanes
 from .harness import RngConfig
 from .params import CipherParams, MasterKey
 
@@ -77,14 +77,8 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
                 ctr = np.arange(start_counter + done,
                                 start_counter + done + m_pad, dtype=np.uint64)
                 R = pack_words(ctr, 64)
-                if mode == "counter":
-                    L = np.zeros((64, words), dtype=np.uint64)
-                else:
-                    lanes = np.zeros((64, words), dtype=np.uint64)
-                    for b in range(64):
-                        if (nonce >> b) & 1:
-                            lanes[b] = np.uint64(0xFFFFFFFFFFFFFFFF)
-                    L = lanes
+                high = 0 if mode == "counter" else nonce
+                L = np.broadcast_to(broadcast_columns([high], 64)[0], (64, words))
             cL, cR = engine.encrypt(L, R, key)
             chunk_bits = _blocks_to_bits(cL, cR, m)
             ones += int(chunk_bits.sum())

@@ -160,6 +160,29 @@ def test_coverage_subcommand(tmp_path):
     assert report["results"]["never_active_counts"][-1] == 0
 
 
+@pytest.mark.parametrize("checkpoints", ["25", "10,21", "-1"])
+def test_coverage_rejects_checkpoints_outside_schedule(tmp_path, capsys, checkpoints):
+    assert main(["coverage", "--pairs", "500", "--checkpoints", checkpoints,
+                 "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.rglob("report.json"))
+    assert "checkpoints" in capsys.readouterr().err
+
+
+def test_subspace_rejects_zero_trials(tmp_path, capsys):
+    assert main(["subspace", "--dims", "2,4", "--trials", "0",
+                 "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.rglob("report.json"))
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-64"])
+def test_diff_empirical_rejects_nonpositive_samples(tmp_path, capsys, samples):
+    assert main(["diff-empirical", "--delta", "0" * 31 + "1", "--rounds", "3",
+                 "--samples", samples, "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.rglob("report.json"))
+    assert "samples must be >= 1" in capsys.readouterr().err
+
+
 def test_subspace_subcommand(tmp_path):
     assert main(["subspace", "--dims", "2,4", "--trials", "10",
                  "--out", str(tmp_path)]) == 0

@@ -83,6 +83,13 @@ def test_sac_thread_count_does_not_change_result():
     assert a.mean == b.mean
 
 
+def test_sac_thread_count_does_not_change_result_multi_tile():
+    # 313 words per lane: two engine tiles at width 64, on a shared engine.
+    a = sac_matrix(20000, CFG, threads=1)
+    b = sac_matrix(20000, CFG, threads=2)
+    assert (a.matrix == b.matrix).all()
+
+
 def test_sac_agrees_with_avalanche():
     # mean flip probability x 128 ~ final-round mean Hamming distance
     sac = sac_matrix(256, CFG)
@@ -121,6 +128,12 @@ def test_empirical_dp_zero_rounds_identity():
 def test_empirical_dp_rejects_zero_delta():
     with pytest.raises(ValueError):
         empirical_max_dp(Block.from_int(0), 6, 100, CFG)
+
+
+@pytest.mark.parametrize("samples", [0, -64])
+def test_empirical_dp_rejects_nonpositive_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        empirical_max_dp(Block.from_int(1), 3, samples, CFG)
 
 
 def test_empirical_dp_decays_with_rounds():
@@ -195,6 +208,14 @@ def test_subspace_xor_constant_positive_control():
 def test_subspace_dimension_validation():
     with pytest.raises(ValueError):
         invariant_subspace_search((17,), 1, CFG)
+    with pytest.raises(ValueError):
+        invariant_subspace_search((), 1, CFG)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_subspace_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        invariant_subspace_search((2, 4), trials, CFG)
 
 
 # --- reduced zero-differential scan ------------------------------------------------
@@ -297,6 +318,14 @@ def test_zero_diff_deterministic_and_threaded():
     assert len(a) == 36
 
 
+def test_zero_diff_threaded_multi_tile():
+    # 2,048 words per lane: two engine tiles at width 16.
+    a = zero_diff_scan_all(samples=1 << 17, cfg=CFG, threads=1)
+    b = zero_diff_scan_all(samples=1 << 17, cfg=CFG, threads=2)
+    assert a == b
+    assert all(r.zero_output_hits == 0 for r in a)
+
+
 # --- truncated coverage -------------------------------------------------------------
 
 def test_coverage_small_run():
@@ -311,6 +340,9 @@ def test_coverage_small_run():
 def test_coverage_validates_args():
     with pytest.raises(ValueError):
         truncated_coverage_scan(50, (5,), CFG)
+    for checkpoints in ((), (5, 25), (-1,)):
+        with pytest.raises(ValueError, match="checkpoints"):
+            truncated_coverage_scan(500, checkpoints, CFG)
 
 
 # --- report serialisability ----------------------------------------------------------
