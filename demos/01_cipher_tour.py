@@ -2,7 +2,7 @@
 """Tour of the cipher core: block mapping, key schedule, reference
 vectors, and the width-parametric reduced family."""
 
-from egc128 import EGC128, Block, CipherParams, MasterKey, reduced_cipher
+from egc128 import EGC128, Block, Cipher, CipherParams, MasterKey
 from egc128.cipher import derive_round_keys, f_core
 from egc128.vectors import load_vectors, verify_vectors
 
@@ -33,14 +33,14 @@ for tv, res in zip(load_vectors(), verify_vectors()):
           f"decrypt {'ok' if res.decrypt_ok else 'FAIL'}")
 
 print("\nThe same structure scales down for exhaustive analyses:")
-tiny = reduced_cipher(CipherParams.reduced(4))
+tiny = Cipher(CipherParams.reduced(4))
 k4 = MasterKey(0x9, 0x3, 4)
 images = sorted(tiny.encrypt_block(k4, Block.from_int(x, 4)).to_int()
                 for x in range(256))
 print(f"  4-bit-branch instance permutes all 256 blocks: "
       f"{images == list(range(256))}")
 
-mid = reduced_cipher(CipherParams.reduced(16, (-1, 1, 4)))
+mid = Cipher(CipherParams.reduced(16, (-1, 1, 4)))
 k16 = MasterKey(0x1234, 0xabcd, 16)
 p16 = Block.from_hex("cafe0042", 16)
 c16 = mid.encrypt_block(k16, p16)

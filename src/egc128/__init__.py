@@ -19,14 +19,11 @@ Submodules:
 from .cipher import (
     EGC128,
     Cipher,
-    decrypt_block,
     derive_round_keys,
-    encrypt_block,
     f_core,
     lfsr_init,
     lfsr_inverse_step,
     lfsr_step,
-    reduced_cipher,
     rule_a_eval,
 )
 from .params import (
@@ -47,14 +44,11 @@ __all__ = [
     "MasterKey",
     "ROUND_CONSTANTS",
     "RULE_A_TRUTH_TABLE",
-    "decrypt_block",
     "derive_round_keys",
-    "encrypt_block",
     "f_core",
     "lfsr_init",
     "lfsr_inverse_step",
     "lfsr_step",
-    "reduced_cipher",
     "rule_a_eval",
     "__version__",
 ]

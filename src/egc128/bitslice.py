@@ -68,16 +68,21 @@ def pack_words(values: np.ndarray, width: int) -> np.ndarray:
     return lanes
 
 
-def unpack_words(lanes: np.ndarray, count: int | None = None) -> np.ndarray:
-    """Inverse of :func:`pack_words`; returns (N,) uint64 sample values."""
+def lanes_to_bits(lanes: np.ndarray) -> np.ndarray:
+    """(width, N) uint8 bit matrix of lanes (width, N/64): entry [b, j]
+    is bit b of sample j."""
     width, words = lanes.shape
-    n = words * 64
-    bits = np.unpackbits(
-        np.ascontiguousarray(lanes).view(np.uint8).reshape(width, n // 8),
+    return np.unpackbits(
+        np.ascontiguousarray(lanes).view(np.uint8).reshape(width, words * 8),
         axis=1, bitorder="little",
     )
-    out = np.zeros(n, dtype=np.uint64)
-    for b in range(width):
+
+
+def unpack_words(lanes: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Inverse of :func:`pack_words`; returns (N,) uint64 sample values."""
+    bits = lanes_to_bits(lanes)
+    out = np.zeros(bits.shape[1], dtype=np.uint64)
+    for b in range(bits.shape[0]):
         out |= bits[b].astype(np.uint64) << np.uint64(b)
     return out if count is None else out[:count]
 

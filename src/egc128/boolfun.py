@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cipher import f_core
 from .params import RULE_A_TRUTH_TABLE, CipherParams, scaled_offsets
 
 N_VARS = 4
@@ -27,6 +28,19 @@ def bits_to_int(bits: np.ndarray) -> int:
     return int(sum(int(b) << k for k, b in enumerate(bits)))
 
 
+def _xor_butterflies(a: np.ndarray) -> np.ndarray:
+    """In-place binary Moebius transform along the first axis of a
+    contiguous array, whose length is a power of two; on integer words it
+    acts on every bit at once."""
+    step = 1
+    while step < a.shape[0]:
+        # Entry i is in half (i & step) != 0 of its block of 2 * step.
+        halves = a.reshape((-1, 2, step) + a.shape[1:])
+        halves[:, 1] ^= halves[:, 0]
+        step <<= 1
+    return a
+
+
 def moebius_transform(values) -> np.ndarray:
     """Binary Moebius transform mapping a truth table to its ANF
     coefficient vector (and back: the transform is an involution).
@@ -37,13 +51,7 @@ def moebius_transform(values) -> np.ndarray:
     n = vals.shape[0]
     if n == 0 or n & (n - 1):
         raise ValueError("table length must be a power of two")
-    idx = np.arange(n)
-    step = 1
-    while step < n:
-        lower = (idx & step) == 0
-        vals[~lower] ^= vals[lower]
-        step <<= 1
-    return vals
+    return _xor_butterflies(vals)
 
 
 def anf_monomials(table: int) -> list[int]:
@@ -145,21 +153,16 @@ def search_rule_candidates(max_anf_terms: int = 7) -> CandidateSearchReport:
     walsh = signs @ hada.T
     nl = 8 - np.abs(walsh).max(axis=1) // 2
 
-    anf = bits.copy()
-    idx = np.arange(TT_SIZE)
-    step = 1
-    while step < TT_SIZE:
-        lower = (idx & step) == 0
-        anf[:, ~lower] ^= anf[:, lower]
-        step <<= 1
+    anf = _xor_butterflies(bits.T.copy())        # (monomial, table)
     mono_deg = np.array([m.bit_count() for m in range(TT_SIZE)])
-    deg = (anf * mono_deg[None, :]).max(axis=1)
-    n_terms = anf.sum(axis=1)
+    deg = (anf * mono_deg[:, None]).max(axis=0)
+    n_terms = anf.sum(axis=0)
 
     base = balanced & (nl == 4) & (deg == 3)
     selected = base & (n_terms <= max_anf_terms)
 
     sel_idx = np.nonzero(selected)[0]
+    idx = np.arange(TT_SIZE)
     du = np.zeros(len(sel_idx), dtype=np.int64)
     sel_bits = bits[sel_idx]
     for a in range(1, TT_SIZE):
@@ -191,19 +194,6 @@ REFERENCE_DEGREE_ROWS = {
 MAX_EXHAUSTIVE_DEGREE_WIDTH = 16
 
 
-def _fcore_lookup(width: int, offsets: tuple[int, int, int]) -> np.ndarray:
-    x = np.arange(1 << width, dtype=np.uint32)
-    mask = np.uint32((1 << width) - 1)
-
-    def read(v, off):
-        k = off % width
-        return ((v >> np.uint32(k)) | (v << np.uint32(width - k))) & mask
-
-    x1, x2, x3 = read(x, offsets[0]), read(x, offsets[1]), read(x, offsets[2])
-    g = mask ^ x ^ x1 ^ (x & x3)
-    return (mask ^ ((x2 & g) ^ (x1 & x3))) & mask
-
-
 def iterated_fcore_degree(width: int, rounds: int,
                           offsets: tuple[int, int, int] | None = None) -> int:
     """Exact algebraic degree of F_core composed `rounds` times,
@@ -219,25 +209,16 @@ def degree_series(width: int, rounds: int,
         raise ValueError(f"width {width} too large for exhaustive transform")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if offsets is None:
-        offsets = scaled_offsets(width)
-    CipherParams.reduced(width, offsets)  # validates the offsets
-    lut = _fcore_lookup(width, offsets)
+    params = CipherParams.reduced(width, offsets)  # validates width and offsets
     size = 1 << width
+    lut = f_core(np.arange(size, dtype=np.uint32), params)
     vals = np.arange(size, dtype=np.uint32)
     pc = np.bitwise_count(np.arange(size, dtype=np.uint32)).astype(np.uint8)
-    idx = np.arange(size)
     out = []
     for _ in range(rounds):
         vals = lut[vals]
-        # XOR butterflies act on all output coordinates at once.
-        anf = vals.copy()
-        step = 1
-        while step < size:
-            lower = (idx & step) == 0
-            anf[~lower] ^= anf[lower]
-            step <<= 1
-        nz = np.nonzero(anf)[0]
+        # The butterflies act on all output coordinates at once.
+        nz = np.nonzero(_xor_butterflies(vals.copy()))[0]
         out.append(int(pc[nz].max()) if len(nz) else 0)
     return out
 

@@ -2,9 +2,10 @@
 
 The nonlinear layer F_core evaluates Rule-A at every bit position of a
 branch word.  Because the interaction graph is circulant, the whole
-layer reduces to four word rotations plus the Boolean algebra of
-Rule-A's normal form, so one call transforms an entire branch at once
-while remaining bit-identical to a per-vertex evaluation.
+layer reduces to three word rotations plus the Boolean algebra of
+Rule-A's normal form, so one call transforms an entire branch (or an
+array of branch words) at once while remaining bit-identical to a
+per-vertex evaluation.
 
 Feistel update for round r (branches L, R; round key RK_r):
 
@@ -20,9 +21,6 @@ from __future__ import annotations
 
 from .params import Block, CipherParams, LfsrState, MasterKey, RoundKeySchedule
 
-#: Rule-A lookup table indexed by x0 + 2*x1 + 4*x2 + 8*x3.
-RULE_A_LUT = (1, 1, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0)
-
 
 def rule_a_eval(x0: int, x1: int, x2: int, x3: int) -> int:
     """Evaluate Rule-A on four single bits.
@@ -33,34 +31,28 @@ def rule_a_eval(x0: int, x1: int, x2: int, x3: int) -> int:
     return (1 ^ x2 ^ (x0 & x2) ^ (x1 & x2) ^ (x1 & x3) ^ (x0 & x2 & x3)) & 1
 
 
-def _read_vector(x: int, offset: int, width: int) -> int:
-    """Word whose bit i equals bit (i + offset) mod width of x."""
-    k = offset % width
-    mask = (1 << width) - 1
-    return ((x >> k) | (x << (width - k))) & mask
-
-
-def rule_a_word(x0: int, x1: int, x2: int, x3: int, mask: int) -> int:
-    """Rule-A applied laterally to every bit of four equal-width words."""
-    # 1 ^ x2 ^ x0x2 ^ x1x2 ^ x1x3 ^ x0x2x3  ==  ~((x2 & ~(x0^x1^(x0&x3))) ^ (x1&x3))
-    g = mask ^ x0 ^ x1 ^ (x0 & x3)
-    return (mask ^ ((x2 & g) ^ (x1 & x3))) & mask
-
-
-def f_core(branch: int, params: CipherParams) -> int:
+def f_core(x, params: CipherParams):
     """Graph interaction layer: output bit i is Rule-A applied to
     (x_i, x_{i+o1}, x_{i+o2}, x_{i+o3}) with all indices mod width.
 
-    Every output bit is computed from the unmodified input word.
+    `x` is one branch word as a Python int, or an array of branch words
+    of an unsigned numpy dtype at least `branch_width` bits wide; every
+    output bit is computed from the unmodified input word.
     """
-    w = params.branch_width
-    if not 0 <= branch <= params.branch_mask:
+    w, mask = params.branch_width, params.branch_mask
+    if isinstance(x, int) and not 0 <= x <= mask:
         raise ValueError(f"branch value does not fit in {w} bits")
-    o1, o2, o3 = params.offsets
-    x1 = _read_vector(branch, o1, w)
-    x2 = _read_vector(branch, o2, w)
-    x3 = _read_vector(branch, o3, w)
-    return rule_a_word(branch, x1, x2, x3, params.branch_mask)
+    # x_k is x rotated right by offset o_k, so its bit i is bit i + o_k of x.
+    k1, k2, k3 = params.offsets
+    k1 %= w
+    k2 %= w
+    k3 %= w
+    x1 = (x >> k1 | x << (w - k1)) & mask
+    x2 = (x >> k2 | x << (w - k2)) & mask
+    x3 = (x >> k3 | x << (w - k3)) & mask
+    # 1 ^ x2 ^ x0x2 ^ x1x2 ^ x1x3 ^ x0x2x3  ==  ~((x2 & ~(x0^x1^(x0&x3))) ^ (x1&x3))
+    g = mask ^ x ^ x1 ^ (x & x3)
+    return mask ^ ((x2 & g) ^ (x1 & x3))
 
 
 def lfsr_init(k_high: int, params: CipherParams | None = None) -> LfsrState:
@@ -118,9 +110,6 @@ class Cipher:
     def __init__(self, params: CipherParams | None = None):
         self.params = params or CipherParams.full()
 
-    def round_keys(self, key: MasterKey) -> RoundKeySchedule:
-        return derive_round_keys(key, self.params)
-
     def _check(self, key: MasterKey, block: Block) -> None:
         if key.width != self.params.branch_width or block.width != self.params.branch_width:
             raise ValueError("key/block width does not match cipher parameters")
@@ -165,30 +154,3 @@ class Cipher:
 
 _FULL = CipherParams.full()
 EGC128 = Cipher(_FULL)
-
-
-def encrypt_block(key: MasterKey, pt: Block, params: CipherParams | None = None) -> Block:
-    return Cipher(params).encrypt_block(key, pt)
-
-
-def decrypt_block(key: MasterKey, ct: Block, params: CipherParams | None = None) -> Block:
-    return Cipher(params).decrypt_block(key, ct)
-
-
-def reduced_cipher(params: CipherParams) -> Cipher:
-    """Structurally identical cipher at a reduced branch width."""
-    return Cipher(params)
-
-
-def encrypt_hex(key_hex: str, pt_hex: str, params: CipherParams | None = None) -> str:
-    p = params or _FULL
-    w = p.branch_width
-    out = Cipher(p).encrypt_block(MasterKey.from_hex(key_hex, w), Block.from_hex(pt_hex, w))
-    return out.hex()
-
-
-def decrypt_hex(key_hex: str, ct_hex: str, params: CipherParams | None = None) -> str:
-    p = params or _FULL
-    w = p.branch_width
-    out = Cipher(p).decrypt_block(MasterKey.from_hex(key_hex, w), Block.from_hex(ct_hex, w))
-    return out.hex()

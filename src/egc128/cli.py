@@ -3,7 +3,8 @@
 Exit status: 0 on success, 1 on verification failure (e.g. a test
 vector mismatch), 2 on usage errors.  Analysis subcommands write a JSON
 report (plus CSV with ``--format csv``) under ``--out`` in a directory
-named by the run's manifest hash; every subcommand honours ``--seed``.
+named by the run's manifest hash and print ``report: <dir>`` after
+their summary line; every subcommand honours ``--seed``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import boolfun, graphs, harness, lpmodel, nist, trails, vectors
-from .cipher import Cipher, decrypt_hex, encrypt_hex
+from .cipher import EGC128, Cipher
 from .params import Block, MasterKey
 from .reporting import build_manifest, manifest_hash, write_report
 
@@ -32,333 +35,185 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(","))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="egc128", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--threads", type=int, default=1, help="worker cap")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", default="reports", help="report output root")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("encrypt", parents=[common], help="encrypt one block")
-    p.add_argument("--key", required=True)
-    p.add_argument("--pt", required=True)
-
-    p = sub.add_parser("decrypt", parents=[common], help="decrypt one block")
-    p.add_argument("--key", required=True)
-    p.add_argument("--ct", required=True)
-
-    p = sub.add_parser("vectors", parents=[common], help="verify test vectors")
-    p.add_argument("--file", default=None, help="vector CSV (default: bundled)")
-
-    p = sub.add_parser("rule-search", parents=[common],
-                       help="exhaustive 4-input function search")
-    p.add_argument("--max-anf-terms", type=int, default=7)
-
-    p = sub.add_parser("degree", parents=[common],
-                       help="algebraic degree of iterated F_core")
-    p.add_argument("--width", type=int, default=16)
-    p.add_argument("--rounds", type=int, default=4)
-    p.add_argument("--offsets", type=_offsets, default=None)
-
-    p = sub.add_parser("graph", parents=[common], help="spectral graph report")
-    p.add_argument("--variant", default="baseline",
-                   choices=graphs.VARIANTS + ("cycle",))
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--graph-seed", type=int, default=None)
-
-    p = sub.add_parser("bounds", parents=[common], help="trail bounds")
-    p.add_argument("--mode", choices=trails.MODES, required=True)
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--variant", default="baseline",
-                   choices=graphs.VARIANTS + ("cycle",))
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--graph-seed", type=int, default=None)
-    p.add_argument("--transpose", action="store_true")
-
-    p = sub.add_parser("lp-emit", parents=[common], help="emit LP model file")
-    p.add_argument("--mode", choices=trails.MODES, required=True)
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--variant", default="baseline",
-                   choices=graphs.VARIANTS + ("cycle",))
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--graph-seed", type=int, default=None)
-    p.add_argument("--out-file", default=None, help="LP path (default: in run dir)")
-
-    p = sub.add_parser("single-layer", parents=[common],
-                       help="exact one-layer minimum differential weight")
-    p.add_argument("--width", type=int, default=16)
-    p.add_argument("--offsets", type=_offsets, default=None)
-    p.add_argument("--max-hamming", type=int, default=4)
-    p.add_argument("--full", action="store_true",
-                   help="exhaustive scan even above the size limit")
-
-    p = sub.add_parser("avalanche", parents=[common], help="avalanche profile")
-    p.add_argument("--pairs", type=int, default=64)
-    p.add_argument("--rounds", type=int, default=20)
-
-    p = sub.add_parser("sac", parents=[common], help="strict avalanche matrix")
-    p.add_argument("--samples", type=int, default=2000)
-
-    p = sub.add_parser("bic", parents=[common], help="bit independence")
-    p.add_argument("--samples", type=int, default=5000)
-
-    p = sub.add_parser("diff-empirical", parents=[common],
-                       help="empirical max differential probability")
-    p.add_argument("--delta", required=True, help="input difference (32 hex chars)")
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--samples", type=int, default=8000)
-
-    p = sub.add_parser("related-key", parents=[common],
-                       help="round-key difference scan")
-    p.add_argument("--diffs", type=int, default=5000)
-
-    p = sub.add_parser("subspace", parents=[common],
-                       help="invariant affine subspace search")
-    p.add_argument("--dims", type=_int_list, default=(2, 4, 6, 8, 10, 12))
-    p.add_argument("--trials", type=int, default=300)
-
-    p = sub.add_parser("zero-scan", parents=[common],
-                       help="reduced-cipher zero-differential scan")
-    p.add_argument("--delta", default=None, help="8 hex chars (reduced block)")
-    p.add_argument("--rounds", type=int, default=None, choices=(2, 3, 4))
-    p.add_argument("--all", action="store_true", help="all 36 standard combos")
-    p.add_argument("--samples", type=int, default=1 << 24)
-    p.add_argument("--exhaustive", action="store_true")
-
-    p = sub.add_parser("coverage", parents=[common],
-                       help="truncated coverage scan")
-    p.add_argument("--pairs", type=int, default=10000)
-    p.add_argument("--checkpoints", type=_int_list, default=(5, 10, 15, 18, 20))
-
-    p = sub.add_parser("nist-gen", parents=[common],
-                       help="generate a statistical-suite input bitstream")
-    p.add_argument("--mode", choices=nist.MODES, default="random_pt")
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--out-file", required=True)
-    p.add_argument("--binary", action="store_true")
-
-    p = sub.add_parser("bench", parents=[common], help="host throughput")
-    p.add_argument("--blocks", type=int, default=10000)
-
-    return top
+def _arg(*names, **options):
+    return names, options
 
 
-def _graph_for(args) -> graphs.GraphTopology:
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.  `run(args)` returns (report parameters, results,
+    summary line, exit code); parameters of None mean no report."""
+
+    help: str
+    args: tuple
+    run: Callable[[argparse.Namespace], tuple]
+
+
+def _cfg(args) -> harness.RngConfig:
+    return harness.RngConfig(args.seed)
+
+
+def _graph(args) -> graphs.GraphTopology:
     return graphs.build_topology(args.variant, args.n, args.graph_seed)
 
 
-def _dispatch(args) -> int:
-    cfg = harness.RngConfig(args.seed)
+def _run_dir(args, params: dict) -> Path:
+    """The run directory the report of these parameters is written to."""
+    return Path(args.out) / manifest_hash(build_manifest(args.command, params, args.seed))
 
-    if args.command == "encrypt":
-        print(encrypt_hex(args.key, args.pt))
-        return 0
 
-    if args.command == "decrypt":
-        print(decrypt_hex(args.key, args.ct))
-        return 0
+def _encrypt(args):
+    ct = EGC128.encrypt_block(MasterKey.from_hex(args.key), Block.from_hex(args.pt))
+    return None, None, ct.hex(), 0
 
-    if args.command == "vectors":
-        results = vectors.verify_vectors(args.file)
-        n_ok = sum(r.ok for r in results)
-        write_report("vectors", {"file": args.file or "bundled"},
-                     results, args.seed, args.out, args.format)
-        print(f"{n_ok}/{len(results)} passed")
-        return 0 if n_ok == len(results) else 1
 
-    if args.command == "rule-search":
-        rep = boolfun.search_rule_candidates(args.max_anf_terms)
-        run = write_report("rule-search", {"max_anf_terms": args.max_anf_terms},
-                           {**rep.__dict__,
-                            "minimizers": [f"{t:04x}" for t in rep.minimizers]},
-                           args.seed, args.out, args.format)
-        print(f"candidates: {rep.count_satisfying} "
-              f"(unrestricted {rep.count_unrestricted}), min DU {rep.du_min}, "
-              f"rule-A selected: {rep.rule_a_selected}")
-        print(f"report: {run}")
-        return 0
+def _decrypt(args):
+    pt = EGC128.decrypt_block(MasterKey.from_hex(args.key), Block.from_hex(args.ct))
+    return None, None, pt.hex(), 0
 
-    if args.command == "degree":
-        rep = boolfun.degree_growth_report(args.width, args.rounds, args.offsets)
-        run = write_report("degree", {"width": args.width, "rounds": args.rounds,
-                                      "offsets": rep.offsets},
-                           rep, args.seed, args.out, args.format)
-        print(f"width {args.width} degrees: {list(rep.degrees)} "
-              f"(reference match: {rep.matches_reference})")
-        print(f"report: {run}")
-        return 0
 
-    if args.command == "graph":
-        g = _graph_for(args)
-        rep = graphs.spectral_report(g)
-        run = write_report("graph", {"variant": args.variant, "n": args.n,
-                                     "graph_seed": args.graph_seed},
-                           rep, args.seed, args.out, args.format)
-        edges = sorted({(min(i, j), max(i, j))
-                        for i, reads in enumerate(g.read_sets) for j in reads})
-        edge_file = run / "edges.txt"
-        edge_file.write_text("".join(f"{i} {j}\n" for i, j in edges))
-        print(f"{args.variant}: gap {rep.spectral_gap:.3f}, "
-              f"diameter {rep.diameter}, mixing <= {rep.mixing_bound.natural:.1f}")
-        print(f"report: {run}")
-        return 0
+def _vectors(args):
+    results = vectors.verify_vectors(args.file)
+    n_ok = sum(r.ok for r in results)
+    return ({"file": args.file or "bundled"}, results, f"{n_ok}/{len(results)} passed",
+            0 if n_ok == len(results) else 1)
 
-    if args.command == "bounds":
-        g = _graph_for(args)
-        series = trails.bound_series(args.mode, args.rounds, g, args.transpose)
-        run = write_report("bounds",
-                           {"mode": args.mode, "rounds": args.rounds,
-                            "variant": args.variant, "n": args.n,
-                            "transpose": args.transpose},
-                           series, args.seed, args.out, args.format)
-        print(f"{args.mode} min-active 1..{args.rounds}: {list(series.min_active)}")
-        print(f"report: {run}")
-        return 0
 
-    if args.command == "lp-emit":
-        g = _graph_for(args)
-        params = {"mode": args.mode, "rounds": args.rounds,
-                  "variant": args.variant, "n": args.n}
-        if args.out_file:
-            path = Path(args.out_file)
-        else:
-            run_dir = Path(args.out) / manifest_hash(
-                build_manifest("lp-emit", params, args.seed))
-            path = run_dir / f"{args.mode}_{args.rounds}r.lp"
-        model = lpmodel.emit_lp_model(args.mode, args.rounds, g, path)
-        write_report("lp-emit", params, model, args.seed, args.out, args.format)
-        print(f"wrote {model.path} ({model.n_variables} vars, "
-              f"{model.n_constraints} constraints)")
-        return 0
+def _rule_search(args):
+    rep = boolfun.search_rule_candidates(args.max_anf_terms)
+    return ({"max_anf_terms": args.max_anf_terms},
+            {**rep.__dict__, "minimizers": [f"{t:04x}" for t in rep.minimizers]},
+            f"candidates: {rep.count_satisfying} (unrestricted {rep.count_unrestricted}), "
+            f"min DU {rep.du_min}, rule-A selected: {rep.rule_a_selected}", 0)
 
-    if args.command == "single-layer":
-        rep = trails.single_layer_min_weight(
-            args.width, args.offsets,
-            exhaustive_limit=(1 << 62) if args.full else (1 << 20),
-            max_hamming=args.max_hamming)
-        run = write_report("single-layer", {"width": args.width,
-                                            "offsets": rep.offsets,
-                                            "max_hamming": args.max_hamming},
-                           rep, args.seed, args.out, args.format)
-        print(f"width {args.width}: min weight {rep.min_weight_bits:.3f} bits")
-        print(f"report: {run}")
-        return 0
 
-    if args.command == "avalanche":
-        rep = harness.avalanche_profile(args.pairs, args.rounds, cfg)
-        run = write_report("avalanche", {"pairs": args.pairs, "rounds": args.rounds},
-                           rep, args.seed, args.out, args.format)
-        print(f"round-{args.rounds} mean HD: {rep.mean_hd[-1]:.2f} bits "
-              f"({100 * rep.fraction[-1]:.1f}%)")
-        print(f"report: {run}")
-        return 0
+def _degree(args):
+    rep = boolfun.degree_growth_report(args.width, args.rounds, args.offsets)
+    return ({"width": args.width, "rounds": args.rounds, "offsets": rep.offsets}, rep,
+            f"width {args.width} degrees: {list(rep.degrees)} "
+            f"(reference match: {rep.matches_reference})", 0)
 
-    if args.command == "sac":
-        rep = harness.sac_matrix(args.samples, cfg, args.threads)
-        run = write_report("sac", {"samples_per_bit": args.samples}, rep,
-                           args.seed, args.out, args.format)
-        print(f"mean flip probability {rep.mean:.4f}, "
-              f"[0.45,0.55]: {100 * rep.fraction_tight:.1f}%, "
-              f"[0.40,0.60]: {100 * rep.fraction_loose:.1f}%")
-        print(f"report: {run}")
-        return 0
 
-    if args.command == "bic":
-        rep = harness.bic_correlations(args.samples, cfg)
-        run = write_report("bic", {"samples": args.samples}, rep,
-                           args.seed, args.out, args.format)
-        print(f"max |r| = {rep.max_abs_correlation:.4f}, "
-              f"mean |r| = {rep.mean_abs_correlation:.4f}")
-        print(f"report: {run}")
-        return 0
+def _graph_report(args):
+    g = _graph(args)
+    rep = graphs.spectral_report(g)
+    params = {"variant": args.variant, "n": args.n, "graph_seed": args.graph_seed}
+    edges = sorted({(min(i, j), max(i, j))
+                    for i, reads in enumerate(g.read_sets) for j in reads})
+    run_dir = _run_dir(args, params)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / "edges.txt").write_text("".join(f"{i} {j}\n" for i, j in edges))
+    return (params, rep, f"{args.variant}: gap {rep.spectral_gap:.3f}, "
+            f"diameter {rep.diameter}, mixing <= {rep.mixing_bound.natural:.1f}", 0)
 
-    if args.command == "diff-empirical":
-        delta = Block.from_hex(args.delta)
-        rep = harness.empirical_max_dp(delta, args.rounds, args.samples, cfg)
-        run = write_report("diff-empirical",
-                           {"delta": args.delta, "rounds": args.rounds,
-                            "samples": args.samples},
-                           rep, args.seed, args.out, args.format)
-        print(f"max DP {rep.max_probability:.2e} (weight {rep.weight_bits:.2f} bits)")
-        print(f"report: {run}")
-        return 0
 
-    if args.command == "related-key":
-        rep = harness.related_key_scan(args.diffs, cfg)
-        run = write_report("related-key", {"diffs": args.diffs}, rep,
-                           args.seed, args.out, args.format)
-        print(f"mean HW {rep.overall_mean:.2f}/64, zero differences: "
-              f"{rep.total_zero_count}")
-        print(f"report: {run}")
-        return 0
+def _bounds(args):
+    series = trails.bound_series(args.mode, args.rounds, _graph(args), args.transpose)
+    return ({"mode": args.mode, "rounds": args.rounds, "variant": args.variant,
+             "n": args.n, "transpose": args.transpose}, series,
+            f"{args.mode} min-active 1..{args.rounds}: {list(series.min_active)}", 0)
 
-    if args.command == "subspace":
-        rep = harness.invariant_subspace_search(args.dims, args.trials, cfg)
-        run = write_report("subspace", {"dims": args.dims, "trials": args.trials},
-                           rep, args.seed, args.out, args.format)
-        print(f"{sum(1 for _ in args.dims) * args.trials} trials, "
-              f"invariants found: {rep.invariants_found}")
-        print(f"report: {run}")
-        return 0
 
-    if args.command == "zero-scan":
-        if args.all:
-            reps = harness.zero_diff_scan_all(args.samples, cfg, args.threads)
-            params = {"all": True, "samples": args.samples}
-        else:
-            if args.delta is None or args.rounds is None:
-                print("zero-scan needs --all or both --delta and --rounds",
-                      file=sys.stderr)
-                return USAGE_ERROR
-            delta = Block.from_hex(args.delta, 16)
-            reps = [harness.reduced_zero_diff_scan(
-                delta, args.rounds, args.samples, cfg,
-                exhaustive=args.exhaustive)]
-            params = {"delta": args.delta, "rounds": args.rounds,
-                      "samples": args.samples, "exhaustive": args.exhaustive}
-        run = write_report("zero-scan", params, reps, args.seed, args.out,
-                           args.format)
-        zero = sum(r.zero_output_hits for r in reps)
-        hw1 = sum(r.single_bit_output_hits or 0 for r in reps)
-        print(f"{len(reps)} combinations: {zero} zero-output hits, "
-              f"{hw1} single-bit-output hits")
-        print(f"report: {run}")
-        return 0
+def _lp_emit(args):
+    params = {"mode": args.mode, "rounds": args.rounds, "variant": args.variant, "n": args.n}
+    path = (Path(args.out_file) if args.out_file
+            else _run_dir(args, params) / f"{args.mode}_{args.rounds}r.lp")
+    model = lpmodel.emit_lp_model(args.mode, args.rounds, _graph(args), path)
+    return (params, model, f"wrote {model.path} ({model.n_variables} vars, "
+            f"{model.n_constraints} constraints)", 0)
 
-    if args.command == "coverage":
-        rep = harness.truncated_coverage_scan(args.pairs, args.checkpoints, cfg)
-        run = write_report("coverage", {"pairs": args.pairs,
-                                        "checkpoints": args.checkpoints},
-                           rep, args.seed, args.out, args.format)
-        print(f"never-active counts at {list(rep.checkpoints)}: "
-              f"{list(rep.never_active_counts)}")
-        print(f"report: {run}")
-        return 0
 
-    if args.command == "nist-gen":
-        key = MasterKey.from_hex(args.key)
-        rep = nist.generate_nist_bitstream(
-            args.mode, args.bits, key, args.out_file, cfg,
-            fmt="binary" if args.binary else "ascii")
-        write_report("nist-gen", {"mode": args.mode, "bits": args.bits,
-                                  "format": rep.format},
-                     rep, args.seed, args.out, args.format)
-        print(f"wrote {rep.n_bits} bits to {rep.path}; "
-              f"ones {rep.ones_count} ({rep.monobit_sigma:+.2f} sigma)")
-        return 0
+def _single_layer(args):
+    rep = trails.single_layer_min_weight(
+        args.width, args.offsets, exhaustive_limit=(1 << 62) if args.full else (1 << 20),
+        max_hamming=args.max_hamming)
+    return ({"width": args.width, "offsets": rep.offsets, "max_hamming": args.max_hamming},
+            rep, f"width {args.width}: min weight {rep.min_weight_bits:.3f} bits", 0)
 
-    if args.command == "bench":
-        rep = _bench(args.blocks)
-        write_report("bench", {"blocks": args.blocks}, rep, args.seed,
-                     args.out, args.format)
-        print(f"encrypt {rep['encrypt_blocks_per_sec']:.0f} blocks/s, "
-              f"decrypt {rep['decrypt_blocks_per_sec']:.0f} blocks/s")
-        return 0
 
-    raise AssertionError(f"unhandled command {args.command}")
+def _avalanche(args):
+    rep = harness.avalanche_profile(args.pairs, args.rounds, _cfg(args))
+    return ({"pairs": args.pairs, "rounds": args.rounds}, rep,
+            f"round-{args.rounds} mean HD: {rep.mean_hd[-1]:.2f} bits "
+            f"({100 * rep.fraction[-1]:.1f}%)", 0)
+
+
+def _sac(args):
+    rep = harness.sac_matrix(args.samples, _cfg(args), args.threads)
+    return ({"samples_per_bit": args.samples}, rep,
+            f"mean flip probability {rep.mean:.4f}, "
+            f"[0.45,0.55]: {100 * rep.fraction_tight:.1f}%, "
+            f"[0.40,0.60]: {100 * rep.fraction_loose:.1f}%", 0)
+
+
+def _bic(args):
+    rep = harness.bic_correlations(args.samples, _cfg(args))
+    return ({"samples": args.samples}, rep, f"max |r| = {rep.max_abs_correlation:.4f}, "
+            f"mean |r| = {rep.mean_abs_correlation:.4f}", 0)
+
+
+def _diff_empirical(args):
+    rep = harness.empirical_max_dp(Block.from_hex(args.delta), args.rounds, args.samples,
+                                   _cfg(args))
+    return ({"delta": args.delta, "rounds": args.rounds, "samples": args.samples}, rep,
+            f"max DP {rep.max_probability:.2e} (weight {rep.weight_bits:.2f} bits)", 0)
+
+
+def _related_key(args):
+    rep = harness.related_key_scan(args.diffs, _cfg(args))
+    return ({"diffs": args.diffs}, rep, f"mean HW {rep.overall_mean:.2f}/64, "
+            f"zero differences: {rep.total_zero_count}", 0)
+
+
+def _subspace(args):
+    rep = harness.invariant_subspace_search(args.dims, args.trials, _cfg(args))
+    return ({"dims": args.dims, "trials": args.trials}, rep,
+            f"{len(args.dims) * args.trials} trials, invariants found: {rep.invariants_found}",
+            0)
+
+
+def _zero_scan(args):
+    if args.all:
+        if args.delta is not None or args.rounds is not None or args.exhaustive:
+            raise ValueError("zero-scan --all runs the standard combinations; "
+                             "it takes no --delta, --rounds or --exhaustive")
+        reps = harness.zero_diff_scan_all(args.samples, _cfg(args), args.threads)
+        params = {"all": True, "samples": args.samples}
+    else:
+        if args.delta is None or args.rounds is None:
+            raise ValueError("zero-scan needs --all or both --delta and --rounds")
+        reps = [harness.reduced_zero_diff_scan(
+            Block.from_hex(args.delta, 16), args.rounds, args.samples, _cfg(args),
+            exhaustive=args.exhaustive)]
+        params = {"delta": args.delta, "rounds": args.rounds,
+                  "samples": args.samples, "exhaustive": args.exhaustive}
+    zero = sum(r.zero_output_hits for r in reps)
+    hw1 = sum(r.single_bit_output_hits or 0 for r in reps)
+    return (params, reps, f"{len(reps)} combinations: {zero} zero-output hits, "
+            f"{hw1} single-bit-output hits", 0)
+
+
+def _coverage(args):
+    rep = harness.truncated_coverage_scan(args.pairs, args.checkpoints, _cfg(args))
+    return ({"pairs": args.pairs, "checkpoints": args.checkpoints}, rep,
+            f"never-active counts at {list(rep.checkpoints)}: "
+            f"{list(rep.never_active_counts)}", 0)
+
+
+def _nist_gen(args):
+    rep = nist.generate_nist_bitstream(
+        args.mode, args.bits, MasterKey.from_hex(args.key), args.out_file, _cfg(args),
+        fmt="binary" if args.binary else "ascii")
+    return ({"mode": args.mode, "bits": args.bits, "format": rep.format}, rep,
+            f"wrote {rep.n_bits} bits to {rep.path}; "
+            f"ones {rep.ones_count} ({rep.monobit_sigma:+.2f} sigma)", 0)
+
+
+def _bench_command(args):
+    rep = _bench(args.blocks)
+    return ({"blocks": args.blocks}, rep,
+            f"encrypt {rep['encrypt_blocks_per_sec']:.0f} blocks/s, "
+            f"decrypt {rep['decrypt_blocks_per_sec']:.0f} blocks/s", 0)
 
 
 def _bench(blocks: int) -> dict:
@@ -404,14 +259,98 @@ def _cpu_mhz() -> float | None:
     return None
 
 
+GRAPH_ARGS = (
+    _arg("--variant", default="baseline", choices=graphs.VARIANTS + ("cycle",)),
+    _arg("--n", type=int, default=64),
+    _arg("--graph-seed", type=int, default=None),
+)
+BOUND_ARGS = (_arg("--mode", choices=trails.MODES, required=True),
+              _arg("--rounds", type=int, required=True)) + GRAPH_ARGS
+
+COMMANDS = {
+    "encrypt": Command("encrypt one block", (
+        _arg("--key", required=True), _arg("--pt", required=True)), _encrypt),
+    "decrypt": Command("decrypt one block", (
+        _arg("--key", required=True), _arg("--ct", required=True)), _decrypt),
+    "vectors": Command("verify test vectors", (
+        _arg("--file", default=None, help="vector CSV (default: bundled)"),), _vectors),
+    "rule-search": Command("exhaustive 4-input function search", (
+        _arg("--max-anf-terms", type=int, default=7),), _rule_search),
+    "degree": Command("algebraic degree of iterated F_core", (
+        _arg("--width", type=int, default=16), _arg("--rounds", type=int, default=4),
+        _arg("--offsets", type=_offsets, default=None)), _degree),
+    "graph": Command("spectral graph report", GRAPH_ARGS, _graph_report),
+    "bounds": Command("trail bounds", BOUND_ARGS + (
+        _arg("--transpose", action="store_true"),), _bounds),
+    "lp-emit": Command("emit LP model file", BOUND_ARGS + (
+        _arg("--out-file", default=None, help="LP path (default: in run dir)"),), _lp_emit),
+    "single-layer": Command("exact one-layer minimum differential weight", (
+        _arg("--width", type=int, default=16), _arg("--offsets", type=_offsets, default=None),
+        _arg("--max-hamming", type=int, default=4),
+        _arg("--full", action="store_true", help="exhaustive scan even above the size limit"),
+    ), _single_layer),
+    "avalanche": Command("avalanche profile", (
+        _arg("--pairs", type=int, default=64), _arg("--rounds", type=int, default=20)),
+        _avalanche),
+    "sac": Command("strict avalanche matrix", (
+        _arg("--samples", type=int, default=2000),), _sac),
+    "bic": Command("bit independence", (_arg("--samples", type=int, default=5000),), _bic),
+    "diff-empirical": Command("empirical max differential probability", (
+        _arg("--delta", required=True, help="input difference (32 hex chars)"),
+        _arg("--rounds", type=int, required=True), _arg("--samples", type=int, default=8000),
+    ), _diff_empirical),
+    "related-key": Command("round-key difference scan", (
+        _arg("--diffs", type=int, default=5000),), _related_key),
+    "subspace": Command("invariant affine subspace search", (
+        _arg("--dims", type=_int_list, default=(2, 4, 6, 8, 10, 12)),
+        _arg("--trials", type=int, default=300)), _subspace),
+    "zero-scan": Command("reduced-cipher zero-differential scan", (
+        _arg("--delta", default=None, help="8 hex chars (reduced block)"),
+        _arg("--rounds", type=int, default=None, choices=(2, 3, 4)),
+        _arg("--all", action="store_true", help="all 36 standard combos"),
+        _arg("--samples", type=int, default=1 << 24), _arg("--exhaustive", action="store_true"),
+    ), _zero_scan),
+    "coverage": Command("truncated coverage scan", (
+        _arg("--pairs", type=int, default=10000),
+        _arg("--checkpoints", type=_int_list, default=(5, 10, 15, 18, 20))), _coverage),
+    "nist-gen": Command("generate a statistical-suite input bitstream", (
+        _arg("--mode", choices=nist.MODES, default="random_pt"),
+        _arg("--bits", type=int, required=True), _arg("--key", required=True),
+        _arg("--out-file", required=True), _arg("--binary", action="store_true")), _nist_gen),
+    "bench": Command("host throughput", (_arg("--blocks", type=int, default=10000),),
+                     _bench_command),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="egc128", description=__doc__)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    common.add_argument("--threads", type=int, default=1, help="worker cap")
+    common.add_argument("--format", choices=("json", "csv"), default="json")
+    common.add_argument("--out", default="reports", help="report output root")
+    sub = top.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for names, options in command.args:
+            p.add_argument(*names, **options)
+    return top
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        params, results, summary, status = COMMANDS[args.command].run(args)
+        if params is not None:
+            run = write_report(args.command, params, results, args.seed, args.out,
+                               args.format)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    print(summary)
+    if params is not None:
+        print(f"report: {run}")
+    return status
 
 
 if __name__ == "__main__":

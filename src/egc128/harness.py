@@ -18,13 +18,14 @@ import numpy as np
 from .bitslice import (
     BitslicedCipher,
     broadcast_columns,
+    lanes_to_bits,
     pack_words,
     popcount_lanes,
     random_lanes,
     tail_mask,
     unpack_words,
 )
-from .cipher import derive_round_keys, lfsr_step
+from .cipher import derive_round_keys, f_core, lfsr_step
 from .params import RULE_A_TRUTH_TABLE, Block, CipherParams, MasterKey
 
 _FULL_PARAMS = CipherParams.full()
@@ -63,6 +64,36 @@ def _run_units(worker, units, threads: int):
         return list(pool.map(worker, units))
 
 
+def _pack(*words: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(pack_words(v, 64) for v in words)
+
+
+def _flip_bits(lw: np.ndarray, rw: np.ndarray, bitpos: np.ndarray):
+    """Copies of the branch words with block bit bitpos[j] of sample j
+    flipped (bits 64..127 are the left branch)."""
+    fl, fr = lw.copy(), rw.copy()
+    hi = bitpos >= 64
+    fl[hi] ^= _U1 << (bitpos[hi] - 64).astype(np.uint64)
+    fr[~hi] ^= _U1 << bitpos[~hi].astype(np.uint64)
+    return fl, fr
+
+
+def _pair_difference(base, flipped, key, rounds: int | None = None,
+                     snapshots=None):
+    """Output difference (dL, dR) lanes of the base and flipped (L, R)
+    batches under the full cipher, or {round: (dL, dR)} at the snapshot
+    rounds when `snapshots` is given."""
+    engine = BitslicedCipher(_FULL_PARAMS)
+    b = engine.encrypt(*base, key, rounds=rounds, snapshot_rounds=snapshots)
+    q = engine.encrypt(*flipped, key, rounds=rounds, snapshot_rounds=snapshots)
+    # The engine returns fresh arrays, so the differences overwrite b.
+    outputs = [(b, q)] if snapshots is None else zip(b.values(), q.values())
+    for (bl, br), (ql, qr) in outputs:
+        bl ^= ql
+        br ^= qr
+    return b
+
+
 # ---------------------------------------------------------------------------
 # Avalanche
 # ---------------------------------------------------------------------------
@@ -87,35 +118,17 @@ def avalanche_profile(pairs: int, rounds: int = 20,
     lw = _random_words(rng, pairs)
     rw = _random_words(rng, pairs)
 
+    # n = 128 * pairs samples, a whole number of 64-sample words.
     block = 2 * _FULL_PARAMS.branch_width
     n = pairs * block
     pair_idx = np.repeat(np.arange(pairs), block)
     bitpos = np.tile(np.arange(block), pairs)
-    fl, fr = lw[pair_idx].copy(), rw[pair_idx].copy()
-    hi = bitpos >= 64
-    fl[hi] ^= _U1 << (bitpos[hi] - 64).astype(np.uint64)
-    fr[~hi] ^= _U1 << bitpos[~hi].astype(np.uint64)
-
-    pad = _pad64(n)
-    def padded(a):
-        out = np.zeros(pad, dtype=np.uint64)
-        out[:n] = a
-        return out
-
-    engine = BitslicedCipher(_FULL_PARAMS)
-    key = (pack_words(padded(kh[pair_idx]), 64), pack_words(padded(kl[pair_idx]), 64))
-    snaps = set(range(rounds + 1))
-    base = engine.encrypt(pack_words(padded(lw[pair_idx]), 64),
-                          pack_words(padded(rw[pair_idx]), 64), key,
-                          rounds=rounds, snapshot_rounds=snaps)
-    flip = engine.encrypt(pack_words(padded(fl), 64), pack_words(padded(fr), 64),
-                          key, rounds=rounds, snapshot_rounds=snaps)
-    mask = tail_mask(n, pad // 64)
-    means = []
-    for r in range(rounds + 1):
-        dl = (base[r][0] ^ flip[r][0]) & mask
-        dr = (base[r][1] ^ flip[r][1]) & mask
-        means.append((popcount_lanes(dl) + popcount_lanes(dr)) / n)
+    lw, rw = lw[pair_idx], rw[pair_idx]
+    diffs = _pair_difference(_pack(lw, rw), _pack(*_flip_bits(lw, rw, bitpos)),
+                             _pack(kh[pair_idx], kl[pair_idx]), rounds,
+                             range(rounds + 1))
+    means = [(popcount_lanes(diffs[r][0]) + popcount_lanes(diffs[r][1])) / n
+             for r in range(rounds + 1)]
     return AvalancheReport(pairs, n, tuple(means),
                            tuple(m / block for m in means))
 
@@ -148,7 +161,6 @@ def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
     pad = _pad64(n)
     words = pad // 64
     mask = tail_mask(n, words)
-    engine = BitslicedCipher(_FULL_PARAMS)
 
     def one_bit(i: int) -> np.ndarray:
         rng = cfg.generator("sac", samples_per_bit, i)
@@ -161,12 +173,10 @@ def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
             fL[i - 64] = ~fL[i - 64]
         else:
             fR[i] = ~fR[i]
-        bL, bR = engine.encrypt(L, R, (KH, KL))
-        qL, qR = engine.encrypt(fL, fR, (KH, KL))
-        dL, dR = (bL ^ qL) & mask, (bR ^ qR) & mask
+        dL, dR = _pair_difference((L, R), (fL, fR), (KH, KL))
         return np.concatenate([
-            np.bitwise_count(dR).sum(axis=1),
-            np.bitwise_count(dL).sum(axis=1),
+            np.bitwise_count(dR & mask).sum(axis=1),
+            np.bitwise_count(dL & mask).sum(axis=1),
         ]).astype(np.int64)
 
     counts = np.stack(_run_units(one_bit, range(128), threads))
@@ -209,15 +219,9 @@ def bic_correlations(samples: int, cfg: RngConfig = RngConfig()) -> BicReport:
     kh, kl = _random_words(rng, pad), _random_words(rng, pad)
     lw, rw = _random_words(rng, pad), _random_words(rng, pad)
     bitpos = rng.integers(0, 128, pad)
-    fl, fr = lw.copy(), rw.copy()
-    hi = bitpos >= 64
-    fl[hi] ^= _U1 << (bitpos[hi] - 64).astype(np.uint64)
-    fr[~hi] ^= _U1 << bitpos[~hi].astype(np.uint64)
-    engine = BitslicedCipher(_FULL_PARAMS)
-    key = (pack_words(kh, 64), pack_words(kl, 64))
-    bL, bR = engine.encrypt(pack_words(lw, 64), pack_words(rw, 64), key)
-    qL, qR = engine.encrypt(pack_words(fl, 64), pack_words(fr, 64), key)
-    X = np.concatenate([_lanes_to_bits(bR ^ qR), _lanes_to_bits(bL ^ qL)])[:, :n]
+    dL, dR = _pair_difference(_pack(lw, rw), _pack(*_flip_bits(lw, rw, bitpos)),
+                              _pack(kh, kl))
+    X = lanes_to_bits(np.concatenate([dR, dL]))[:, :n]
     X = X.astype(np.float64).T            # (samples, 128)
     Xc = X - X.mean(axis=0)
     sd = Xc.std(axis=0)
@@ -229,14 +233,6 @@ def bic_correlations(samples: int, cfg: RngConfig = RngConfig()) -> BicReport:
         max_abs_correlation=float(np.abs(off).max()),
         mean_abs_correlation=float(np.abs(off).mean()),
         fraction_above_0p05=float((np.abs(off) > 0.05).mean()),
-    )
-
-
-def _lanes_to_bits(lanes: np.ndarray) -> np.ndarray:
-    width, words = lanes.shape
-    return np.unpackbits(
-        np.ascontiguousarray(lanes).view(np.uint8).reshape(width, words * 8),
-        axis=1, bitorder="little",
     )
 
 
@@ -268,15 +264,9 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
     pad = _pad64(n)
     kh, kl = _random_words(rng, pad), _random_words(rng, pad)
     lw, rw = _random_words(rng, pad), _random_words(rng, pad)
-    engine = BitslicedCipher(_FULL_PARAMS)
-    key = (pack_words(kh, 64), pack_words(kl, 64))
-    bL, bR = engine.encrypt(pack_words(lw, 64), pack_words(rw, 64), key, rounds=rounds)
-    qL, qR = engine.encrypt(pack_words(lw ^ np.uint64(delta.left), 64),
-                            pack_words(rw ^ np.uint64(delta.right), 64),
-                            key, rounds=rounds)
-    dl = unpack_words(bL ^ qL, n)
-    dr = unpack_words(bR ^ qR, n)
-    diffs = np.stack([dl, dr], axis=1)
+    dL, dR = _pair_difference(_pack(lw, rw), _pack(lw ^ delta.left, rw ^ delta.right),
+                              _pack(kh, kl), rounds)
+    diffs = np.stack([unpack_words(dL, n), unpack_words(dR, n)], axis=1)
     _, counts = np.unique(diffs, axis=0, return_counts=True)
     max_count = int(counts.max())
     return DpReport(
@@ -336,10 +326,8 @@ def related_key_scan(n_diffs: int, cfg: RngConfig = RngConfig(),
             dk_low = 1
         if dk_high != 0:
             case1 += 1
-        d = dk_high
-        for r in range(rounds):
-            hw[t, r] = (dk_low ^ d).bit_count()
-            d = lfsr_step(d, _FULL_PARAMS)
+        dk = MasterKey(dk_high, dk_low)
+        hw[t] = [d.bit_count() for d in round_key_difference(dk, rounds)]
     per_round = tuple(
         RoundHwStats(
             round=r,
@@ -385,24 +373,16 @@ class SubspaceTestReport:
     total_evaluations: int
 
 
-def _fcore_vec(values: np.ndarray) -> np.ndarray:
-    """Vectorised 64-bit interaction layer on an array of branch words."""
-    x = values
-    def rot(v, k):
-        k = np.uint64(k % 64)
-        return (v >> k) | (v << (np.uint64(64) - k))
-    x1, x2, x3 = rot(x, 63), rot(x, 1), rot(x, 16)
-    g = ~(x ^ x1 ^ (x & x3))
-    return ~((x2 & g) ^ (x1 & x3))
+#: Coset points tested per subspace; larger subspaces are sampled.
+SUBSPACE_MAX_POINTS = 4096
 
 
 def invariant_subspace_search(dims, trials_per_dim: int,
                               cfg: RngConfig = RngConfig(),
-                              map_fn=None, width: int = 64,
-                              max_points: int = 4096) -> SubspaceTestReport:
-    """Test random affine subspaces V + c for invariance under the
-    interaction layer: the subspace passes only if every sampled coset
-    point maps into a single coset of V.
+                              map_fn=None) -> SubspaceTestReport:
+    """Test random affine subspaces V + c of the 64-bit branch for
+    invariance under the interaction layer: the subspace passes only if
+    every sampled coset point maps into a single coset of V.
 
     `map_fn` substitutes another vectorised map over uint64 arrays
     (the identity map serves as the positive control)."""
@@ -411,19 +391,18 @@ def invariant_subspace_search(dims, trials_per_dim: int,
         raise ValueError("dims must list one or more subspace dimensions in 1..16")
     if trials_per_dim < 1:
         raise ValueError("trials_per_dim must be >= 1")
-    fn = map_fn if map_fn is not None else _fcore_vec
-    mask = np.uint64((1 << width) - 1)
+    fn = map_fn if map_fn is not None else lambda pts: f_core(pts, _FULL_PARAMS)
     found = 0
     examples = []
     evals = 0
     for k in dims:
         for trial in range(trials_per_dim):
             rng = cfg.generator("subspace", k, trial)
-            basis = _random_basis(rng, k, width)
+            basis = _random_basis(rng, k)
             offset = np.uint64(int(rng.integers(0, 1 << 32)) << 32
-                               | int(rng.integers(0, 1 << 32))) & mask
-            n_pts = min(1 << k, max_points)
-            if 1 << k <= max_points:
+                               | int(rng.integers(0, 1 << 32)))
+            n_pts = min(1 << k, SUBSPACE_MAX_POINTS)
+            if 1 << k <= SUBSPACE_MAX_POINTS:
                 sel = np.arange(n_pts, dtype=np.uint64)
             else:
                 sel = rng.integers(0, 1 << k, n_pts).astype(np.uint64)
@@ -431,7 +410,7 @@ def invariant_subspace_search(dims, trials_per_dim: int,
             for t, vec in enumerate(basis):
                 chosen = ((sel >> np.uint64(t)) & _U1).astype(bool)
                 pts ^= np.where(chosen, np.uint64(vec), np.uint64(0))
-            images = fn(pts) & mask
+            images = fn(pts)
             evals += n_pts
             diffs = images ^ images[0]
             # Reduce from the highest pivot down: clearing a high pivot
@@ -447,15 +426,14 @@ def invariant_subspace_search(dims, trials_per_dim: int,
                               tuple(examples[:8]), evals)
 
 
-def _random_basis(rng: np.random.Generator, k: int, width: int) -> list[int]:
-    """k linearly independent words kept in row-echelon form (each has a
-    unique leading bit), which makes coset-membership reduction cheap."""
+def _random_basis(rng: np.random.Generator, k: int) -> list[int]:
+    """k linearly independent 64-bit words kept in row-echelon form (each
+    has a unique leading bit), which makes coset-membership reduction
+    cheap."""
     echelon: dict[int, int] = {}
     raw: list[int] = []
     while len(raw) < k:
-        v = int(rng.integers(0, 1 << 32)) << 32 | int(rng.integers(0, 1 << 32))
-        v &= (1 << width) - 1
-        w = v
+        w = int(rng.integers(0, 1 << 32)) << 32 | int(rng.integers(0, 1 << 32))
         while w:
             top = w.bit_length() - 1
             if top in echelon:
@@ -707,23 +685,13 @@ def truncated_coverage_scan(pairs: int, checkpoints=(5, 10, 15, 18, 20),
     kh, kl = _random_words(rng, pad), _random_words(rng, pad)
     lw, rw = _random_words(rng, pad), _random_words(rng, pad)
     bitpos = rng.integers(0, 128, pad)
-    fl, fr = lw.copy(), rw.copy()
-    hi = bitpos >= 64
-    fl[hi] ^= _U1 << (bitpos[hi] - 64).astype(np.uint64)
-    fr[~hi] ^= _U1 << bitpos[~hi].astype(np.uint64)
-    engine = BitslicedCipher(_FULL_PARAMS)
-    key = (pack_words(kh, 64), pack_words(kl, 64))
-    snaps = set(checkpoints)
-    base = engine.encrypt(pack_words(lw, 64), pack_words(rw, 64), key,
-                          snapshot_rounds=snaps)
-    flip = engine.encrypt(pack_words(fl, 64), pack_words(fr, 64), key,
-                          snapshot_rounds=snaps)
+    diffs = _pair_difference(_pack(lw, rw), _pack(*_flip_bits(lw, rw, bitpos)),
+                             _pack(kh, kl), snapshots=checkpoints)
     never = []
     cover = []
     for r in checkpoints:
-        dl = base[r][0] ^ flip[r][0]
-        dr = base[r][1] ^ flip[r][1]
-        bits = np.concatenate([_lanes_to_bits(dr), _lanes_to_bits(dl)])[:, :n]
+        dl, dr = diffs[r]
+        bits = lanes_to_bits(np.concatenate([dr, dl]))[:, :n]
         active_any = bits.any(axis=1)
         never.append(int((~active_any).sum()))
         seen = np.logical_or.accumulate(bits.astype(bool), axis=1)

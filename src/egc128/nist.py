@@ -20,7 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitslice import BitslicedCipher, broadcast_columns, pack_words, random_lanes
+from .bitslice import (
+    BitslicedCipher,
+    broadcast_columns,
+    lanes_to_bits,
+    pack_words,
+    random_lanes,
+)
 from .harness import RngConfig
 from .params import CipherParams, MasterKey
 
@@ -94,18 +100,10 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
 
 def _blocks_to_bits(L: np.ndarray, R: np.ndarray, count: int) -> np.ndarray:
     """Per-block bit sequence, bit 127 first: L bits 63..0, R bits 63..0."""
-    lb = _lanes_bits(L)[::-1]      # row 0 becomes bit 63
-    rb = _lanes_bits(R)[::-1]
+    lb = lanes_to_bits(L)[::-1]      # row 0 becomes bit 63
+    rb = lanes_to_bits(R)[::-1]
     seq = np.concatenate([lb, rb], axis=0)       # (128, n_pad) block-bit rows
     return np.ascontiguousarray(seq[:, :count].T).reshape(-1)
-
-
-def _lanes_bits(lanes: np.ndarray) -> np.ndarray:
-    width, words = lanes.shape
-    return np.unpackbits(
-        np.ascontiguousarray(lanes).view(np.uint8).reshape(width, words * 8),
-        axis=1, bitorder="little",
-    )
 
 
 def monobit_sigma_bound(n_bits: int, sigmas: float = 3.0) -> float:

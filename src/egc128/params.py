@@ -117,30 +117,26 @@ class CipherParams:
                    round_constants=rcs)
 
 
-def _check_branch(value: int, width: int, what: str) -> None:
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"{what} does not fit in {width} bits")
+class _Halves:
+    """A 2*width-bit value held as its high and low width-bit halves,
+    the first two fields of the dataclasses :class:`Block` and
+    :class:`MasterKey` (``_noun`` names the value in error messages)."""
 
-
-@dataclass(frozen=True)
-class Block:
-    """A 2*width-bit cipher block split into left and right branches."""
-
-    left: int
-    right: int
-    width: int = FULL_BRANCH_WIDTH
+    _noun: str
 
     def __post_init__(self):
-        _check_branch(self.left, self.width, "left branch")
-        _check_branch(self.right, self.width, "right branch")
+        high, low = self._halves()
+        if not (0 <= high < 1 << self.width and 0 <= low < 1 << self.width):
+            raise ValueError(f"{self._noun} halves do not fit in {self.width} bits")
 
     @classmethod
-    def from_int(cls, value: int, width: int = FULL_BRANCH_WIDTH) -> "Block":
-        _check_branch(value, 2 * width, "block value")
+    def from_int(cls, value: int, width: int = FULL_BRANCH_WIDTH):
+        if not 0 <= value < 1 << 2 * width:
+            raise ValueError(f"{cls._noun} value does not fit in {2 * width} bits")
         return cls(value >> width, value & ((1 << width) - 1), width)
 
     @classmethod
-    def from_hex(cls, text: str, width: int = FULL_BRANCH_WIDTH) -> "Block":
+    def from_hex(cls, text: str, width: int = FULL_BRANCH_WIDTH):
         text = text.strip().lower().removeprefix("0x")
         digits = (2 * width + 3) // 4
         if len(text) != digits:
@@ -148,11 +144,25 @@ class Block:
         return cls.from_int(int(text, 16), width)
 
     def to_int(self) -> int:
-        return (self.left << self.width) | self.right
+        high, low = self._halves()
+        return (high << self.width) | low
 
     def hex(self) -> str:
         digits = (2 * self.width + 3) // 4
         return f"{self.to_int():0{digits}x}"
+
+
+@dataclass(frozen=True)
+class Block(_Halves):
+    """A 2*width-bit cipher block split into left and right branches."""
+
+    left: int
+    right: int
+    width: int = FULL_BRANCH_WIDTH
+    _noun = "block"
+
+    def _halves(self) -> tuple[int, int]:
+        return self.left, self.right
 
     def __xor__(self, other: "Block") -> "Block":
         if other.width != self.width:
@@ -164,36 +174,16 @@ class Block:
 
 
 @dataclass(frozen=True)
-class MasterKey:
+class MasterKey(_Halves):
     """A 2*width-bit key split into high and low halves."""
 
     high: int
     low: int
     width: int = FULL_BRANCH_WIDTH
+    _noun = "key"
 
-    def __post_init__(self):
-        _check_branch(self.high, self.width, "high key half")
-        _check_branch(self.low, self.width, "low key half")
-
-    @classmethod
-    def from_int(cls, value: int, width: int = FULL_BRANCH_WIDTH) -> "MasterKey":
-        _check_branch(value, 2 * width, "key value")
-        return cls(value >> width, value & ((1 << width) - 1), width)
-
-    @classmethod
-    def from_hex(cls, text: str, width: int = FULL_BRANCH_WIDTH) -> "MasterKey":
-        text = text.strip().lower().removeprefix("0x")
-        digits = (2 * width + 3) // 4
-        if len(text) != digits:
-            raise ValueError(f"expected {digits} hex digits, got {len(text)}")
-        return cls.from_int(int(text, 16), width)
-
-    def to_int(self) -> int:
-        return (self.high << self.width) | self.low
-
-    def hex(self) -> str:
-        digits = (2 * self.width + 3) // 4
-        return f"{self.to_int():0{digits}x}"
+    def _halves(self) -> tuple[int, int]:
+        return self.high, self.low
 
 
 #: A round-key schedule is one word per round.

@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
+
 TOOL_NAME = "egc128"
-TOOL_VERSION = "1.0.0"
 
 
 def _jsonable(obj):
@@ -42,7 +43,7 @@ def _jsonable(obj):
 def build_manifest(subcommand: str, parameters: dict, seed: int) -> dict:
     return {
         "tool": TOOL_NAME,
-        "version": TOOL_VERSION,
+        "version": __version__,
         "subcommand": subcommand,
         "parameters": _jsonable(parameters),
         "seed": seed,

@@ -31,7 +31,7 @@ from math import log2
 
 from .boolfun import ddt as _ddt
 from .graphs import GraphTopology
-from .params import RULE_A_TRUTH_TABLE, scaled_offsets
+from .params import RULE_A_TRUTH_TABLE, CipherParams
 
 #: Worst-case differential weight contributed by one active vertex.
 W_NODE = -log2(3 / 4)
@@ -150,6 +150,8 @@ class BoundSeries:
 
 def bound_series(mode: str, max_rounds: int, g: GraphTopology,
                  transpose: bool = False) -> BoundSeries:
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     counts = [min_active(mode, r, g, transpose).min_active
               for r in range(1, max_rounds + 1)]
     growth = tuple(counts[i] / counts[i - 1] if counts[i - 1] else float("inf")
@@ -211,8 +213,9 @@ def single_layer_min_weight(width: int,
     """
     if width > 32:
         raise ValueError("single-layer search supports widths up to 32")
-    if offsets is None:
-        offsets = scaled_offsets(width)
+    if max_hamming < 1:
+        raise ValueError("max_hamming must be >= 1")
+    offsets = CipherParams.reduced(width, offsets).offsets   # validates both
     table = _ddt(RULE_A_TRUTH_TABLE)
     base_cost = [0.0] * 16
     one_cost = [None] * 16

@@ -15,6 +15,7 @@ from egc128.bitslice import (
     unpack_words,
 )
 from egc128.cipher import Cipher, f_core
+from egc128.harness import _fcore_table
 from egc128.params import Block, CipherParams, MasterKey
 
 
@@ -211,3 +212,22 @@ def test_bitsliced_matches_scalar_property(case):
         states = scalar.encrypt_states(k, Block(_sample(L, j), _sample(R, j), w))
         for r, (lo, ro) in got.items():
             assert (_sample(lo, j), _sample(ro, j)) == (states[r].left, states[r].right), (j, r)
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_instances())
+def test_word_array_f_core_matches_scalar_property(case):
+    params, _, _, _, _, seed = case
+    w = params.branch_width
+    values = np.random.default_rng(seed).integers(0, 1 << w, 256, dtype=np.uint64)
+    values[:2] = 0, params.branch_mask
+    want = [f_core(int(v), params) for v in values]
+    for dtype in (np.uint64, np.uint32) if w <= 32 else (np.uint64,):
+        got = f_core(values.astype(dtype), params)
+        assert got.dtype == dtype
+        assert [int(v) for v in got] == want
+    if w <= 12:
+        # Every branch value against the per-vertex truth-table route.
+        every = f_core(np.arange(1 << w, dtype=np.uint32), params)
+        assert np.array_equal(every, _fcore_table(params))

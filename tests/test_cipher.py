@@ -7,13 +7,11 @@ import pytest
 from egc128.cipher import (
     EGC128,
     Cipher,
-    RULE_A_LUT,
     derive_round_keys,
     f_core,
     lfsr_init,
     lfsr_inverse_step,
     lfsr_step,
-    reduced_cipher,
     rule_a_eval,
 )
 from egc128.params import (
@@ -43,7 +41,8 @@ def test_rule_a_truth_table_constant():
         table |= rule_a_eval(*x) << k
     assert table == RULE_A_TRUTH_TABLE == 0x036F
     assert bin(table).count("1") == 8
-    assert tuple(RULE_A_LUT) == tuple((table >> k) & 1 for k in range(16))
+    assert tuple((RULE_A_TRUTH_TABLE >> k) & 1 for k in range(16)) == \
+        tuple(rule_a_eval(*((k >> i) & 1 for i in range(4))) for k in range(16))
 
 
 # --- F_core -----------------------------------------------------------------
@@ -273,7 +272,7 @@ def test_vector_file_format():
 # --- reduced family ---------------------------------------------------------
 
 def test_reduced_16_roundtrip():
-    c = reduced_cipher(CipherParams.reduced(16, (-1, 1, 4)))
+    c = Cipher(CipherParams.reduced(16, (-1, 1, 4)))
     rnd = random.Random(8)
     for _ in range(10**4):
         key = MasterKey(rnd.getrandbits(16), rnd.getrandbits(16), 16)
@@ -282,13 +281,13 @@ def test_reduced_16_roundtrip():
 
 
 def test_reduced_width64_degenerates_to_full():
-    c = reduced_cipher(CipherParams.reduced(64, (-1, 1, 16)))
+    c = Cipher(CipherParams.reduced(64, (-1, 1, 16)))
     assert c.encrypt_block(MasterKey(0, 0), Block(0, 0)).hex() == \
         "054e2db44cd3907d7c814c56070da703"
 
 
 def test_reduced_4bit_exhaustive_bijection():
-    c = reduced_cipher(CipherParams.reduced(4))
+    c = Cipher(CipherParams.reduced(4))
     key = MasterKey(0x9, 0x3, 4)
     images = {c.encrypt_block(key, Block.from_int(x, 4)).to_int()
               for x in range(1 << 8)}

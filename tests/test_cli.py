@@ -1,5 +1,6 @@
 """CLI: subcommand behaviour, exit codes, report schema."""
 
+import hashlib
 import json
 from importlib import resources
 
@@ -229,3 +230,84 @@ def test_bench_directions_roughly_symmetric():
     rep = _bench(500)
     ratio = rep["decrypt_blocks_per_sec"] / rep["encrypt_blocks_per_sec"]
     assert 0.5 < ratio < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["single-layer", "--width", "0"],
+    ["single-layer", "--width", "3"],
+    ["single-layer", "--width", "8", "--offsets", "1,1,2"],
+    ["single-layer", "--width", "32", "--max-hamming", "0"],
+    ["bounds", "--mode", "differential", "--rounds", "0"],
+    ["bounds", "--mode", "linear", "--rounds=-2"],
+    ["zero-scan", "--all", "--exhaustive"],
+    ["zero-scan", "--all", "--delta", "00000001"],
+    ["zero-scan", "--all", "--rounds", "3"],
+])
+def test_bad_input_exits_2_without_report(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.rglob("report.json"))
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# Every report-writing subcommand except `bench` (whose results are
+# timings) at a small size with seed 0: the run directory and the SHA-256
+# of report.json without its timestamp, its `outputs` list and the
+# `path` results that point into the temporary directory.
+GOLDEN_REPORTS = {
+    "vectors": (["vectors"], "fc630d234b1e7fbe",
+                "be39c087c69d22f84941dc02582344b4af47b2fac93b9fea470c9e7d82d82334"),
+    "rule-search": (["rule-search"], "774f4ac51db23f9f",
+                    "0cd914a26e29df88498bab31ede787ecfb897d51e70aebfeab3610b78854f047"),
+    "degree": (["degree", "--width", "8", "--rounds", "3"], "72c4c7104fcadeee",
+               "a79148906aeb4125cfe3f9568b804377bf63fbc3551db4ec1d4bd244ccbd3400"),
+    "graph": (["graph", "--variant", "random3regular", "--n", "32", "--graph-seed", "3"],
+              "ea9e05156596e282",
+              "f31eda89fdc931981b1f15abb2c5e1d53e0a9b2c50108ab6df3aaa95bd1d794e"),
+    "bounds": (["bounds", "--mode", "linear", "--rounds", "4", "--variant", "poor_expander",
+                "--transpose"], "d9cf6cf276933b67",
+               "8d704e17659287c700e2ef380ac5c8c245f15e13b52e500cd9d76e69dadaf83d"),
+    "lp-emit": (["lp-emit", "--mode", "differential", "--rounds", "2", "--n", "16"],
+                "668fb45a1268a50b",
+                "5fe8f3c2ac04b8a6d9802158aec5c981a9e00377afda2431ec9d7fb4a77ec62e"),
+    "single-layer": (["single-layer", "--width", "12", "--offsets=-1,1,5"], "acffdc59427b1642",
+                     "5eab5425830e7e889a391167989581fd8be94b8a10384f53a04f287039384230"),
+    "avalanche": (["avalanche", "--pairs", "4", "--rounds", "6"], "028791ae58bdd276",
+                  "ce05b0b3eddbd87a00c230ee73e17ba1e67841c15de2ee1c4dae9198fbdcbdeb"),
+    "sac": (["sac", "--samples", "128", "--format", "csv"], "b479ac3a8f58023e",
+            "e59661c5a38dc958ca843cfd4bb9e6a6a496b0b1b2da0c7775963b9bbca5305f"),
+    "bic": (["bic", "--samples", "1000"], "836fbc54e0676ac1",
+            "623bb0e7b140646bb3ec2dfbdaac8166a708a351bb86f02ea4966a9ac856174f"),
+    "diff-empirical": (["diff-empirical", "--delta", "0" * 31 + "1", "--rounds", "3",
+                        "--samples", "512"], "5f84ec4579d18d7a",
+                       "390227991cbbbac770f5a75d3c82e37ba3e5cc201b245683aa4d9bad5ce10c95"),
+    "related-key": (["related-key", "--diffs", "200"], "2bb43f05c11652c9",
+                    "44a72889a10622c6581997bb22bef2d397c1a42bd8f905b1ee28e429d7a3f22c"),
+    "subspace": (["subspace", "--dims", "2,4", "--trials", "10"], "c3332ab7fe8afcd3",
+                 "9ba1b4042c29911565d4d276f6ccd5e508ea00c51458fed21838eeae22db97a9"),
+    "zero-scan": (["zero-scan", "--delta", "00000001", "--rounds", "3", "--samples", "16384"],
+                  "649b65df7551238e",
+                  "c6b44be1beb6060c21d60050eb80bc6b375b3937f54251cc55298c6cf693850e"),
+    "zero-scan-all": (["zero-scan", "--all", "--samples", "4096", "--threads", "2"],
+                      "a07323f043779534",
+                      "a609bac2cb4c490b927346a78c75fff8900f0237aadf6d37468b9b561f756e90"),
+    "coverage": (["coverage", "--pairs", "500", "--checkpoints", "5,10"], "1a72b65b1e2f573c",
+                 "bd73da0e2c8dc612581e412e77a6d4b8d35556ac49fdfc2cdf3b89feb4fa2aec"),
+    "nist-gen": (["nist-gen", "--mode", "nonce_counter", "--bits", "1024", "--key", TV1_KEY,
+                  "--out-file", "{tmp}/bits.bin", "--binary"], "7b18dfdaed4c2967",
+                 "ac78e6f3395f64a21ef9977d7b2d3f4457aae130de0445a2092a2af9735083a5"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_golden_report(tmp_path, capsys, name):
+    argv, run_dir, digest = GOLDEN_REPORTS[name]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv + ["--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    (path,) = (tmp_path / "out").rglob("report.json")
+    assert path.parent.name == run_dir
+    report = json.loads(path.read_text())
+    del report["manifest"]["timestamp"], report["manifest"]["outputs"]
+    if name in ("lp-emit", "nist-gen"):
+        del report["results"]["path"]
+    blob = json.dumps(report, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
