@@ -8,6 +8,14 @@ runs as vectorised word operations, 64 samples per machine word
 (the layout of Biham, "A fast new DES implementation in software",
 FSE 1997).
 
+Layout conversion: the 64 samples of one word column, read as 64-bit
+words, and their 64 lanes are the two orientations of one 64x64 bit
+matrix.  :func:`pack_words` and :func:`unpack_words` therefore convert
+a whole batch with one word-level transpose, :func:`_transpose64`: six
+masked-swap stages of in-place ufuncs over every column at once, with
+no per-bit intermediate.  :func:`lanes_to_bits` builds the uint8 bit
+matrix for the analyses that need single bits.
+
 Cache tiling: :meth:`BitslicedCipher.encrypt` walks the word axis in
 column tiles of ``_TILE_BYTES`` per lane array (1,024 words at width
 16, 256 at width 64) and runs every round on one tile before moving to
@@ -46,26 +54,53 @@ _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
 #: Bytes of one lane array of a tile (the word count follows from the width).
 _TILE_BYTES = 1 << 17
 
+#: (shift, mask) of the six stages of :func:`_transpose64`; the mask keeps
+#: the low half of every 2s-bit block.
+_SWAP_STAGES = tuple((np.uint64(s), np.uint64(m)) for s, m in (
+    (32, 0x00000000FFFFFFFF), (16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333), (1, 0x5555555555555555),
+))
+
+
+def _transpose64(A: np.ndarray) -> None:
+    """Transpose in place the 64x64 bit matrix of every word column of A.
+
+    A is a C-contiguous (64, words) uint64 array; afterwards bit j of
+    A[i, w] is what bit i of A[j, w] was.  Each of the six masked-swap
+    stages of Hacker's Delight, section 7-3, swaps the high s-bit half
+    of every s-bit block of row k with the low half of row k + s (k with
+    bit s clear), over views of all row pairs at once.
+    """
+    words = A.shape[1]
+    t = np.empty((32, words), dtype=np.uint64)
+    for s, m in _SWAP_STAGES:
+        pairs = A.reshape(32 // s, 2, s, words)
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        ts = t.reshape(32 // s, s, words)
+        np.right_shift(lo, s, out=ts)
+        ts ^= hi
+        ts &= m
+        hi ^= ts
+        ts <<= s
+        lo ^= ts
+
 
 def pack_words(values: np.ndarray, width: int) -> np.ndarray:
-    """Pack per-sample integers (N,) into bit lanes (width, N/64).
-
-    N must be a multiple of 64.  Large batches are packed in chunks to
-    bound the intermediate bit-matrix size.
-    """
+    """Pack per-sample integers (N,) into bit lanes (width, N/64); bits
+    of a value above `width` are ignored.  N must be a multiple of 64."""
     values = np.asarray(values, dtype=np.uint64)
+    if not 1 <= width <= 64:
+        raise ValueError(f"lane width {width} outside 1..64")
+    if values.ndim != 1:
+        raise ValueError("values must be a 1-D array")
     n = values.shape[0]
     if n % 64:
         raise ValueError("sample count must be a multiple of 64")
-    lanes = np.empty((width, n // 64), dtype=np.uint64)
-    chunk = 1 << 18
-    shifts = np.arange(width, dtype=np.uint64)[None, :]
-    for lo in range(0, n, chunk):
-        part = values[lo : lo + chunk]
-        bits = ((part[:, None] >> shifts) & _ONE).astype(np.uint8)
-        packed = np.ascontiguousarray(np.packbits(bits.T, axis=1, bitorder="little"))
-        lanes[:, lo // 64 : (lo + part.shape[0]) // 64] = packed.view(np.uint64)
-    return lanes
+    # Row j, column w of the copy is sample 64*w + j; the copy is always
+    # private, since the transpose writes to it.
+    A = values.reshape(n // 64, 64).T.copy()
+    _transpose64(A)
+    return A[:width]
 
 
 def lanes_to_bits(lanes: np.ndarray) -> np.ndarray:
@@ -79,12 +114,15 @@ def lanes_to_bits(lanes: np.ndarray) -> np.ndarray:
 
 
 def unpack_words(lanes: np.ndarray, count: int | None = None) -> np.ndarray:
-    """Inverse of :func:`pack_words`; returns (N,) uint64 sample values."""
-    bits = lanes_to_bits(lanes)
-    out = np.zeros(bits.shape[1], dtype=np.uint64)
-    for b in range(bits.shape[0]):
-        out |= bits[b].astype(np.uint64) << np.uint64(b)
-    return out if count is None else out[:count]
+    """Inverse of :func:`pack_words`; returns the first `count` (default
+    all N) sample values, (count,) uint64, from lanes (width, N/64)."""
+    width, words = lanes.shape
+    if width > 64:
+        raise ValueError(f"{width} lanes do not fit in 64-bit samples")
+    A = np.zeros((64, words), dtype=np.uint64)
+    A[:width] = lanes
+    _transpose64(A)
+    return A.T.reshape(-1)[:count]
 
 
 def random_lanes(rng: np.random.Generator, width: int, words: int) -> np.ndarray:

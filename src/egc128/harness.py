@@ -49,6 +49,11 @@ class RngConfig:
         return np.random.default_rng(int.from_bytes(digest[:16], "little"))
 
 
+def _draw_u64(rng: np.random.Generator) -> int:
+    """One uniform 64-bit integer from two 32-bit draws, high half first."""
+    return int(rng.integers(0, 1 << 32)) << 32 | int(rng.integers(0, 1 << 32))
+
+
 def _random_words(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.frombuffer(rng.bytes(8 * n), dtype=np.uint64).copy()
 
@@ -320,8 +325,8 @@ def related_key_scan(n_diffs: int, cfg: RngConfig = RngConfig(),
     hw = np.empty((n_diffs, rounds), dtype=np.int64)
     case1 = 0
     for t in range(n_diffs):
-        dk_high = int(rng.integers(0, 1 << 32)) << 32 | int(rng.integers(0, 1 << 32))
-        dk_low = int(rng.integers(0, 1 << 32)) << 32 | int(rng.integers(0, 1 << 32))
+        dk_high = _draw_u64(rng)
+        dk_low = _draw_u64(rng)
         if dk_high == 0 and dk_low == 0:
             dk_low = 1
         if dk_high != 0:
@@ -399,17 +404,20 @@ def invariant_subspace_search(dims, trials_per_dim: int,
         for trial in range(trials_per_dim):
             rng = cfg.generator("subspace", k, trial)
             basis = _random_basis(rng, k)
-            offset = np.uint64(int(rng.integers(0, 1 << 32)) << 32
-                               | int(rng.integers(0, 1 << 32)))
+            offset = np.uint64(_draw_u64(rng))
             n_pts = min(1 << k, SUBSPACE_MAX_POINTS)
             if 1 << k <= SUBSPACE_MAX_POINTS:
-                sel = np.arange(n_pts, dtype=np.uint64)
+                # Point i is the offset XOR the basis vectors at the set
+                # bits of i, built by doubling.
+                pts = np.array([offset])
+                for vec in basis:
+                    pts = np.concatenate([pts, pts ^ np.uint64(vec)])
             else:
                 sel = rng.integers(0, 1 << k, n_pts).astype(np.uint64)
-            pts = np.full(n_pts, offset, dtype=np.uint64)
-            for t, vec in enumerate(basis):
-                chosen = ((sel >> np.uint64(t)) & _U1).astype(bool)
-                pts ^= np.where(chosen, np.uint64(vec), np.uint64(0))
+                pts = np.full(n_pts, offset, dtype=np.uint64)
+                for t, vec in enumerate(basis):
+                    chosen = ((sel >> np.uint64(t)) & _U1).astype(bool)
+                    pts ^= np.where(chosen, np.uint64(vec), np.uint64(0))
             images = fn(pts)
             evals += n_pts
             diffs = images ^ images[0]
@@ -417,8 +425,7 @@ def invariant_subspace_search(dims, trials_per_dim: int,
             # may set lower bits, which later steps then absorb.
             for vec in sorted(basis, reverse=True):
                 pivot = np.uint64(vec.bit_length() - 1)
-                hit = ((diffs >> pivot) & _U1).astype(bool)
-                diffs ^= np.where(hit, np.uint64(vec), np.uint64(0))
+                diffs ^= (diffs >> pivot & _U1) * np.uint64(vec)
             if not diffs.any():
                 found += 1
                 examples.append(tuple(int(v) for v in basis))
@@ -433,7 +440,7 @@ def _random_basis(rng: np.random.Generator, k: int) -> list[int]:
     echelon: dict[int, int] = {}
     raw: list[int] = []
     while len(raw) < k:
-        w = int(rng.integers(0, 1 << 32)) << 32 | int(rng.integers(0, 1 << 32))
+        w = _draw_u64(rng)
         while w:
             top = w.bit_length() - 1
             if top in echelon:

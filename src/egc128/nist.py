@@ -23,11 +23,11 @@ import numpy as np
 from .bitslice import (
     BitslicedCipher,
     broadcast_columns,
-    lanes_to_bits,
     pack_words,
     random_lanes,
+    unpack_words,
 )
-from .harness import RngConfig
+from .harness import RngConfig, _draw_u64
 from .params import CipherParams, MasterKey
 
 MODES = ("random_pt", "counter", "nonce_counter")
@@ -63,7 +63,7 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
     nonce = None
     if mode == "nonce_counter":
         nrng = cfg.generator("nist_nonce")
-        nonce = int(nrng.integers(0, 1 << 32)) << 32 | int(nrng.integers(0, 1 << 32))
+        nonce = _draw_u64(nrng)
 
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -86,24 +86,17 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
                 high = 0 if mode == "counter" else nonce
                 L = np.broadcast_to(broadcast_columns([high], 64)[0], (64, words))
             cL, cR = engine.encrypt(L, R, key)
-            chunk_bits = _blocks_to_bits(cL, cR, m)
-            ones += int(chunk_bits.sum())
-            if fmt == "ascii":
-                fh.write((chunk_bits + ord("0")).tobytes())
-            else:
-                fh.write(np.packbits(chunk_bits, bitorder="big").tobytes())
+            # Big-endian (L, R) words: the bytes are the blocks bit 127 first.
+            blocks = np.empty((m, 2), dtype=">u8")
+            blocks[:, 0] = unpack_words(cL, m)
+            blocks[:, 1] = unpack_words(cR, m)
+            raw = blocks.view(np.uint8).reshape(-1)
+            ones += int(np.bitwise_count(raw).sum())
+            fh.write(np.unpackbits(raw) + ord("0") if fmt == "ascii" else raw)
             done += m
             batch_idx += 1
     sigma = (ones - n_bits / 2) / (n_bits / 4) ** 0.5
     return NistStreamReport(out, mode, fmt, n_bits, ones, sigma, nonce)
-
-
-def _blocks_to_bits(L: np.ndarray, R: np.ndarray, count: int) -> np.ndarray:
-    """Per-block bit sequence, bit 127 first: L bits 63..0, R bits 63..0."""
-    lb = lanes_to_bits(L)[::-1]      # row 0 becomes bit 63
-    rb = lanes_to_bits(R)[::-1]
-    seq = np.concatenate([lb, rb], axis=0)       # (128, n_pad) block-bit rows
-    return np.ascontiguousarray(seq[:, :count].T).reshape(-1)
 
 
 def monobit_sigma_bound(n_bits: int, sigmas: float = 3.0) -> float:

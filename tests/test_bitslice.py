@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from egc128 import bitslice
@@ -25,6 +25,47 @@ def test_pack_unpack_roundtrip():
     assert (unpack_words(pack_words(vals, 64)) == vals).all()
     small = vals & np.uint64(0xFFFF)
     assert (unpack_words(pack_words(small, 16)) == small).all()
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(width=st.integers(1, 64), words=st.just(1) | st.integers(1, 70),
+       count=st.integers(0, 64 * 70), seed=st.integers(0, 2**32 - 1))
+@example(width=64, words=1, count=64, seed=0)
+@example(width=1, words=1, count=3, seed=1)
+def test_lane_layout_matches_definition(width, words, count, seed):
+    # Values keep their bits above `width`, which packing must ignore.
+    rng = np.random.default_rng(seed)
+    values = np.frombuffer(rng.bytes(8 * 64 * words), dtype=np.uint64).copy()
+    given_values = values.copy()
+    lanes = pack_words(values, width)
+    assert np.array_equal(values, given_values)
+    assert lanes.dtype == np.uint64 and lanes.shape == (width, words)
+    # Lane b, word w, bit j is bit b of sample 64w + j.
+    want = [[0] * words for _ in range(width)]
+    for i, v in enumerate(int(x) for x in values):
+        w, j = divmod(i, 64)
+        for b in range(width):
+            want[b][w] |= (v >> b & 1) << j
+    assert [[int(x) for x in row] for row in lanes] == want
+
+    given_lanes = lanes.copy()
+    count = min(count, 64 * words)
+    low = values[:count] & np.uint64((1 << width) - 1)
+    assert np.array_equal(unpack_words(lanes, count), low)
+    assert np.array_equal(lanes, given_lanes)
+
+
+def test_pack_unpack_reject_bad_shapes():
+    values = np.arange(128, dtype=np.uint64)
+    for width in (0, 65, -1):
+        with pytest.raises(ValueError, match="width"):
+            pack_words(values, width)
+    with pytest.raises(ValueError, match="1-D"):
+        pack_words(values.reshape(2, 64), 16)
+    with pytest.raises(ValueError, match="multiple of 64"):
+        pack_words(values[:100], 16)
+    with pytest.raises(ValueError, match="64-bit"):
+        unpack_words(np.zeros((70, 2), dtype=np.uint64))
 
 
 def test_tail_mask_counts():

@@ -95,6 +95,37 @@ def test_batching_is_invisible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _file_bits(path, fmt) -> np.ndarray:
+    raw = np.frombuffer(path.read_bytes(), np.uint8)
+    return raw - ord("0") if fmt == "ascii" else np.unpackbits(raw)
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary"])
+@pytest.mark.parametrize("mode", ["counter", "nonce_counter"])
+def test_counter_streams_across_batches_match_scalar(tmp_path, mode, fmt):
+    # 130 blocks in batches of 64: three batches, the last a partial word.
+    path = tmp_path / "s"
+    rep = generate_nist_bitstream(mode, 128 * 130, KEY, path, CFG, fmt=fmt,
+                                  batch_blocks=64)
+    c = Cipher()
+    high = rep.nonce if mode == "nonce_counter" else 0
+    want = "".join(f"{c.encrypt_block(KEY, Block(high, i)).to_int():0128b}"
+                   for i in range(130))
+    bits = _file_bits(path, fmt)
+    assert "".join(map(str, bits)) == want
+    assert rep.ones_count == int(bits.sum())
+
+
+def test_random_pt_binary_is_packed_ascii(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.bin"
+    ra = generate_nist_bitstream("random_pt", 128 * 130, KEY, a, CFG, batch_blocks=64)
+    rb = generate_nist_bitstream("random_pt", 128 * 130, KEY, b, CFG, fmt="binary",
+                                 batch_blocks=64)
+    bits = _file_bits(a, "ascii")
+    assert b.read_bytes() == np.packbits(bits).tobytes()
+    assert ra.ones_count == rb.ones_count == int(bits.sum())
+
+
 def test_validation_errors(tmp_path):
     with pytest.raises(ValueError):
         generate_nist_bitstream("counter", 100, KEY, tmp_path / "x", CFG)
