@@ -243,9 +243,7 @@ class BitslicedCipher:
         """
         p, pad = self.params, self._pad
         w = p.branch_width
-        nr = p.rounds if rounds is None else rounds
-        if not 0 <= nr <= p.rounds:
-            raise ValueError("round override outside schedule length")
+        nr = p.round_count(rounds)
         want = None if snapshot_rounds is None else sorted(set(snapshot_rounds))
         if want is not None and any(not 0 <= r <= nr for r in want):
             raise ValueError(f"snapshot rounds {want} outside 0..{nr}")

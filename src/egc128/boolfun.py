@@ -24,20 +24,34 @@ def truth_table_bits(table: int, size: int = TT_SIZE) -> np.ndarray:
     return ((table >> np.arange(size)) & 1).astype(np.uint8)
 
 
-def bits_to_int(bits: np.ndarray) -> int:
-    return int(sum(int(b) << k for k, b in enumerate(bits)))
-
-
-def _xor_butterflies(a: np.ndarray) -> np.ndarray:
-    """In-place binary Moebius transform along the first axis of a
-    contiguous array, whose length is a power of two; on integer words it
-    acts on every bit at once."""
+def _butterfly_halves(a: np.ndarray):
+    """The (lower, upper) halves of every block of each radix-2 stage
+    along the first axis of a contiguous array whose length is a power
+    of two, as views into it."""
     step = 1
     while step < a.shape[0]:
         # Entry i is in half (i & step) != 0 of its block of 2 * step.
         halves = a.reshape((-1, 2, step) + a.shape[1:])
-        halves[:, 1] ^= halves[:, 0]
+        yield halves[:, 0], halves[:, 1]
         step <<= 1
+
+
+def _xor_butterflies(a: np.ndarray) -> np.ndarray:
+    """In-place binary Moebius transform along the first axis; on integer
+    words it acts on every bit at once."""
+    for lo, hi in _butterfly_halves(a):
+        hi ^= lo
+    return a
+
+
+def _walsh_butterflies(a: np.ndarray) -> np.ndarray:
+    """In-place unnormalised Walsh-Hadamard transform along the first
+    axis of a signed integer array: entry u becomes
+    sum_x a[x] * (-1)^(u.x)."""
+    for lo, hi in _butterfly_halves(a):
+        s = lo - hi
+        lo += hi
+        hi[...] = s
     return a
 
 
@@ -70,16 +84,7 @@ def algebraic_degree(values) -> int:
 
 def walsh_spectrum(table: int) -> np.ndarray:
     """W_f(a) = sum_x (-1)^(f(x) xor a.x) for all 16 masks a."""
-    signs = 1 - 2 * truth_table_bits(table).astype(np.int32)
-    spec = signs.copy()
-    step = 1
-    while step < TT_SIZE:
-        idx = np.arange(TT_SIZE)
-        lower = (idx & step) == 0
-        a, b = spec[lower], spec[~lower]
-        spec[lower], spec[~lower] = a + b, a - b
-        step <<= 1
-    return spec
+    return _walsh_butterflies(1 - 2 * truth_table_bits(table).astype(np.int32))
 
 
 def nonlinearity(table: int) -> int:
@@ -103,12 +108,6 @@ def differential_uniformity(table: int) -> tuple[int, np.ndarray]:
     """Largest DDT entry over nonzero input differences, plus the DDT."""
     t = ddt(table)
     return int(t[1:].max()), t
-
-
-def rule_a_node_weight() -> float:
-    """Worst-case per-node differential weight, -log2(DU/16) bits."""
-    du, _ = differential_uniformity(RULE_A_TRUTH_TABLE)
-    return -float(np.log2(du / TT_SIZE))
 
 
 @dataclass(frozen=True)
@@ -145,15 +144,11 @@ def search_rule_candidates(max_anf_terms: int = 7) -> CandidateSearchReport:
     bits = ((tables[:, None] >> np.arange(TT_SIZE)[None, :]) & 1).astype(np.int8)
     balanced = bits.sum(axis=1) == 8
 
-    signs = (1 - 2 * bits).astype(np.int32)
-    hada = np.empty((TT_SIZE, TT_SIZE), dtype=np.int32)
-    for a in range(TT_SIZE):
-        for x in range(TT_SIZE):
-            hada[a, x] = 1 - 2 * ((a & x).bit_count() & 1)
-    walsh = signs @ hada.T
-    nl = 8 - np.abs(walsh).max(axis=1) // 2
+    cols = bits.T.copy()                         # (point, table)
+    walsh = _walsh_butterflies(1 - 2 * cols.astype(np.int32))
+    nl = 8 - np.abs(walsh).max(axis=0) // 2
 
-    anf = _xor_butterflies(bits.T.copy())        # (monomial, table)
+    anf = _xor_butterflies(cols)                 # (monomial, table)
     mono_deg = np.array([m.bit_count() for m in range(TT_SIZE)])
     deg = (anf * mono_deg[:, None]).max(axis=0)
     n_terms = anf.sum(axis=0)
@@ -192,13 +187,6 @@ REFERENCE_DEGREE_ROWS = {
 }
 
 MAX_EXHAUSTIVE_DEGREE_WIDTH = 16
-
-
-def iterated_fcore_degree(width: int, rounds: int,
-                          offsets: tuple[int, int, int] | None = None) -> int:
-    """Exact algebraic degree of F_core composed `rounds` times,
-    as the maximum ANF degree over all output coordinates."""
-    return degree_series(width, rounds, offsets)[-1]
 
 
 def degree_series(width: int, rounds: int,

@@ -110,46 +110,29 @@ class Cipher:
     def __init__(self, params: CipherParams | None = None):
         self.params = params or CipherParams.full()
 
-    def _check(self, key: MasterKey, block: Block) -> None:
-        if key.width != self.params.branch_width or block.width != self.params.branch_width:
+    def _round_keys(self, key: MasterKey, block: Block, rounds: int | None) -> RoundKeySchedule:
+        """The round keys of the first `rounds` rounds (all by default)."""
+        p = self.params
+        if key.width != p.branch_width or block.width != p.branch_width:
             raise ValueError("key/block width does not match cipher parameters")
+        nr = p.round_count(rounds)
+        return derive_round_keys(key, p)[:nr]
+
+    def _feistel(self, L: int, R: int, rks) -> tuple[int, int]:
+        p = self.params
+        for rk in rks:
+            L, R = R, L ^ f_core(R, p) ^ rk
+        return L, R
 
     def encrypt_block(self, key: MasterKey, pt: Block, rounds: int | None = None) -> Block:
-        self._check(key, pt)
-        p = self.params
-        nr = p.rounds if rounds is None else rounds
-        if not 0 <= nr <= p.rounds:
-            raise ValueError("round override outside schedule length")
-        rks = derive_round_keys(key, p)
-        L, R = pt.left, pt.right
-        for r in range(nr):
-            L, R = R, L ^ f_core(R, p) ^ rks[r]
-        return Block(L, R, p.branch_width)
+        L, R = self._feistel(pt.left, pt.right, self._round_keys(key, pt, rounds))
+        return Block(L, R, self.params.branch_width)
 
     def decrypt_block(self, key: MasterKey, ct: Block, rounds: int | None = None) -> Block:
-        self._check(key, ct)
-        p = self.params
-        nr = p.rounds if rounds is None else rounds
-        if not 0 <= nr <= p.rounds:
-            raise ValueError("round override outside schedule length")
-        rks = derive_round_keys(key, p)
-        L, R = ct.left, ct.right
-        for r in range(nr - 1, -1, -1):
-            R, L = L, R ^ f_core(L, p) ^ rks[r]
-        return Block(L, R, p.branch_width)
-
-    def encrypt_states(self, key: MasterKey, pt: Block) -> list[Block]:
-        """All intermediate states: entry [r] is the state after round r
-        (entry [0] is the plaintext)."""
-        self._check(key, pt)
-        p = self.params
-        rks = derive_round_keys(key, p)
-        L, R = pt.left, pt.right
-        states = [Block(L, R, p.branch_width)]
-        for r in range(p.rounds):
-            L, R = R, L ^ f_core(R, p) ^ rks[r]
-            states.append(Block(L, R, p.branch_width))
-        return states
+        # The rounds in reverse order on the swapped block (R, L) undo
+        # encryption; swapping the result back gives the plaintext.
+        R, L = self._feistel(ct.right, ct.left, reversed(self._round_keys(key, ct, rounds)))
+        return Block(L, R, self.params.branch_width)
 
 
 _FULL = CipherParams.full()

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from . import boolfun, graphs, harness, lpmodel, nist, trails, vectors
-from .cipher import EGC128, Cipher
+from .cipher import EGC128
 from .params import Block, MasterKey
 from .reporting import build_manifest, manifest_hash, write_report
 
@@ -209,56 +208,6 @@ def _nist_gen(args):
             f"ones {rep.ones_count} ({rep.monobit_sigma:+.2f} sigma)", 0)
 
 
-def _bench_command(args):
-    rep = _bench(args.blocks)
-    return ({"blocks": args.blocks}, rep,
-            f"encrypt {rep['encrypt_blocks_per_sec']:.0f} blocks/s, "
-            f"decrypt {rep['decrypt_blocks_per_sec']:.0f} blocks/s", 0)
-
-
-def _bench(blocks: int) -> dict:
-    if blocks < 1:
-        raise ValueError("blocks must be >= 1")
-    cipher = Cipher()
-    key = MasterKey.from_hex("000102030405060708090a0b0c0d0e0f")
-    pt = Block.from_hex("00112233445566778899aabbccddeeff")
-    for _ in range(min(blocks, 32)):    # warm up before timing
-        cipher.decrypt_block(key, cipher.encrypt_block(key, pt))
-    t0 = time.perf_counter()
-    ct = pt
-    for _ in range(blocks):
-        ct = cipher.encrypt_block(key, ct)
-    t_enc = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    back = ct
-    for _ in range(blocks):
-        back = cipher.decrypt_block(key, back)
-    t_dec = time.perf_counter() - t0
-    mhz = _cpu_mhz()
-    out = {
-        "blocks": blocks,
-        "encrypt_blocks_per_sec": blocks / t_enc,
-        "decrypt_blocks_per_sec": blocks / t_dec,
-        "encrypt_ns_per_byte": t_enc / blocks / 16 * 1e9,
-        "decrypt_ns_per_byte": t_dec / blocks / 16 * 1e9,
-        "cpu_mhz": mhz,
-        "encrypt_cycles_per_byte_est": (t_enc / blocks / 16) * mhz * 1e6 if mhz else None,
-        "decrypt_cycles_per_byte_est": (t_dec / blocks / 16) * mhz * 1e6 if mhz else None,
-    }
-    return out
-
-
-def _cpu_mhz() -> float | None:
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if line.lower().startswith("cpu mhz"):
-                    return float(line.split(":")[1])
-    except OSError:
-        pass
-    return None
-
-
 GRAPH_ARGS = (
     _arg("--variant", default="baseline", choices=graphs.VARIANTS + ("cycle",)),
     _arg("--n", type=int, default=64),
@@ -317,8 +266,6 @@ COMMANDS = {
         _arg("--mode", choices=nist.MODES, default="random_pt"),
         _arg("--bits", type=int, required=True), _arg("--key", required=True),
         _arg("--out-file", required=True), _arg("--binary", action="store_true")), _nist_gen),
-    "bench": Command("host throughput", (_arg("--blocks", type=int, default=10000),),
-                     _bench_command),
 }
 
 

@@ -25,10 +25,13 @@ from .bitslice import (
     tail_mask,
     unpack_words,
 )
+from .boolfun import _walsh_butterflies
 from .cipher import derive_round_keys, f_core, lfsr_step
 from .params import RULE_A_TRUTH_TABLE, Block, CipherParams, MasterKey
 
 _FULL_PARAMS = CipherParams.full()
+# The engine keeps no per-call state, so threads may share it.
+_FULL_ENGINE = BitslicedCipher(_FULL_PARAMS)
 _U1 = np.uint64(1)
 
 
@@ -73,23 +76,27 @@ def _pack(*words: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(pack_words(v, 64) for v in words)
 
 
-def _flip_bits(lw: np.ndarray, rw: np.ndarray, bitpos: np.ndarray):
-    """Copies of the branch words with block bit bitpos[j] of sample j
-    flipped (bits 64..127 are the left branch)."""
-    fl, fr = lw.copy(), rw.copy()
+def _bit_lanes(bitpos: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(L, R) lanes in which sample j has only block bit bitpos[j] set
+    (bits 64..127 are the left branch)."""
     hi = bitpos >= 64
-    fl[hi] ^= _U1 << (bitpos[hi] - 64).astype(np.uint64)
-    fr[~hi] ^= _U1 << bitpos[~hi].astype(np.uint64)
-    return fl, fr
+    one = _U1 << (bitpos % 64).astype(np.uint64)
+    zero = np.uint64(0)
+    return _pack(np.where(hi, one, zero), np.where(hi, zero, one))
 
 
-def _pair_difference(base, flipped, key, rounds: int | None = None,
-                     snapshots=None):
-    """Output difference (dL, dR) lanes of the base and flipped (L, R)
-    batches under the full cipher, or {round: (dL, dR)} at the snapshot
-    rounds when `snapshots` is given."""
-    engine = BitslicedCipher(_FULL_PARAMS)
-    b = engine.encrypt(*base, key, rounds=rounds, snapshot_rounds=snapshots)
+def _pair_difference(engine: BitslicedCipher, base, delta, key,
+                     rounds: int | None = None, snapshots=None):
+    """Output difference (dL, dR) lanes of the (L, R) lanes `base` and
+    `base` XOR `delta` under `engine`, or {round: (dL, dR)} at the
+    snapshot rounds when `snapshots` is given.  `delta` holds lanes or
+    broadcast columns."""
+    L, R = base
+    b = engine.encrypt(L, R, key, rounds=rounds, snapshot_rounds=snapshots)
+    # The flipped batch is built after the first call and freed on return:
+    # the zero scan page-faults least with its arrays allocated and freed
+    # in this order.
+    flipped = (L ^ delta[0], R ^ delta[1])
     q = engine.encrypt(*flipped, key, rounds=rounds, snapshot_rounds=snapshots)
     # The engine returns fresh arrays, so the differences overwrite b.
     outputs = [(b, q)] if snapshots is None else zip(b.values(), q.values())
@@ -129,7 +136,7 @@ def avalanche_profile(pairs: int, rounds: int = 20,
     pair_idx = np.repeat(np.arange(pairs), block)
     bitpos = np.tile(np.arange(block), pairs)
     lw, rw = lw[pair_idx], rw[pair_idx]
-    diffs = _pair_difference(_pack(lw, rw), _pack(*_flip_bits(lw, rw, bitpos)),
+    diffs = _pair_difference(_FULL_ENGINE, _pack(lw, rw), _bit_lanes(bitpos),
                              _pack(kh[pair_idx], kl[pair_idx]), rounds,
                              range(rounds + 1))
     means = [(popcount_lanes(diffs[r][0]) + popcount_lanes(diffs[r][1])) / n
@@ -173,12 +180,9 @@ def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
         KL = random_lanes(rng, 64, words)
         L = random_lanes(rng, 64, words)
         R = random_lanes(rng, 64, words)
-        fL, fR = L.copy(), R.copy()
-        if i >= 64:
-            fL[i - 64] = ~fL[i - 64]
-        else:
-            fR[i] = ~fR[i]
-        dL, dR = _pair_difference((L, R), (fL, fR), (KH, KL))
+        d = Block.from_int(1 << i)
+        dL, dR = _pair_difference(_FULL_ENGINE, (L, R),
+                                  broadcast_columns([d.left, d.right], 64), (KH, KL))
         return np.concatenate([
             np.bitwise_count(dR & mask).sum(axis=1),
             np.bitwise_count(dL & mask).sum(axis=1),
@@ -224,7 +228,7 @@ def bic_correlations(samples: int, cfg: RngConfig = RngConfig()) -> BicReport:
     kh, kl = _random_words(rng, pad), _random_words(rng, pad)
     lw, rw = _random_words(rng, pad), _random_words(rng, pad)
     bitpos = rng.integers(0, 128, pad)
-    dL, dR = _pair_difference(_pack(lw, rw), _pack(*_flip_bits(lw, rw, bitpos)),
+    dL, dR = _pair_difference(_FULL_ENGINE, _pack(lw, rw), _bit_lanes(bitpos),
                               _pack(kh, kl))
     X = lanes_to_bits(np.concatenate([dR, dL]))[:, :n]
     X = X.astype(np.float64).T            # (samples, 128)
@@ -269,8 +273,9 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
     pad = _pad64(n)
     kh, kl = _random_words(rng, pad), _random_words(rng, pad)
     lw, rw = _random_words(rng, pad), _random_words(rng, pad)
-    dL, dR = _pair_difference(_pack(lw, rw), _pack(lw ^ delta.left, rw ^ delta.right),
-                              _pack(kh, kl), rounds)
+    dL, dR = _pair_difference(_FULL_ENGINE, _pack(lw, rw),
+                              broadcast_columns([delta.left, delta.right], 64), _pack(kh, kl),
+                              rounds)
     diffs = np.stack([unpack_words(dL, n), unpack_words(dR, n)], axis=1)
     _, counts = np.unique(diffs, axis=0, return_counts=True)
     max_count = int(counts.max())
@@ -534,10 +539,7 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
             rng = cfg.generator("zero_diff", delta.to_int(), rounds, chunk_idx)
             L = random_lanes(rng, 16, words)
             R = random_lanes(rng, 16, words)
-        bL, bR = engine.encrypt(L, R, key, rounds=rounds)
-        qL, qR = engine.encrypt(L ^ flip[0], R ^ flip[1], key, rounds=rounds)
-        bL ^= qL
-        bR ^= qR
+        bL, bR = _pair_difference(engine, (L, R), flip, key, rounds)
         # Carry-save count of the 32 difference lanes per sample, saturating
         # at 2: c0 holds the count's low bit, c1 is set once it reaches 2.
         c0 = np.zeros(words, dtype=np.uint64)
@@ -587,17 +589,6 @@ def _fcore_table(params: CipherParams) -> np.ndarray:
         idx = sum(((x >> ((i + o) % w)) & 1) << j for j, o in enumerate(reads))
         out |= ((RULE_A_TRUTH_TABLE >> idx) & 1) << i
     return out
-
-
-def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of an integer vector."""
-    n = v.size
-    h = 1
-    while h < n:
-        v = v.reshape(-1, 2, h)
-        v = np.concatenate((v[:, :1] + v[:, 1:], v[:, :1] - v[:, 1:]), axis=1)
-        h *= 2
-    return v.reshape(n)
 
 
 def exact_single_bit_output_count(delta: Block, rounds: int, key: MasterKey,
@@ -656,8 +647,8 @@ def exact_single_bit_output_count(delta: Block, rounds: int, key: MasterKey,
             if not t.any() or not q.any():
                 continue
             if c not in g_hat:
-                g_hat[c] = _walsh_hadamard((c_of_r0 == c).astype(np.int64))
-            corr = _walsh_hadamard(g_hat[c] * _walsh_hadamard(q.astype(np.int64))) // n
+                g_hat[c] = _walsh_butterflies((c_of_r0 == c).astype(np.int64))
+            corr = _walsh_butterflies(g_hat[c] * _walsh_butterflies(q.astype(np.int64))) // n
             h = np.bincount(F[t] ^ rk1, minlength=n)
             total += int(h @ corr)
     return total
@@ -692,7 +683,7 @@ def truncated_coverage_scan(pairs: int, checkpoints=(5, 10, 15, 18, 20),
     kh, kl = _random_words(rng, pad), _random_words(rng, pad)
     lw, rw = _random_words(rng, pad), _random_words(rng, pad)
     bitpos = rng.integers(0, 128, pad)
-    diffs = _pair_difference(_pack(lw, rw), _pack(*_flip_bits(lw, rw, bitpos)),
+    diffs = _pair_difference(_FULL_ENGINE, _pack(lw, rw), _bit_lanes(bitpos),
                              _pack(kh, kl), snapshots=checkpoints)
     never = []
     cover = []

@@ -27,7 +27,7 @@ from .bitslice import (
     random_lanes,
     unpack_words,
 )
-from .harness import RngConfig, _draw_u64
+from .harness import RngConfig, _draw_u64, _pad64
 from .params import CipherParams, MasterKey
 
 MODES = ("random_pt", "counter", "nonce_counter")
@@ -73,7 +73,7 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
         batch_idx = 0
         while done < n_blocks:
             m = min(batch_blocks, n_blocks - done)
-            m_pad = (m + 63) // 64 * 64
+            m_pad = _pad64(m)
             words = m_pad // 64
             if mode == "random_pt":
                 rng = cfg.generator("nist_pt", batch_idx)

@@ -92,6 +92,14 @@ class CipherParams:
     def block_mask(self) -> int:
         return (1 << self.block_width) - 1
 
+    def round_count(self, rounds: int | None) -> int:
+        """The number of rounds to run: `rounds`, or the whole schedule
+        when None; it must lie in 0..rounds."""
+        nr = self.rounds if rounds is None else rounds
+        if not 0 <= nr <= self.rounds:
+            raise ValueError("round override outside schedule length")
+        return nr
+
     @property
     def lfsr_taps(self) -> tuple[int, ...]:
         return tuple(t for t in LFSR_TAPS if t < self.branch_width)

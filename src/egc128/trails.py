@@ -29,12 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import log2
 
-from .boolfun import ddt as _ddt
+from .boolfun import TT_SIZE, differential_uniformity
 from .graphs import GraphTopology
 from .params import RULE_A_TRUTH_TABLE, CipherParams
 
-#: Worst-case differential weight contributed by one active vertex.
-W_NODE = -log2(3 / 4)
+_RULE_A_DU, _RULE_A_DDT = differential_uniformity(RULE_A_TRUTH_TABLE)
+
+#: Worst-case differential weight contributed by one active vertex,
+#: -log2(DU/16) bits for Rule-A's differential uniformity DU = 12.
+W_NODE = -log2(_RULE_A_DU / TT_SIZE)
 
 MODES = ("differential", "linear")
 
@@ -134,7 +137,7 @@ def min_active(mode: str, rounds: int, g: GraphTopology,
         key = (trace.total_active, *_start_key(l0, r0))
         if best_key is None or key < best_key:
             best_trace, best_key, best_l0, best_r0 = trace, key, l0, r0
-    weight = best_trace.total_active * W_NODE if mode == "differential" else None
+    weight = differential_weight(best_trace.total_active) if mode == "differential" else None
     return TrailBoundReport(mode, rounds, best_trace.total_active, weight,
                             best_l0, best_r0, best_trace.round_counts)
 
@@ -165,7 +168,7 @@ def bound_series(mode: str, max_rounds: int, g: GraphTopology,
 
 def differential_weight(count: int) -> float:
     """Total weight in bits of `count` active vertices at worst-case
-    per-vertex probability 3/4."""
+    per-vertex probability DU/16 = 3/4."""
     if count < 0:
         raise ValueError("count must be >= 0")
     return count * W_NODE
@@ -181,7 +184,7 @@ def extrapolate_full(value: float, mode: str, n: int = 64,
     active count (pass that count as `value`).
     """
     if mode == "differential":
-        return value + saturated_rounds * n * W_NODE
+        return value + differential_weight(saturated_rounds * n)
     if mode == "linear":
         return 5 * value
     raise ValueError(f"unknown mode {mode!r}")
@@ -216,11 +219,10 @@ def single_layer_min_weight(width: int,
     if max_hamming < 1:
         raise ValueError("max_hamming must be >= 1")
     offsets = CipherParams.reduced(width, offsets).offsets   # validates both
-    table = _ddt(RULE_A_TRUTH_TABLE)
     base_cost = [0.0] * 16
     one_cost = [None] * 16
     for a in range(16):
-        costs = {b: -log2(table[a][b] / 16) for b in range(2) if table[a][b]}
+        costs = {b: -log2(_RULE_A_DDT[a][b] / 16) for b in range(2) if _RULE_A_DDT[a][b]}
         base_cost[a] = min(costs.values())
         one_cost[a] = costs.get(1)
 

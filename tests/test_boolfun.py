@@ -8,21 +8,21 @@ import pytest
 
 from egc128.boolfun import (
     REFERENCE_DEGREE_ROWS,
+    _walsh_butterflies,
     algebraic_degree,
     anf_monomials,
     ddt,
     degree_growth_report,
     degree_series,
     differential_uniformity,
-    iterated_fcore_degree,
     moebius_transform,
     nonlinearity,
-    rule_a_node_weight,
     search_rule_candidates,
     truth_table_bits,
     walsh_spectrum,
 )
 from egc128.params import RULE_A_TRUTH_TABLE
+from egc128.trails import W_NODE
 
 
 # --- Moebius / ANF ----------------------------------------------------------
@@ -81,6 +81,20 @@ def test_parseval_random_tables():
         assert int((spec.astype(np.int64) ** 2).sum()) == 256
 
 
+def test_walsh_butterflies_match_definition():
+    rng = np.random.default_rng(5)
+    for k in range(7):
+        x = np.arange(1 << k)
+        # signs[u, x] = (-1)^(u.x)
+        signs = 1 - 2 * (np.bitwise_count(x[:, None] & x[None, :]) & 1).astype(np.int64)
+        for m in (1, 5):
+            v = rng.integers(-1000, 1000, (1 << k, m), dtype=np.int64)
+            want = signs @ v
+            got = v.copy()
+            assert _walsh_butterflies(got) is got
+            assert (got == want).all(), (k, m)
+
+
 # --- DDT --------------------------------------------------------------------
 
 def test_rule_a_du():
@@ -88,7 +102,7 @@ def test_rule_a_du():
     assert du == 12
     assert (table.sum(axis=1) == 16).all()
     assert tuple(table[0]) == (16, 0)
-    assert abs(rule_a_node_weight() - 0.4150374992788438) < 1e-12
+    assert abs(W_NODE - 0.4150374992788438) < 1e-12
 
 
 def test_constant_function_du():
@@ -140,7 +154,7 @@ def test_degree_series_width16():
 
 def test_degree_round1_is_cubic_any_width():
     for width in (8, 10, 12, 16):
-        assert iterated_fcore_degree(width, 1) == 3
+        assert degree_series(width, 1)[-1] == 3
 
 
 def test_degree_width8_round1():

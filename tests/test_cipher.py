@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from egc128.bitslice import BitslicedCipher
 from egc128.cipher import (
     EGC128,
     Cipher,
@@ -259,6 +261,54 @@ def test_single_round_roundtrip_reduced():
     key = MasterKey(0x1111, 0x2222, 16)
     pt = Block(0xAAAA, 0x5555, 16)
     assert c.decrypt_block(key, c.encrypt_block(key, pt)) == pt
+
+
+# --- round overrides --------------------------------------------------------
+
+def _naive_encrypt(p, rks, block, rounds):
+    L, R = block.left, block.right
+    for i in range(rounds):
+        L, R = R, L ^ _f_core_naive(R, p) ^ rks[i]
+    return Block(L, R, p.branch_width)
+
+
+def _naive_decrypt(p, rks, block, rounds):
+    # Undo the rounds last to first: R_old = L, L_old = R ^ F(L) ^ RK.
+    L, R = block.left, block.right
+    for i in reversed(range(rounds)):
+        L, R = R ^ _f_core_naive(L, p) ^ rks[i], L
+    return Block(L, R, p.branch_width)
+
+
+@pytest.mark.parametrize("width", (4, 8, 16, 33, 64))
+def test_round_override_matches_naive_loop(width):
+    p = CipherParams.reduced(width)
+    c = Cipher(p)
+    rnd = random.Random(width)
+    for _ in range(3):
+        key = MasterKey(rnd.getrandbits(width), rnd.getrandbits(width), width)
+        block = Block(rnd.getrandbits(width), rnd.getrandbits(width), width)
+        rks = derive_round_keys(key, p)
+        for r in range(p.rounds + 1):
+            ct = c.encrypt_block(key, block, rounds=r)
+            pt = c.decrypt_block(key, block, rounds=r)
+            assert ct == _naive_encrypt(p, rks, block, r), r
+            assert pt == _naive_decrypt(p, rks, block, r), r
+            assert c.decrypt_block(key, ct, rounds=r) == block, r
+            assert c.encrypt_block(key, pt, rounds=r) == block, r
+
+
+@pytest.mark.parametrize("width", (4, 8, 16, 33, 64))
+def test_round_override_outside_schedule_raises(width):
+    p = CipherParams.reduced(width)
+    key, block = MasterKey(1, 2, width), Block(3, 4, width)
+    lanes = np.zeros((width, 1), dtype=np.uint64)
+    for r in (-1, p.rounds + 1):
+        for call in (lambda: Cipher(p).encrypt_block(key, block, rounds=r),
+                     lambda: Cipher(p).decrypt_block(key, block, rounds=r),
+                     lambda: BitslicedCipher(p).encrypt(lanes, lanes, key, rounds=r)):
+            with pytest.raises(ValueError, match="round override outside schedule length"):
+                call()
 
 
 def test_vector_file_format():

@@ -218,20 +218,6 @@ def test_diff_empirical_subcommand(tmp_path):
     assert report["results"]["weight_bits"] > 2.0
 
 
-def test_bench_subcommand(tmp_path, capsys):
-    assert main(["bench", "--blocks", "50", "--out", str(tmp_path)]) == 0
-    report = _find_report(tmp_path)
-    assert report["results"]["encrypt_blocks_per_sec"] > 0
-
-
-def test_bench_directions_roughly_symmetric():
-    from egc128.cli import _bench
-
-    rep = _bench(500)
-    ratio = rep["decrypt_blocks_per_sec"] / rep["encrypt_blocks_per_sec"]
-    assert 0.5 < ratio < 2.0
-
-
 @pytest.mark.parametrize("argv", [
     ["single-layer", "--width", "0"],
     ["single-layer", "--width", "3"],
@@ -249,9 +235,8 @@ def test_bad_input_exits_2_without_report(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-# Every report-writing subcommand except `bench` (whose results are
-# timings) at a small size with seed 0: the run directory and the SHA-256
-# of report.json without its timestamp, its `outputs` list and the
+# Every report-writing subcommand at a small size with seed 0: the run
+# directory and the SHA-256 of report.json without its timestamp, its `outputs` list and the
 # `path` results that point into the temporary directory.
 GOLDEN_REPORTS = {
     "vectors": (["vectors"], "fc630d234b1e7fbe",
