@@ -19,6 +19,8 @@ the low key half and a per-round constant.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .params import Block, CipherParams, LfsrState, MasterKey, RoundKeySchedule
 
 
@@ -43,16 +45,14 @@ def f_core(x, params: CipherParams):
     if isinstance(x, int) and not 0 <= x <= mask:
         raise ValueError(f"branch value does not fit in {w} bits")
     # x_k is x rotated right by offset o_k, so its bit i is bit i + o_k of x.
-    k1, k2, k3 = params.offsets
-    k1 %= w
-    k2 %= w
-    k3 %= w
-    x1 = (x >> k1 | x << (w - k1)) & mask
-    x2 = (x >> k2 | x << (w - k2)) & mask
-    x3 = (x >> k3 | x << (w - k3)) & mask
-    # 1 ^ x2 ^ x0x2 ^ x1x2 ^ x1x3 ^ x0x2x3  ==  ~((x2 & ~(x0^x1^(x0&x3))) ^ (x1&x3))
-    g = mask ^ x ^ x1 ^ (x & x3)
-    return mask ^ ((x2 & g) ^ (x1 & x3))
+    # The rotations are left unmasked: bits above the width are dropped once,
+    # at the end.
+    k1, k2, k3 = params.rotations
+    x1 = x >> k1 | x << (w - k1)
+    x2 = x >> k2 | x << (w - k2)
+    x3 = x >> k3 | x << (w - k3)
+    # 1 ^ x2 ^ x0x2 ^ x1x2 ^ x1x3 ^ x0x2x3  ==  (~x2 | (x0^x1^(x0&x3))) ^ (x1&x3)
+    return (((mask ^ x2) | (x ^ x1 ^ (x & x3))) ^ (x1 & x3)) & mask
 
 
 def lfsr_init(k_high: int, params: CipherParams | None = None) -> LfsrState:
@@ -62,28 +62,32 @@ def lfsr_init(k_high: int, params: CipherParams | None = None) -> LfsrState:
     return k_high if k_high != 0 else 1
 
 
-def lfsr_step(s: LfsrState, params: CipherParams | None = None) -> LfsrState:
+def _parity(x):
+    """Bit parity of a Python int, or elementwise of an unsigned numpy
+    word array (returned in the array's dtype)."""
+    if isinstance(x, int):
+        return x.bit_count() & 1
+    return np.bitwise_count(x).astype(x.dtype) & 1
+
+
+def lfsr_step(s, params: CipherParams | None = None):
     """One LFSR update: shift right, feedback bit enters at the top.
 
-    The feedback is the XOR of tap bits {0, 1, 3, 4} of the input state.
+    The feedback is the XOR of tap bits {0, 1, 3, 4} of the input state
+    (taps at or above the width are dropped).  `s` is one state as a
+    Python int, or an array of states of an unsigned numpy dtype at
+    least `branch_width` bits wide.
     """
     p = params or _FULL
-    fb = 0
-    for t in p.lfsr_taps:
-        fb ^= (s >> t) & 1
-    return (s >> 1) | (fb << (p.branch_width - 1))
+    return (s >> 1) | (_parity(s & p.lfsr_tap_mask) << (p.branch_width - 1))
 
 
-def lfsr_inverse_step(s: LfsrState, params: CipherParams | None = None) -> LfsrState:
+def lfsr_inverse_step(s, params: CipherParams | None = None):
     """Exact inverse of :func:`lfsr_step`."""
     p = params or _FULL
-    w = p.branch_width
     # Output bit w-1 is the old feedback; the old bit 0 is recovered by
-    # cancelling the taps that shifted down by one position.
-    b0 = (s >> (w - 1)) & 1
-    for t in p.lfsr_taps:
-        if t >= 1:
-            b0 ^= (s >> (t - 1)) & 1
+    # cancelling the taps t >= 1, which now sit at bits t - 1.
+    b0 = _parity(s & (p.lfsr_tap_mask >> 1 | 1 << (p.branch_width - 1)))
     return ((s << 1) & p.branch_mask) | b0
 
 
@@ -94,8 +98,8 @@ def derive_round_keys(key: MasterKey, params: CipherParams) -> RoundKeySchedule:
         raise ValueError("key width does not match cipher parameters")
     s = lfsr_init(key.high, params)
     keys = []
-    for r in range(params.rounds):
-        keys.append(key.low ^ s ^ params.round_constants[r])
+    for rc in params.round_constants:
+        keys.append(key.low ^ s ^ rc)
         s = lfsr_step(s, params)
     return tuple(keys)
 

@@ -327,17 +327,13 @@ def related_key_scan(n_diffs: int, cfg: RngConfig = RngConfig(),
     if n_diffs < 1:
         raise ValueError("n_diffs must be >= 1")
     rng = cfg.generator("related_key", n_diffs, rounds)
+    draws = [(_draw_u64(rng), _draw_u64(rng)) for _ in range(n_diffs)]
+    dk_high, dk_low = np.array(draws, dtype=np.uint64).T
+    dk_low[(dk_high == 0) & (dk_low == 0)] = 1
+    case1 = int(np.count_nonzero(dk_high))
     hw = np.empty((n_diffs, rounds), dtype=np.int64)
-    case1 = 0
-    for t in range(n_diffs):
-        dk_high = _draw_u64(rng)
-        dk_low = _draw_u64(rng)
-        if dk_high == 0 and dk_low == 0:
-            dk_low = 1
-        if dk_high != 0:
-            case1 += 1
-        dk = MasterKey(dk_high, dk_low)
-        hw[t] = [d.bit_count() for d in round_key_difference(dk, rounds)]
+    for r, d in enumerate(round_key_difference(dk_high, dk_low, rounds)):
+        hw[:, r] = np.bitwise_count(d)
     per_round = tuple(
         RoundHwStats(
             round=r,
@@ -360,12 +356,14 @@ def related_key_scan(n_diffs: int, cfg: RngConfig = RngConfig(),
     )
 
 
-def round_key_difference(dk: MasterKey, rounds: int = 20) -> list[int]:
-    """Exact per-round round-key differences for one key difference."""
-    d = dk.high
+def round_key_difference(dk_high, dk_low, rounds: int = 20) -> list:
+    """Exact per-round round-key differences for the master-key difference
+    (dk_high, dk_low): Python ints, or `uint64` arrays of differences
+    that are stepped together (one array per round)."""
+    d = dk_high
     out = []
     for _ in range(rounds):
-        out.append(dk.low ^ d)
+        out.append(dk_low ^ d)
         d = lfsr_step(d, _FULL_PARAMS)
     return out
 

@@ -17,7 +17,7 @@ Bit conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # First 320 fractional hexadecimal digits of pi.  Consecutive 16-digit
 # (64-bit) words of this string are the cipher's round constants
@@ -64,6 +64,11 @@ class CipherParams:
     offsets: tuple[int, int, int] = FULL_OFFSETS
     rounds: int = FULL_ROUNDS
     round_constants: tuple[int, ...] = ROUND_CONSTANTS
+    # Constants derived from the fields above, computed once per instance
+    # for the scalar cipher's per-call hot paths.
+    branch_mask: int = field(init=False, repr=False, compare=False)
+    rotations: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    lfsr_tap_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = self.branch_width
@@ -79,10 +84,9 @@ class CipherParams:
         mask = (1 << w) - 1
         if any(rc & ~mask for rc in self.round_constants):
             raise ValueError("round constant wider than branch width")
-
-    @property
-    def branch_mask(self) -> int:
-        return (1 << self.branch_width) - 1
+        object.__setattr__(self, "branch_mask", mask)
+        object.__setattr__(self, "rotations", tuple(residues))
+        object.__setattr__(self, "lfsr_tap_mask", sum(1 << t for t in self.lfsr_taps))
 
     @property
     def block_width(self) -> int:

@@ -27,7 +27,10 @@ overall plus a nontrivial output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 from math import log2
+
+import numpy as np
 
 from .boolfun import TT_SIZE, differential_uniformity
 from .graphs import GraphTopology
@@ -190,6 +193,10 @@ def extrapolate_full(value: float, mode: str, n: int = 64,
     raise ValueError(f"unknown mode {mode!r}")
 
 
+#: Differences scored per array pass in `single_layer_min_weight`.
+_CHUNK = 1 << 16
+
+
 @dataclass(frozen=True)
 class SingleLayerReport:
     width: int
@@ -213,56 +220,67 @@ def single_layer_min_weight(width: int,
     `exhaustive_limit` are scanned over differences of Hamming weight
     at most `max_hamming` (the optimum sits at single-bit differences,
     and the restriction is recorded in the report).
+
+    Differences are scored as `uint64` arrays of at most `_CHUNK`
+    entries.  Vertex costs are added in vertex order from 0.0, as a
+    per-difference loop would, so the weights are the same floats; ties
+    go to the first difference in enumeration order.
     """
     if width > 32:
         raise ValueError("single-layer search supports widths up to 32")
     if max_hamming < 1:
         raise ValueError("max_hamming must be >= 1")
     offsets = CipherParams.reduced(width, offsets).offsets   # validates both
-    base_cost = [0.0] * 16
-    one_cost = [None] * 16
+    # base_cost[a]: cheapest output difference of a vertex with local input
+    # difference a; flip_cost[a]: the extra cost of forcing output 1 (inf
+    # where the DDT has no such transition).
+    base_cost = np.empty(16)
+    flip_cost = np.full(16, np.inf)
     for a in range(16):
         costs = {b: -log2(_RULE_A_DDT[a][b] / 16) for b in range(2) if _RULE_A_DDT[a][b]}
         base_cost[a] = min(costs.values())
-        one_cost[a] = costs.get(1)
+        if 1 in costs:
+            flip_cost[a] = costs[1] - base_cost[a]
 
     if (1 << width) - 1 <= exhaustive_limit:
-        deltas = range(1, 1 << width)
+        chunks = (np.arange(lo, min(lo + _CHUNK, 1 << width), dtype=np.uint64)
+                  for lo in range(1, 1 << width, _CHUNK))
         restricted = None
     else:
-        deltas = _bounded_weight_deltas(width, max_hamming)
+        chunks = _bounded_weight_chunks(width, max_hamming)
         restricted = max_hamming
 
-    offs = [o % width for o in offsets]
+    reads = [(i, *((i + o) % width for o in offsets)) for i in range(width)]
     best = None
     best_delta = 0
     examined = 0
-    for delta in deltas:
-        examined += 1
-        total = 0.0
-        flip_penalty = None
-        d2 = delta | (delta << width)      # wraparound-free shifts
-        for i in range(width):
-            a = ((delta >> i) & 1) \
-                | (((d2 >> (i + offs[0])) & 1) << 1) \
-                | (((d2 >> (i + offs[1])) & 1) << 2) \
-                | (((d2 >> (i + offs[2])) & 1) << 3)
-            total += base_cost[a]
-            if one_cost[a] is not None:
-                extra = one_cost[a] - base_cost[a]
-                if flip_penalty is None or extra < flip_penalty:
-                    flip_penalty = extra
-        if flip_penalty is None:
-            continue                       # no nonzero output reachable
-        total += flip_penalty
-        if best is None or total < best:
-            best, best_delta = total, delta
+    for deltas in chunks:
+        examined += len(deltas)
+        bits = np.empty((width, len(deltas)), dtype=np.uint8)
+        for j in range(width):
+            bits[j] = deltas >> j & 1
+        total = np.zeros(len(deltas))
+        penalty = np.full(len(deltas), np.inf)
+        for i, j1, j2, j3 in reads:
+            a = bits[i] | bits[j1] << 1 | bits[j2] << 2 | bits[j3] << 3
+            total += np.take(base_cost, a)
+            np.minimum(penalty, np.take(flip_cost, a), out=penalty)
+        total += penalty           # inf: no nonzero output reachable
+        k = int(np.argmin(total))
+        if np.isfinite(total[k]) and (best is None or total[k] < best):
+            best, best_delta = float(total[k]), int(deltas[k])
     return SingleLayerReport(width, tuple(offsets), best, best_delta,
                              restricted, examined)
 
 
-def _bounded_weight_deltas(width: int, max_hamming: int):
-    from itertools import combinations
+def _bounded_weight_chunks(width: int, max_hamming: int):
+    """The differences of Hamming weight 1..max_hamming, by weight and
+    then in lexicographic order of their bit positions, as `uint64`
+    arrays of at most `_CHUNK` entries."""
     for hw in range(1, max_hamming + 1):
-        for bits in combinations(range(width), hw):
-            yield sum(1 << b for b in bits)
+        positions = combinations(range(width), hw)
+        while True:
+            flat = np.fromiter(chain.from_iterable(islice(positions, _CHUNK)), dtype=np.uint64)
+            if not len(flat):
+                break
+            yield np.bitwise_or.reduce(np.uint64(1) << flat.reshape(-1, hw), axis=1)

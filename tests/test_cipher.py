@@ -165,7 +165,90 @@ def test_lfsr_inverse_reduced_widths():
             assert lfsr_step(lfsr_inverse_step(s, p), p) == s
 
 
+def _lfsr_step_per_tap(s, p):
+    # The per-tap loop of the definition; taps at or above the width are dropped.
+    fb = 0
+    for t in (0, 1, 3, 4):
+        if t < p.branch_width:
+            fb ^= (s >> t) & 1
+    return (s >> 1) | (fb << (p.branch_width - 1))
+
+
+def _lfsr_inverse_per_tap(s, p):
+    w = p.branch_width
+    b0 = (s >> (w - 1)) & 1
+    for t in (1, 3, 4):
+        if t < w:
+            b0 ^= (s >> (t - 1)) & 1
+    return ((s << 1) & p.branch_mask) | b0
+
+
+@pytest.mark.parametrize("width", range(4, 65))
+def test_lfsr_tap_parity_matches_per_tap_loop(width):
+    p = CipherParams.reduced(width)
+    assert p.lfsr_taps == tuple(t for t in (0, 1, 3, 4) if t < width)
+    rnd = random.Random(width)
+    states = [0, 1, p.branch_mask, 1 << (width - 1)] + [rnd.getrandbits(width) for _ in range(200)]
+    for s in states:
+        assert lfsr_step(s, p) == _lfsr_step_per_tap(s, p)
+        assert lfsr_inverse_step(s, p) == _lfsr_inverse_per_tap(s, p)
+    # The word-array route steps every state the same way.
+    words = np.array(states, dtype=np.uint64)
+    for fn in (lfsr_step, lfsr_inverse_step):
+        got = fn(words, p)
+        assert got.dtype == np.uint64
+        assert [int(v) for v in got] == [fn(s, p) for s in states]
+
+
+def test_lfsr_width4_drops_tap_4():
+    p = CipherParams.reduced(4)
+    assert p.lfsr_taps == (0, 1, 3) and p.lfsr_tap_mask == 0b1011
+    # Bit 4 does not exist: the feedback of 0b1011 is the parity of three taps.
+    assert lfsr_step(0b1011, p) == 0b1101
+    assert lfsr_inverse_step(0b1101, p) == 0b1011
+
+
 # --- key schedule -----------------------------------------------------------
+
+def _naive_schedule(key, p):
+    s = key.high or 1
+    keys = []
+    for r in range(p.rounds):
+        keys.append(key.low ^ s ^ p.round_constants[r])
+        s = _lfsr_step_per_tap(s, p)
+    return tuple(keys)
+
+
+@pytest.mark.parametrize("width", [4, 5, 8, 16, 31, 33, 64])
+def test_derive_round_keys_matches_naive_schedule(width):
+    rnd = random.Random(100 + width)
+    for rounds in (1, 7, 20, 24):
+        p = CipherParams.reduced(width, rounds=rounds)
+        keys = [MasterKey(0, 0, width), MasterKey(0, p.branch_mask, width)]
+        keys += [MasterKey(rnd.getrandbits(width), rnd.getrandbits(width), width) for _ in range(50)]
+        for key in keys:
+            assert derive_round_keys(key, p) == _naive_schedule(key, p)
+
+
+@pytest.mark.parametrize("width", [4, 7, 16, 64])
+def test_params_derive_their_own_constants(width):
+    # Instances of one width with different offsets each keep their own
+    # rotation amounts; equality and hashing see only the declared fields.
+    rnd = random.Random(width)
+    seen = set()
+    while len(seen) < 4:
+        offsets = tuple(k - width * rnd.randrange(2) for k in rnd.sample(range(1, width), 3))
+        p = CipherParams.reduced(width, offsets)
+        assert p.rotations == tuple(o % width for o in offsets)
+        assert p.branch_mask == (1 << width) - 1
+        assert p.lfsr_tap_mask == sum(1 << t for t in p.lfsr_taps)
+        assert p == CipherParams.reduced(width, offsets)
+        assert hash(p) == hash(CipherParams.reduced(width, offsets))
+        seen.add(p.rotations)
+        values = [0, p.branch_mask] + [rnd.getrandbits(width) for _ in range(100)]
+        got = f_core(np.array(values, dtype=np.uint64), p)
+        assert [int(v) for v in got] == [f_core(v, p) for v in values] \
+            == [_f_core_naive(v, p) for v in values]
 
 def test_round_constants_are_pi_digits():
     # Rebuild the constant table from scratch with arbitrary-precision pi.

@@ -106,6 +106,19 @@ def test_single_layer_subcommand(tmp_path, capsys):
     assert abs(report["results"]["min_weight_bits"] - 3.415) < 1e-3
 
 
+def test_single_layer_full_scans_every_difference(tmp_path, capsys):
+    # Width 21 is above the default size limit, so only --full scans all
+    # 2^21 - 1 differences; the Hamming-restricted default finds the same minimum.
+    assert main(["single-layer", "--width", "21", "--full", "--out", str(tmp_path / "full")]) == 0
+    full = _find_report(tmp_path / "full")["results"]
+    assert full["restricted_to_hamming"] is None
+    assert full["n_deltas_examined"] == (1 << 21) - 1
+    assert main(["single-layer", "--width", "21", "--out", str(tmp_path / "default")]) == 0
+    default = _find_report(tmp_path / "default")["results"]
+    assert default["restricted_to_hamming"] == 4
+    assert full["min_weight_bits"] == default["min_weight_bits"]
+
+
 def test_lp_emit_subcommand(tmp_path):
     lp = tmp_path / "m.lp"
     assert main(["lp-emit", "--mode", "differential", "--rounds", "1",

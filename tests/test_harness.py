@@ -147,7 +147,7 @@ def test_empirical_dp_decays_with_rounds():
 
 def test_related_key_low_half_difference_constant():
     d = MasterKey(0, 0xDEADBEEF)
-    assert round_key_difference(d) == [0xDEADBEEF] * 20
+    assert round_key_difference(d.high, d.low) == [0xDEADBEEF] * 20
 
 
 def test_related_key_formula_matches_two_schedules():
@@ -163,7 +163,18 @@ def test_related_key_formula_matches_two_schedules():
         a = derive_round_keys(MasterKey(kh, kl), p)
         b = derive_round_keys(MasterKey(kh ^ dh, kl ^ dl), p)
         direct = [x ^ y for x, y in zip(a, b)]
-        assert direct == round_key_difference(MasterKey(dh, dl))
+        assert direct == round_key_difference(dh, dl)
+
+
+def test_round_key_difference_steps_word_arrays():
+    rng = np.random.default_rng(5)
+    high = rng.integers(0, 1 << 64, 300, dtype=np.uint64)
+    low = rng.integers(0, 1 << 64, 300, dtype=np.uint64)
+    high[:3] = 0, 1, (1 << 64) - 1
+    rounds = round_key_difference(high, low, 20)
+    assert len(rounds) == 20 and all(d.dtype == np.uint64 for d in rounds)
+    for j in range(300):
+        assert [int(d[j]) for d in rounds] == round_key_difference(int(high[j]), int(low[j]))
 
 
 def test_lfsr_nonzero_preservation():

@@ -1,12 +1,20 @@
 """Trail bounds: OR-propagation, minimisation, weights, single layer."""
 
 import random
+from itertools import combinations
 from math import isclose, log2
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from egc128 import trails
+from egc128.boolfun import ddt
 from egc128.graphs import build_topology
+from egc128.params import RULE_A_TRUTH_TABLE, CipherParams
 from egc128.trails import (
+    SingleLayerReport,
     W_NODE,
     bound_series,
     differential_weight,
@@ -237,6 +245,72 @@ def test_single_layer_small_width_independent_check():
         best = total + flip if best is None else min(best, total + flip)
     rep = single_layer_min_weight(8, (-1, 1, 2))
     assert isclose(rep.min_weight_bits, best, abs_tol=1e-12)
+
+
+def _single_layer_loop(width, offsets, exhaustive_limit, max_hamming):
+    # The per-difference loop that the array search replaced, kept as the
+    # reference it must match bit for bit.
+    table = ddt(RULE_A_TRUTH_TABLE)
+    offsets = CipherParams.reduced(width, offsets).offsets
+    base_cost = [0.0] * 16
+    one_cost = [None] * 16
+    for a in range(16):
+        costs = {b: -log2(table[a][b] / 16) for b in range(2) if table[a][b]}
+        base_cost[a] = min(costs.values())
+        one_cost[a] = costs.get(1)
+    if (1 << width) - 1 <= exhaustive_limit:
+        deltas, restricted = range(1, 1 << width), None
+    else:
+        deltas = (sum(1 << b for b in bits) for hw in range(1, max_hamming + 1)
+                  for bits in combinations(range(width), hw))
+        restricted = max_hamming
+    offs = [o % width for o in offsets]
+    best, best_delta, examined = None, 0, 0
+    for delta in deltas:
+        examined += 1
+        total, flip_penalty = 0.0, None
+        d2 = delta | (delta << width)
+        for i in range(width):
+            a = ((delta >> i) & 1) \
+                | (((d2 >> (i + offs[0])) & 1) << 1) \
+                | (((d2 >> (i + offs[1])) & 1) << 2) \
+                | (((d2 >> (i + offs[2])) & 1) << 3)
+            total += base_cost[a]
+            if one_cost[a] is not None:
+                extra = one_cost[a] - base_cost[a]
+                if flip_penalty is None or extra < flip_penalty:
+                    flip_penalty = extra
+        if flip_penalty is None:
+            continue
+        total += flip_penalty
+        if best is None or total < best:
+            best, best_delta = total, delta
+    return SingleLayerReport(width, tuple(offsets), best, best_delta, restricted, examined)
+
+
+@st.composite
+def _layer_cases(draw):
+    width = draw(st.integers(4, 17))
+    residues = draw(st.lists(st.integers(1, width - 1), min_size=3, max_size=3, unique=True))
+    offsets = tuple(k - width if draw(st.booleans()) else k for k in residues)
+    # Exhaustive up to width 13; a limit of 16 restricts from width 5 on.
+    limit = draw(st.sampled_from([1 << 13, 16]))
+    return width, offsets, limit, draw(st.integers(1, 3)), draw(st.sampled_from([None, 1, 7, 100]))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_layer_cases())
+@example((17, (-1, 1, 4), 1 << 20, 4, None))      # exhaustive over two full chunks and a tail
+@example((16, (-1, 1, 4), 1 << 20, 4, None))      # the criterion-8 instance
+@example((12, (-1, 1, 3), 1, 3, 5))               # restricted, chunks straddle the weights
+@example((8, (1, 2, 3), 1 << 13, 1, None))        # summing in another vertex order moves an ulp
+def test_single_layer_matches_per_difference_loop(case):
+    width, offsets, limit, max_hamming, chunk = case
+    with mock.patch.object(trails, "_CHUNK", chunk or trails._CHUNK):
+        got = single_layer_min_weight(width, offsets, limit, max_hamming)
+    want = _single_layer_loop(width, offsets, limit, max_hamming)
+    assert got == want
+    assert type(got.min_weight_bits) is float and type(got.optimal_delta) is int
 
 
 def test_single_layer_errors():
