@@ -103,6 +103,11 @@ def pack_words(values: np.ndarray, width: int) -> np.ndarray:
     return A[:width]
 
 
+def counter_lanes(start: int, words: int, width: int) -> np.ndarray:
+    """(width, words) lanes of the 64 * words counters from `start` (low `width` bits)."""
+    return pack_words(np.arange(start, start + 64 * words, dtype=np.uint64), width)
+
+
 def lanes_to_bits(lanes: np.ndarray) -> np.ndarray:
     """(width, N) uint8 bit matrix of lanes (width, N/64): entry [b, j]
     is bit b of sample j."""

@@ -291,7 +291,7 @@ def main(argv=None) -> int:
         if params is not None:
             run = write_report(args.command, params, results, args.seed, args.out,
                                args.format)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(summary)

@@ -23,7 +23,6 @@ for reference.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from math import log, log2
 
@@ -129,39 +128,33 @@ def symmetrized_adjacency(g: GraphTopology) -> np.ndarray:
     return A
 
 
+def hop_distances(g: GraphTopology) -> np.ndarray:
+    """All-pairs shortest-path hop counts on the symmetrised graph, -1
+    where no path exists.  Entry (i, j) is the first k at which the
+    boolean power (A + I)^k reaches j from i."""
+    step = symmetrized_adjacency(g) + np.eye(g.n)
+    reach = np.eye(g.n, dtype=bool)
+    dist = np.where(reach, 0, -1)
+    for k in range(1, g.n):
+        nxt = reach @ step > 0
+        new = nxt & ~reach
+        if not new.any():
+            break
+        dist[new] = k
+        reach = nxt
+    return dist
+
+
 def is_connected(g: GraphTopology) -> bool:
-    A = symmetrized_adjacency(g)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in np.nonzero(A[u])[0]:
-            if int(v) not in seen:
-                seen.add(int(v))
-                queue.append(int(v))
-    return len(seen) == g.n
+    return bool((hop_distances(g) >= 0).all())
 
 
 def diameter(g: GraphTopology) -> int:
-    """Longest shortest path on the symmetrised graph (BFS from every
-    vertex)."""
-    A = symmetrized_adjacency(g)
-    nbrs = [np.nonzero(A[u])[0] for u in range(g.n)]
-    worst = 0
-    for s in range(g.n):
-        dist = np.full(g.n, -1)
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in nbrs[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        if (dist < 0).any():
-            raise ValueError("graph is disconnected")
-        worst = max(worst, int(dist.max()))
-    return worst
+    """Longest shortest path on the symmetrised graph."""
+    dist = hop_distances(g)
+    if (dist < 0).any():
+        raise ValueError("graph is disconnected")
+    return int(dist.max())
 
 
 @dataclass(frozen=True)
@@ -197,8 +190,8 @@ def spectral_report(g: GraphTopology) -> SpectralReport:
     if g.n > 256:
         raise ValueError("dense spectral analysis limited to n <= 256")
     A = symmetrized_adjacency(g)
-    connected = is_connected(g)
-    if not connected:
+    dist = hop_distances(g)
+    if (dist < 0).any():
         return SpectralReport(g.variant, g.n, 0.0, 0.0, 0.0, 0.0, (), -1,
                               MixingBound(float("inf"), float("inf")), False)
     evals = np.sort(np.linalg.eigvalsh(A))[::-1]
@@ -216,7 +209,7 @@ def spectral_report(g: GraphTopology) -> SpectralReport:
         lambda2=float(evals[1]),
         normalized_gap=float(1.0 - nu2),
         normalized_eigenvalues=tuple(float(v) for v in nevals),
-        diameter=diameter(g),
+        diameter=int(dist.max()),
         mixing_bound=mixing_time_bound(g.n, gap),
         connected=True,
     )

@@ -18,6 +18,7 @@ import numpy as np
 from .bitslice import (
     BitslicedCipher,
     broadcast_columns,
+    counter_lanes,
     lanes_to_bits,
     pack_words,
     popcount_lanes,
@@ -57,12 +58,16 @@ def _draw_u64(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 1 << 32)) << 32 | int(rng.integers(0, 1 << 32))
 
 
-def _random_words(rng: np.random.Generator, n: int) -> np.ndarray:
-    return np.frombuffer(rng.bytes(8 * n), dtype=np.uint64).copy()
-
-
 def _pad64(n: int) -> int:
     return (n + 63) // 64 * 64
+
+
+def _batches(total: int, size: int):
+    """(index, first sample, count, 64-sample words) of each batch of at
+    most `size` samples, in order, covering `total` samples."""
+    for index, first in enumerate(range(0, total, size)):
+        count = min(size, total - first)
+        yield index, first, count, _pad64(count) // 64
 
 
 def _run_units(worker, units, threads: int):
@@ -72,8 +77,12 @@ def _run_units(worker, units, threads: int):
         return list(pool.map(worker, units))
 
 
-def _pack(*words: np.ndarray) -> tuple[np.ndarray, ...]:
-    return tuple(pack_words(v, 64) for v in words)
+def _random_pairs(rng: np.random.Generator, n: int, repeat: int = 1):
+    """(L, R) plaintext and (KH, KL) key lanes of `n` random samples, each
+    repeated `repeat` times; drawn key high, key low, left, right."""
+    words = (np.frombuffer(rng.bytes(8 * n), np.uint64) for _ in range(4))
+    kh, kl, lw, rw = (pack_words(np.repeat(w, repeat), 64) for w in words)
+    return (lw, rw), (kh, kl)
 
 
 def _bit_lanes(bitpos: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -82,7 +91,12 @@ def _bit_lanes(bitpos: np.ndarray) -> tuple[np.ndarray, ...]:
     hi = bitpos >= 64
     one = _U1 << (bitpos % 64).astype(np.uint64)
     zero = np.uint64(0)
-    return _pack(np.where(hi, one, zero), np.where(hi, zero, one))
+    return pack_words(np.where(hi, one, zero), 64), pack_words(np.where(hi, zero, one), 64)
+
+
+def _difference_bits(dL: np.ndarray, dR: np.ndarray, n: int) -> np.ndarray:
+    """(128, n) uint8 block bits of the first n samples (rows 64.. are dL)."""
+    return lanes_to_bits(np.concatenate([dR, dL]))[:, :n]
 
 
 def _pair_difference(engine: BitslicedCipher, base, delta, key,
@@ -124,20 +138,12 @@ def avalanche_profile(pairs: int, rounds: int = 20,
     over `pairs` random (key, plaintext) pairs and all 128 bit flips."""
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    rng = cfg.generator("avalanche", pairs, rounds)
-    kh = _random_words(rng, pairs)
-    kl = _random_words(rng, pairs)
-    lw = _random_words(rng, pairs)
-    rw = _random_words(rng, pairs)
-
     # n = 128 * pairs samples, a whole number of 64-sample words.
     block = 2 * _FULL_PARAMS.branch_width
     n = pairs * block
-    pair_idx = np.repeat(np.arange(pairs), block)
+    base, key = _random_pairs(cfg.generator("avalanche", pairs, rounds), pairs, block)
     bitpos = np.tile(np.arange(block), pairs)
-    lw, rw = lw[pair_idx], rw[pair_idx]
-    diffs = _pair_difference(_FULL_ENGINE, _pack(lw, rw), _bit_lanes(bitpos),
-                             _pack(kh[pair_idx], kl[pair_idx]), rounds,
+    diffs = _pair_difference(_FULL_ENGINE, base, _bit_lanes(bitpos), key, rounds,
                              range(rounds + 1))
     means = [(popcount_lanes(diffs[r][0]) + popcount_lanes(diffs[r][1])) / n
              for r in range(rounds + 1)]
@@ -170,16 +176,12 @@ def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
     if samples_per_bit < 100:
         raise ValueError("need at least 100 samples per bit")
     n = samples_per_bit
-    pad = _pad64(n)
-    words = pad // 64
+    words = _pad64(n) // 64
     mask = tail_mask(n, words)
 
     def one_bit(i: int) -> np.ndarray:
         rng = cfg.generator("sac", samples_per_bit, i)
-        KH = random_lanes(rng, 64, words)
-        KL = random_lanes(rng, 64, words)
-        L = random_lanes(rng, 64, words)
-        R = random_lanes(rng, 64, words)
+        KH, KL, L, R = (random_lanes(rng, 64, words) for _ in range(4))
         d = Block.from_int(1 << i)
         dL, dR = _pair_difference(_FULL_ENGINE, (L, R),
                                   broadcast_columns([d.left, d.right], 64), (KH, KL))
@@ -225,13 +227,10 @@ def bic_correlations(samples: int, cfg: RngConfig = RngConfig()) -> BicReport:
     rng = cfg.generator("bic", samples)
     n = samples
     pad = _pad64(n)
-    kh, kl = _random_words(rng, pad), _random_words(rng, pad)
-    lw, rw = _random_words(rng, pad), _random_words(rng, pad)
+    base, key = _random_pairs(rng, pad)
     bitpos = rng.integers(0, 128, pad)
-    dL, dR = _pair_difference(_FULL_ENGINE, _pack(lw, rw), _bit_lanes(bitpos),
-                              _pack(kh, kl))
-    X = lanes_to_bits(np.concatenate([dR, dL]))[:, :n]
-    X = X.astype(np.float64).T            # (samples, 128)
+    dL, dR = _pair_difference(_FULL_ENGINE, base, _bit_lanes(bitpos), key)
+    X = _difference_bits(dL, dR, n).astype(np.float64).T    # (samples, 128)
     Xc = X - X.mean(axis=0)
     sd = Xc.std(axis=0)
     sd[sd == 0] = 1.0
@@ -270,12 +269,9 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
         raise ValueError("samples must be >= 1")
     rng = cfg.generator("empirical_dp", delta.to_int(), rounds, samples)
     n = samples
-    pad = _pad64(n)
-    kh, kl = _random_words(rng, pad), _random_words(rng, pad)
-    lw, rw = _random_words(rng, pad), _random_words(rng, pad)
-    dL, dR = _pair_difference(_FULL_ENGINE, _pack(lw, rw),
-                              broadcast_columns([delta.left, delta.right], 64), _pack(kh, kl),
-                              rounds)
+    base, key = _random_pairs(rng, _pad64(n))
+    dL, dR = _pair_difference(_FULL_ENGINE, base,
+                              broadcast_columns([delta.left, delta.right], 64), key, rounds)
     diffs = np.stack([unpack_words(dL, n), unpack_words(dR, n)], axis=1)
     _, counts = np.unique(diffs, axis=0, return_counts=True)
     max_count = int(counts.max())
@@ -327,8 +323,10 @@ def related_key_scan(n_diffs: int, cfg: RngConfig = RngConfig(),
     if n_diffs < 1:
         raise ValueError("n_diffs must be >= 1")
     rng = cfg.generator("related_key", n_diffs, rounds)
-    draws = [(_draw_u64(rng), _draw_u64(rng)) for _ in range(n_diffs)]
-    dk_high, dk_low = np.array(draws, dtype=np.uint64).T
+    # Row i: the 32-bit halves of difference i, drawn as four scalar draws would be.
+    c = rng.integers(0, 1 << 32, (n_diffs, 4), dtype=np.uint64)
+    dk_high = c[:, 0] << np.uint64(32) | c[:, 1]
+    dk_low = c[:, 2] << np.uint64(32) | c[:, 3]
     dk_low[(dk_high == 0) & (dk_low == 0)] = 1
     case1 = int(np.count_nonzero(dk_high))
     hw = np.empty((n_diffs, rounds), dtype=np.int64)
@@ -473,6 +471,8 @@ STANDARD_SCAN_DELTAS = (
     0x00000003, 0x00018000, 0x00030000, 0x80000001,
 )
 STANDARD_SCAN_ROUNDS = (2, 3, 4)
+#: Samples per zero-scan batch; each sampled batch has its own substream.
+ZERO_SCAN_CHUNK = 1 << 22
 
 
 def standard_zero_diff_combos() -> list[tuple[Block, int]]:
@@ -494,11 +494,10 @@ class ZeroDiffReport:
 def reduced_zero_diff_scan(delta: Block, rounds: int,
                            samples: int | None = 1 << 24,
                            cfg: RngConfig = RngConfig(),
-                           key: MasterKey | None = None,
-                           exhaustive: bool = False,
-                           chunk: int = 1 << 22) -> ZeroDiffReport:
+                           exhaustive: bool = False) -> ZeroDiffReport:
     """Count plaintext pairs with zero (and, at rounds 2-3, single-bit)
-    output difference on the reduced 32-bit cipher under a fixed key.
+    output difference on the reduced 32-bit cipher under a fixed key
+    drawn from `cfg`.
 
     Sampled mode draws `samples` random plaintexts; exhaustive mode
     sweeps all 2^32 plaintexts in counter order.  `rounds=0` is a
@@ -513,26 +512,19 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
         raise ValueError("supported round counts are 0 (self-check), 2, 3, 4")
     if not exhaustive and (samples is None or samples < 1):
         raise ValueError("samples must be >= 1 in sampled mode")
-    if key is None:
-        krng = cfg.generator("zero_diff_key")
-        key = MasterKey(int(krng.integers(1, 1 << 16)),
-                        int(krng.integers(0, 1 << 16)), 16)
+    krng = cfg.generator("zero_diff_key")
+    key = MasterKey(int(krng.integers(1, 1 << 16)), int(krng.integers(0, 1 << 16)), 16)
     engine = BitslicedCipher(p)
     flip = broadcast_columns([delta.left, delta.right], p.branch_width)
     check_hw1 = rounds in (0, 2, 3)
     total = 1 << 32 if exhaustive else samples
     zero_hits = 0
     hw1_hits = 0
-    done = 0
-    chunk_idx = 0
-    while done < total:
-        m = min(chunk, total - done)
-        m_pad = _pad64(m)
-        words = m_pad // 64
+    for chunk_idx, done, m, words in _batches(total, ZERO_SCAN_CHUNK):
         if exhaustive:
-            vals = (np.arange(done, done + m_pad, dtype=np.uint64))
-            L = pack_words(vals >> np.uint64(16) & np.uint64(0xFFFF), 16)
-            R = pack_words(vals & np.uint64(0xFFFF), 16)
+            # Plaintext `done + j` as a 32-bit block: high half L, low half R.
+            C = counter_lanes(done, words, 32)
+            L, R = C[16:], C[:16]
         else:
             rng = cfg.generator("zero_diff", delta.to_int(), rounds, chunk_idx)
             L = random_lanes(rng, 16, words)
@@ -551,8 +543,6 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
         zero_hits += int(np.bitwise_count(~(c0 | c1) & valid).sum())
         if check_hw1:
             hw1_hits += int(np.bitwise_count(c0 & ~c1 & valid).sum())
-        done += m
-        chunk_idx += 1
     return ZeroDiffReport(
         delta=delta.hex(),
         rounds=rounds,
@@ -678,16 +668,14 @@ def truncated_coverage_scan(pairs: int, checkpoints=(5, 10, 15, 18, 20),
     rng = cfg.generator("coverage", pairs, checkpoints)
     n = pairs
     pad = _pad64(n)
-    kh, kl = _random_words(rng, pad), _random_words(rng, pad)
-    lw, rw = _random_words(rng, pad), _random_words(rng, pad)
+    base, key = _random_pairs(rng, pad)
     bitpos = rng.integers(0, 128, pad)
-    diffs = _pair_difference(_FULL_ENGINE, _pack(lw, rw), _bit_lanes(bitpos),
-                             _pack(kh, kl), snapshots=checkpoints)
+    diffs = _pair_difference(_FULL_ENGINE, base, _bit_lanes(bitpos), key,
+                             snapshots=checkpoints)
     never = []
     cover = []
     for r in checkpoints:
-        dl, dr = diffs[r]
-        bits = lanes_to_bits(np.concatenate([dr, dl]))[:, :n]
+        bits = _difference_bits(*diffs[r], n)
         active_any = bits.any(axis=1)
         never.append(int((~active_any).sum()))
         seen = np.logical_or.accumulate(bits.astype(bool), axis=1)

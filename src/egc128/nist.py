@@ -21,14 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .bitslice import (
-    BitslicedCipher,
     broadcast_columns,
-    pack_words,
+    counter_lanes,
     random_lanes,
     unpack_words,
 )
-from .harness import RngConfig, _draw_u64, _pad64
-from .params import CipherParams, MasterKey
+from .harness import _FULL_ENGINE, RngConfig, _batches, _draw_u64
+from .params import MasterKey
 
 MODES = ("random_pt", "counter", "nonce_counter")
 BLOCK_BITS = 128
@@ -48,7 +47,6 @@ class NistStreamReport:
 def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
                             out: str | Path, cfg: RngConfig = RngConfig(),
                             fmt: str = "ascii",
-                            start_counter: int = 0,
                             batch_blocks: int = 1 << 16) -> NistStreamReport:
     """Write an `n_bits`-symbol stream of ciphertext bits to `out`."""
     if mode not in MODES:
@@ -57,35 +55,23 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
         raise ValueError(f"unknown format {fmt!r}")
     if n_bits < BLOCK_BITS or n_bits % BLOCK_BITS:
         raise ValueError("n_bits must be a positive multiple of 128")
-    params = CipherParams.full()
-    engine = BitslicedCipher(params)
     n_blocks = n_bits // BLOCK_BITS
-    nonce = None
-    if mode == "nonce_counter":
-        nrng = cfg.generator("nist_nonce")
-        nonce = _draw_u64(nrng)
+    nonce = _draw_u64(cfg.generator("nist_nonce")) if mode == "nonce_counter" else None
 
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     ones = 0
     with open(out, "wb") as fh:
-        done = 0
-        batch_idx = 0
-        while done < n_blocks:
-            m = min(batch_blocks, n_blocks - done)
-            m_pad = _pad64(m)
-            words = m_pad // 64
+        for batch_idx, done, m, words in _batches(n_blocks, batch_blocks):
             if mode == "random_pt":
                 rng = cfg.generator("nist_pt", batch_idx)
                 L = random_lanes(rng, 64, words)
                 R = random_lanes(rng, 64, words)
             else:
-                ctr = np.arange(start_counter + done,
-                                start_counter + done + m_pad, dtype=np.uint64)
-                R = pack_words(ctr, 64)
+                R = counter_lanes(done, words, 64)
                 high = 0 if mode == "counter" else nonce
                 L = np.broadcast_to(broadcast_columns([high], 64)[0], (64, words))
-            cL, cR = engine.encrypt(L, R, key)
+            cL, cR = _FULL_ENGINE.encrypt(L, R, key)
             # Big-endian (L, R) words: the bytes are the blocks bit 127 first.
             blocks = np.empty((m, 2), dtype=">u8")
             blocks[:, 0] = unpack_words(cL, m)
@@ -93,8 +79,6 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
             raw = blocks.view(np.uint8).reshape(-1)
             ones += int(np.bitwise_count(raw).sum())
             fh.write(np.unpackbits(raw) + ord("0") if fmt == "ascii" else raw)
-            done += m
-            batch_idx += 1
     sigma = (ones - n_bits / 2) / (n_bits / 4) ** 0.5
     return NistStreamReport(out, mode, fmt, n_bits, ones, sigma, nonce)
 

@@ -137,7 +137,7 @@ def test_criterion_09_spectral():
     detail = (f"gaps {base.spectral_gap:.4f}/{poor.spectral_gap:.4f}, "
               f"diameters {base.diameter}/{poor.diameter} "
               f"(computed exactly; a shorter baseline figure of 8 is "
-              f"sometimes quoted, BFS says {base.diameter})")
+              f"sometimes quoted, shortest paths give {base.diameter})")
     ok = ok and base.diameter == 9 and poor.diameter == 16
     _finish(9, "spectral gaps and diameters", t0, 10.0, ok, detail)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from egc128 import bitslice
 from egc128.bitslice import (
     BitslicedCipher,
+    counter_lanes,
     pack_words,
     popcount_lanes,
     random_lanes,
@@ -53,6 +54,32 @@ def test_lane_layout_matches_definition(width, words, count, seed):
     low = values[:count] & np.uint64((1 << width) - 1)
     assert np.array_equal(unpack_words(lanes, count), low)
     assert np.array_equal(lanes, given_lanes)
+
+
+@pytest.mark.parametrize("width", (16, 32, 64))
+@pytest.mark.parametrize("start", (0, 5, 64 * 3 + 17, (1 << 32) - 100, (1 << 40) + 1))
+def test_counter_lanes_match_definition(width, start):
+    words = 3
+    lanes = counter_lanes(start, words, width)
+    assert lanes.dtype == np.uint64 and lanes.shape == (width, words)
+    # Lane b, word w, bit j is bit b of counter start + 64w + j.
+    want = [[0] * words for _ in range(width)]
+    for i in range(64 * words):
+        w, j = divmod(i, 64)
+        for b in range(width):
+            want[b][w] |= ((start + i) >> b & 1) << j
+    assert [[int(x) for x in row] for row in lanes] == want
+
+
+@pytest.mark.parametrize("start", (0, 1 << 22, (1 << 32) - (1 << 22)))
+def test_counter_lanes_split_into_zero_scan_halves(start):
+    # The exhaustive zero scan reads plaintext v as L = v >> 16, R = v & 0xFFFF.
+    words = 1 << 16
+    C = counter_lanes(start, words, 32)
+    v = np.arange(start, start + 64 * words, dtype=np.uint64)
+    half = np.uint64(0xFFFF)
+    assert np.array_equal(C[16:], pack_words(v >> np.uint64(16) & half, 16))
+    assert np.array_equal(C[:16], pack_words(v & half, 16))
 
 
 def test_pack_unpack_reject_bad_shapes():

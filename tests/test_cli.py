@@ -241,9 +241,18 @@ def test_diff_empirical_subcommand(tmp_path):
     ["zero-scan", "--all", "--exhaustive"],
     ["zero-scan", "--all", "--delta", "00000001"],
     ["zero-scan", "--all", "--rounds", "3"],
+    # Paths the OS refuses: {tmp} is the test directory, {tmp}/plain a file in it.
+    ["vectors", "--file", "{tmp}"],
+    ["nist-gen", "--bits", "128", "--key", "0" * 32, "--out-file", "{tmp}"],
+    ["lp-emit", "--mode", "differential", "--rounds", "1", "--n", "16", "--out-file", "{tmp}"],
+    ["avalanche", "--pairs", "1", "--rounds", "1", "--out", "{tmp}/plain/x"],
 ])
 def test_bad_input_exits_2_without_report(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    (tmp_path / "plain").write_text("")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 2
     assert not list(tmp_path.rglob("report.json"))
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -9,6 +9,7 @@ from egc128.graphs import (
     GraphTopology,
     build_topology,
     diameter,
+    hop_distances,
     is_connected,
     mixing_time_bound,
     spectral_report,
@@ -108,6 +109,41 @@ def test_diameter_matrix_power_oracle():
             reach = reach @ A
             k += 1
         assert k == diameter(g)
+
+
+def _bfs_distances(g):
+    # Independent oracle: breadth-first search from every vertex.
+    A = symmetrized_adjacency(g)
+    dist = np.full((g.n, g.n), -1)
+    for s in range(g.n):
+        dist[s, s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in np.nonzero(A[u])[0]:
+                    if dist[s, v] < 0:
+                        dist[s, v] = dist[s, u] + 1
+                        nxt.append(v)
+            frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("n", (8, 32, 64, 256))
+def test_hop_distances_match_bfs(n):
+    for variant, seed in (("baseline", None), ("poor_expander", None), ("cycle", None),
+                          ("random3regular", 11), ("irregular34", None)):
+        g = build_topology(variant, n, seed)
+        assert np.array_equal(hop_distances(g), _bfs_distances(g))
+    # Two 4-cycles plus an isolated vertex: -1 between components.
+    reads = tuple(((i + 1) % 4 + i // 4 * 4, (i - 1) % 4 + i // 4 * 4) for i in range(8))
+    g = GraphTopology(9, reads + ((8,),), "split")
+    d = hop_distances(g)
+    assert np.array_equal(d, _bfs_distances(g))
+    assert d[0, 5] == -1 and d[8, 0] == -1 and d[0, 2] == 2
+    assert not is_connected(g)
+    with pytest.raises(ValueError, match="disconnected"):
+        diameter(g)
 
 
 def test_vertex_transitivity_of_baseline():

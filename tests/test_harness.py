@@ -271,6 +271,18 @@ def test_zero_diff_single_bit_outputs_are_reachable():
     assert abs(rep.single_bit_output_hits - rep.samples * p) <= 5 * sigma
 
 
+@pytest.mark.slow
+def test_exhaustive_zero_scan_matches_exact_count():
+    # All 2^32 plaintexts (about 5 minutes): the single-bit count is the
+    # exact count itself, 115 * 2^22, not a sample of it.
+    delta = Block.from_int(1, 16)
+    rep = reduced_zero_diff_scan(delta, 2, cfg=RngConfig(0), exhaustive=True)
+    assert rep.mode == "exhaustive" and rep.samples == 1 << 32
+    assert rep.zero_output_hits == 0
+    assert rep.single_bit_output_hits == exact_single_bit_output_count(
+        delta, 2, MasterKey.from_hex(rep.key, 16))
+
+
 def test_zero_diff_witness_pair():
     # One explicit witness, checked with the scalar cipher.
     p = CipherParams.reduced(16, (-1, 1, 4))
