@@ -16,11 +16,19 @@ masked-swap stages of in-place ufuncs over every column at once, with
 no per-bit intermediate.  :func:`lanes_to_bits` builds the uint8 bit
 matrix for the analyses that need single bits.
 
-Cache tiling: :meth:`BitslicedCipher.encrypt` walks the word axis in
-column tiles of ``_TILE_BYTES`` per lane array (1,024 words at width
-16, 256 at width 64) and runs every round on one tile before moving to
-the next, so the working set stays in L2 instead of streaming each
-round's temporaries through memory.  Each call allocates its tile
+Cache tiling: one round loop (``BitslicedCipher._tiles``) walks the
+word axis in column tiles of ``_TILE_BYTES`` per lane array (1,024
+words at width 16, 256 at width 64) and runs every round on one tile
+before moving to the next, so the working set stays in L2 instead of
+streaming each round's temporaries through memory.  It runs k stacked
+members per tile: :meth:`BitslicedCipher.encrypt` runs k = 1, and
+:meth:`BitslicedCipher.pair_differences` runs k = 2, the tile of P in
+tile columns 0..m-1 and the tile of P XOR delta in columns m..2m-1 of
+the same buffers.  A round is then one ufunc sequence over 2m words, a
+round key broadcasts over both members, and a per-sample key tile is
+copied into both halves.  At each wanted round the pair path XORs the
+two halves and hands that tile's difference to its caller, so no
+full-size output or flipped batch exists.  Each call allocates its tile
 buffers once, and a round is a fixed sequence of in-place ufuncs on
 them:
 
@@ -33,9 +41,9 @@ them:
   (state r is rows r..r+width-1), so a step appends one lane instead of
   shifting all of them.
 
-Snapshot rounds are written tile by tile into preallocated outputs.
-The engine keeps no scratch on the instance, so one engine may serve
-several threads at once.
+:func:`collect_tiles` writes the tiles of the wanted rounds into
+full-size outputs.  The engine keeps no scratch on the instance, so one
+engine may serve several threads at once.
 
 Results are bit-identical to the scalar implementation in
 :mod:`egc128.cipher`; the test suite cross-checks the two routes.
@@ -103,9 +111,39 @@ def pack_words(values: np.ndarray, width: int) -> np.ndarray:
     return A[:width]
 
 
+#: Lanes 0..5 of 64 consecutive counters from a multiple of 64: bit j of
+#: word b is bit b of j (0xAAAA..., 0xCCCC..., ..., 0xFFFFFFFF00000000).
+_COUNTER_PATTERNS = np.array(
+    [sum(1 << j for j in range(64) if j >> b & 1) for b in range(6)], dtype=np.uint64)
+
+
 def counter_lanes(start: int, words: int, width: int) -> np.ndarray:
-    """(width, words) lanes of the 64 * words counters from `start` (low `width` bits)."""
-    return pack_words(np.arange(start, start + 64 * words, dtype=np.uint64), width)
+    """(width, words) lanes of the 64 * words counters from `start` (low `width` bits).
+
+    From a multiple of 64, word w of the batch holds the counters
+    64 * (q + w) + j with q = start // 64: lanes 0..5 are the fixed
+    patterns of j, and lane b >= 6 is all ones exactly where bit b - 6
+    of q + w is set.  Any other start reads those aligned lanes over one
+    extra word, funnel-shifted right by start % 64.
+    """
+    q, s = divmod(start, 64)
+    index = np.arange(q, q + words + 1, dtype=np.uint64)
+    right, left = np.uint64(s), np.uint64(64 - s)  # numpy shifts by 64 give 0
+    lanes = np.empty((width, words), dtype=np.uint64)
+    aligned = np.empty(words + 1, dtype=np.uint64)
+    carry = np.empty(words, dtype=np.uint64)
+    # Lane by lane, so the aligned lane and the shift stay in cache.
+    for b, lane in enumerate(lanes):
+        if b < 6:
+            aligned.fill(_COUNTER_PATTERNS[b])
+        else:
+            np.right_shift(index, np.uint64(b - 6), out=aligned)
+            aligned &= _ONE
+            np.negative(aligned, out=aligned)
+        np.right_shift(aligned[:-1], right, out=lane)
+        np.left_shift(aligned[1:], left, out=carry)
+        lane |= carry
+    return lanes
 
 
 def lanes_to_bits(lanes: np.ndarray) -> np.ndarray:
@@ -165,6 +203,18 @@ def _signed(offset: int, width: int) -> int:
     """The neighbour offset as a lane shift in (-width/2, width/2]."""
     k = offset % width
     return k if k <= width // 2 else k - width
+
+
+def collect_tiles(tiles, like: np.ndarray, final_only: bool):
+    """Gather the (cols, r, L, R) tiles of one batch into lanes shaped
+    like `like`: {round: (L, R)}, or the single (L, R) when `final_only`."""
+    out = {}
+    for cs, r, Lt, Rt in tiles:
+        if r not in out:
+            out[r] = (np.empty_like(like), np.empty_like(like))
+        np.copyto(out[r][0][:, cs], Lt)
+        np.copyto(out[r][1][:, cs], Rt)
+    return out.popitem()[1] if final_only else out
 
 
 class _Padding:
@@ -246,15 +296,55 @@ class BitslicedCipher:
         Returns (L, R) lanes, or a dict {round: (L, R)} when
         `snapshot_rounds` is given (round 0 is the input state).
         """
+        return collect_tiles(self._tiles(L, R, key, rounds, snapshot_rounds), L,
+                             snapshot_rounds is None)
+
+    def pair_differences(
+        self,
+        L: np.ndarray,
+        R: np.ndarray,
+        delta: tuple[np.ndarray, np.ndarray],
+        key: MasterKey | tuple[np.ndarray, np.ndarray],
+        rounds: int | None = None,
+        snapshot_rounds=None,
+    ):
+        """Yield the output differences of the pairs (P, P XOR delta), P
+        from the (L, R) lanes, tile by tile.
+
+        `delta` holds (dL, dR) lanes or broadcast columns; `key` is as
+        for :meth:`encrypt`.  Yields (cols, r, dL, dR): the difference
+        lanes at round r (the last round, or each of `snapshot_rounds`)
+        of the word columns `cols`.  dL and dR are scratch of the
+        generator, valid until the next step; the caller may overwrite
+        them.
+        """
+        D = None
+        for cs, r, Lt, Rt in self._tiles(L, R, key, rounds, snapshot_rounds, delta):
+            m = cs.stop - cs.start
+            if D is None:                      # the first tile is the widest
+                D = np.empty((2, len(Lt), m), dtype=np.uint64)
+            dL, dR = D[:, :, :m]
+            np.bitwise_xor(Lt[:, :m], Lt[:, m:], out=dL)
+            np.bitwise_xor(Rt[:, :m], Rt[:, m:], out=dR)
+            yield cs, r, dL, dR
+
+    def _tiles(self, L, R, key, rounds, snapshot_rounds, delta=None):
+        """The round loop: yield (cols, r, L, R) at each wanted round r of
+        each column tile, in order; L and R are views valid until the next
+        step.  With `delta`, each tile stacks two members, P and then
+        P XOR delta, so L and R hold 2m words for a tile of m columns."""
         p, pad = self.params, self._pad
         w = p.branch_width
         nr = p.round_count(rounds)
-        want = None if snapshot_rounds is None else sorted(set(snapshot_rounds))
-        if want is not None and any(not 0 <= r <= nr for r in want):
-            raise ValueError(f"snapshot rounds {want} outside 0..{nr}")
+        wanted = [nr] if snapshot_rounds is None else sorted(set(snapshot_rounds))
+        if any(not 0 <= r <= nr for r in wanted):
+            raise ValueError(f"snapshot rounds {wanted} outside 0..{nr}")
         if L.shape != R.shape or L.ndim != 2 or L.shape[0] != w:
             raise ValueError(f"L and R must both be ({w}, words) lane arrays")
         words = L.shape[1]
+        k = 1 if delta is None else 2
+        if delta is not None:
+            dL, dR = (np.broadcast_to(d, L.shape) for d in delta)
 
         # Column r is NOT(RK_r), or NOT(RC_r) with one key per sample;
         # the NOT is F_core's final one.
@@ -270,43 +360,44 @@ class BitslicedCipher:
         # column about twice as fast as a broadcast uint64 one.
         col_bytes = cols.view(np.uint8)[:, :, :1]
 
-        if want is None:
-            outputs = {nr: (np.empty_like(L), np.empty_like(R))}
-        else:
-            outputs = {r: (np.empty_like(L), np.empty_like(R)) for r in want}
-
         taps = p.lfsr_taps[1:]
         tile = min(words, max(1, _TILE_BYTES // (8 * w)))
-        padded = np.empty((3, pad.rows, tile), dtype=np.uint64)
-        scratch = np.empty((2, w, tile), dtype=np.uint64)
+        padded = np.empty((3, pad.rows, k * tile), dtype=np.uint64)
+        scratch = np.empty((2, w, k * tile), dtype=np.uint64)
         if per_sample:
             # Unrolled key-schedule LFSR: state S_r is rows r..r+w-1, and
             # each step appends the feedback as row w+r.
-            lfsr = np.empty((w + nr, tile), dtype=np.uint64)
-            klow = np.empty((w, tile), dtype=np.uint64)
+            lfsr = np.empty((w + nr, k * tile), dtype=np.uint64)
+            klow = np.empty((w, k * tile), dtype=np.uint64)
         for c0 in range(0, words, tile):
             cs = slice(c0, min(c0 + tile, words))
             m = cs.stop - c0
-            Lp, Rp, Np = padded[:, :, :m]
-            A, B = scratch[:, :, :m]
-            np.copyto(pad.at(Rp), R[:, cs])
+            Lp, Rp, Np = padded[:, :, : k * m]
+            A, B = scratch[:, :, : k * m]
+            np.copyto(pad.at(Rp)[:, :m], R[:, cs])
+            if k == 1:
+                L0 = L[:, cs]                  # round 1 reads L from the input
+            else:
+                L0 = pad.at(Lp)
+                np.copyto(L0[:, :m], L[:, cs])
+                np.bitwise_xor(L[:, cs], dL[:, cs], out=L0[:, m:])
+                np.bitwise_xor(R[:, cs], dR[:, cs], out=pad.at(Rp)[:, m:])
             pad.wrap(Rp)
             if per_sample:
-                S, KLt = lfsr[:, :m], klow[:, :m]
-                np.copyto(S[:w], KH[:, cs])
-                np.copyto(KLt, KL[:, cs])
+                S, KLt = lfsr[:, : k * m], klow[:, : k * m]
+                for j in range(0, k * m, m):   # every member has the key
+                    np.copyto(S[:w, j : j + m], KH[:, cs])
+                    np.copyto(KLt[:, j : j + m], KL[:, cs])
                 # A zero high key half starts the LFSR at 1 (A[0] is scratch).
                 np.bitwise_or.reduce(S[:w], axis=0, out=A[0])
                 np.invert(A[0], out=A[0])
                 S[0] |= A[0]
-            if 0 in outputs:
-                np.copyto(outputs[0][0][:, cs], L[:, cs])
-                np.copyto(outputs[0][1][:, cs], R[:, cs])
+            if 0 in wanted:
+                yield cs, 0, L0, pad.at(Rp)
             for r in range(nr):
                 _not_f_core(pad, Rp, Np, A, B)
                 newR = pad.at(Lp)
-                # Round 1 reads L from the input, saving a copy-in.
-                np.bitwise_xor(newR if r else L[:, cs], A, out=newR)
+                np.bitwise_xor(newR if r else L0, A, out=newR)
                 np.bitwise_xor(newR.view(np.uint8), col_bytes[r], out=newR.view(np.uint8))
                 if per_sample:
                     newR ^= KLt
@@ -317,7 +408,5 @@ class BitslicedCipher:
                         feedback ^= S[r + t]
                 pad.wrap(Lp)
                 Lp, Rp = Rp, Lp
-                if r + 1 in outputs:
-                    np.copyto(outputs[r + 1][0][:, cs], pad.at(Lp))
-                    np.copyto(outputs[r + 1][1][:, cs], pad.at(Rp))
-        return outputs[nr] if want is None else outputs
+                if r + 1 in wanted:
+                    yield cs, r + 1, pad.at(Lp), pad.at(Rp)

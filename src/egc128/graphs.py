@@ -189,6 +189,8 @@ def spectral_report(g: GraphTopology) -> SpectralReport:
     """Dense exact eigendecomposition (intended for n <= 256)."""
     if g.n > 256:
         raise ValueError("dense spectral analysis limited to n <= 256")
+    if g.n < 2:
+        raise ValueError(f"spectral gap needs at least 2 vertices, got {g.n}")
     A = symmetrized_adjacency(g)
     dist = hop_distances(g)
     if (dist < 0).any():

@@ -18,6 +18,7 @@ import numpy as np
 from .bitslice import (
     BitslicedCipher,
     broadcast_columns,
+    collect_tiles,
     counter_lanes,
     lanes_to_bits,
     pack_words,
@@ -106,18 +107,8 @@ def _pair_difference(engine: BitslicedCipher, base, delta, key,
     snapshot rounds when `snapshots` is given.  `delta` holds lanes or
     broadcast columns."""
     L, R = base
-    b = engine.encrypt(L, R, key, rounds=rounds, snapshot_rounds=snapshots)
-    # The flipped batch is built after the first call and freed on return:
-    # the zero scan page-faults least with its arrays allocated and freed
-    # in this order.
-    flipped = (L ^ delta[0], R ^ delta[1])
-    q = engine.encrypt(*flipped, key, rounds=rounds, snapshot_rounds=snapshots)
-    # The engine returns fresh arrays, so the differences overwrite b.
-    outputs = [(b, q)] if snapshots is None else zip(b.values(), q.values())
-    for (bl, br), (ql, qr) in outputs:
-        bl ^= ql
-        br ^= qr
-    return b
+    return collect_tiles(engine.pair_differences(L, R, delta, key, rounds, snapshots), L,
+                         snapshots is None)
 
 
 # ---------------------------------------------------------------------------
@@ -529,20 +520,13 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
             rng = cfg.generator("zero_diff", delta.to_int(), rounds, chunk_idx)
             L = random_lanes(rng, 16, words)
             R = random_lanes(rng, 16, words)
-        bL, bR = _pair_difference(engine, (L, R), flip, key, rounds)
-        # Carry-save count of the 32 difference lanes per sample, saturating
-        # at 2: c0 holds the count's low bit, c1 is set once it reaches 2.
-        c0 = np.zeros(words, dtype=np.uint64)
-        c1 = np.zeros(words, dtype=np.uint64)
-        carry = np.empty(words, dtype=np.uint64)
-        for lane in (*bL, *bR):
-            np.bitwise_and(c0, lane, out=carry)
-            c0 ^= lane
-            c1 |= carry
         valid = tail_mask(m, words)
-        zero_hits += int(np.bitwise_count(~(c0 | c1) & valid).sum())
-        if check_hw1:
-            hw1_hits += int(np.bitwise_count(c0 & ~c1 & valid).sum())
+        for cs, _, dL, dR in engine.pair_differences(L, R, flip, key, rounds):
+            some, many = _saturating_count(dL, dR)
+            v = valid[cs]
+            zero_hits += int(np.bitwise_count(~some & v).sum())
+            if check_hw1:
+                hw1_hits += int(np.bitwise_count(some & ~many & v).sum())
     return ZeroDiffReport(
         delta=delta.hex(),
         rounds=rounds,
@@ -552,6 +536,27 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
         single_bit_output_hits=hw1_hits if check_hw1 else None,
         key=key.hex(),
     )
+
+
+def _saturating_count(dL: np.ndarray, dR: np.ndarray):
+    """Per sample, whether the 2w difference lanes dL, dR (w, m) hold at
+    least one and at least two set bits: a halving OR/AND tree over the
+    lane axis, run in place on dL and dR.  Returns the (m,) words
+    (some, many)."""
+    dL ^= dR
+    dR |= dL                                  # dL | dR of the inputs
+    dL ^= dR                                  # dL & dR of the inputs
+    some, many = dR, dL
+    n = len(some)
+    while n > 1:
+        h = (n + 1) // 2                      # an odd middle row waits a level
+        lo, hi = slice(0, n - h), slice(h, n)
+        many[lo] |= many[hi]
+        np.bitwise_and(some[lo], some[hi], out=many[hi])
+        many[lo] |= many[hi]
+        some[lo] |= some[hi]
+        n = h
+    return some[0], many[0]
 
 
 def zero_diff_scan_all(samples: int = 1 << 24, cfg: RngConfig = RngConfig(),

@@ -1,5 +1,7 @@
 """Bitsliced engine vs the scalar reference implementation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from egc128 import bitslice
 from egc128.bitslice import (
     BitslicedCipher,
+    broadcast_columns,
     counter_lanes,
     pack_words,
     popcount_lanes,
@@ -56,8 +59,9 @@ def test_lane_layout_matches_definition(width, words, count, seed):
     assert np.array_equal(lanes, given_lanes)
 
 
-@pytest.mark.parametrize("width", (16, 32, 64))
-@pytest.mark.parametrize("start", (0, 5, 64 * 3 + 17, (1 << 32) - 100, (1 << 40) + 1))
+@pytest.mark.parametrize("width", (5, 16, 32, 64))
+@pytest.mark.parametrize("start", (0, 5, 63, 64, 64 * 3 + 17, (1 << 32) - 100,
+                                   (1 << 40) + 1, (1 << 64) - 64 * 3 - 1))
 def test_counter_lanes_match_definition(width, start):
     words = 3
     lanes = counter_lanes(start, words, width)
@@ -301,3 +305,60 @@ def test_word_array_f_core_matches_scalar_property(case):
         # Every branch value against the per-vertex truth-table route.
         every = f_core(np.arange(1 << w, dtype=np.uint32), params)
         assert np.array_equal(every, _fcore_table(params))
+
+
+# --- property test: pair entry point == two encrypt calls XORed ------------------
+
+def _two_call_pair(engine, L, R, delta, key, rounds, snapshots):
+    """The pair differences of two separate encryptions (the reference)."""
+    b = engine.encrypt(L, R, key, rounds=rounds, snapshot_rounds=snapshots)
+    q = engine.encrypt(L ^ delta[0], R ^ delta[1], key, rounds=rounds,
+                       snapshot_rounds=snapshots)
+    return {r: (b[r][0] ^ q[r][0], b[r][1] ^ q[r][1]) for r in b}
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_instances(), st.integers(1, 30), st.integers(1, 4), st.booleans(), st.booleans())
+def test_pair_differences_match_two_encryptions(case, words, tile, lane_delta, full_schedule):
+    params, _, rounds, snapshots, per_sample, seed = case
+    w = params.branch_width
+    if full_schedule:
+        rounds = params.rounds
+    snapshots = {0} | {min(r, rounds) for r in snapshots or ()}
+    rng = np.random.default_rng(seed)
+    L, R, KH, KL = (random_lanes(rng, w, words) for _ in range(4))
+    if per_sample:
+        KH[:, 0] = 0
+        key = (KH, KL)
+    else:
+        key = MasterKey(*(int(v) for v in rng.integers(0, 1 << w, 2, dtype=np.uint64)), w)
+    if lane_delta:
+        delta = tuple(random_lanes(rng, w, words) for _ in range(2))
+    else:
+        d = int(rng.integers(1, 1 << w, dtype=np.uint64)) if w < 64 else 1 << 63
+        delta = tuple(broadcast_columns([d >> 1, d], w))
+    engine = BitslicedCipher(params)
+    want = _two_call_pair(engine, L, R, delta, key, rounds, sorted(snapshots | {rounds}))
+    given_inputs = [a.copy() for a in (L, R, KH, KL)]
+
+    # A tile of `tile` words per lane array, so most batches span several
+    # tiles and end on a ragged one.
+    with mock.patch.object(bitslice, "_TILE_BYTES", 8 * w * tile):
+        got = {}
+        for cs, r, dL, dR in engine.pair_differences(L, R, delta, key, rounds, snapshots):
+            got.setdefault(r, []).append((cs, dL.copy(), dR.copy()))
+        final = [(cs, r, dL.copy(), dR.copy())
+                 for cs, r, dL, dR in engine.pair_differences(L, R, delta, key, rounds)]
+    assert set(got) == snapshots
+    for r, tiles in got.items():
+        stops = [cs.stop for cs, _, _ in tiles]
+        assert [cs.start for cs, _, _ in tiles] == [0] + stops[:-1] and stops[-1] == words
+        assert all(cs.stop - cs.start == tile for cs, _, _ in tiles[:-1])
+        assert np.array_equal(np.concatenate([t[1] for t in tiles], axis=1), want[r][0])
+        assert np.array_equal(np.concatenate([t[2] for t in tiles], axis=1), want[r][1])
+    assert {r for _, r, _, _ in final} == {rounds}
+    for cs, _, dL, dR in final:
+        assert np.array_equal(dL, want[rounds][0][:, cs])
+        assert np.array_equal(dR, want[rounds][1][:, cs])
+    assert all(np.array_equal(a, b) for a, b in zip((L, R, KH, KL), given_inputs))

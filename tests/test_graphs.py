@@ -186,3 +186,11 @@ def test_disconnected_report():
     rep = spectral_report(g)
     assert rep.connected is False
     assert rep.spectral_gap == 0.0
+
+
+@pytest.mark.parametrize("n", (0, 1))
+def test_spectral_report_needs_two_vertices(n):
+    # lambda_2 does not exist below two vertices.
+    g = GraphTopology(n, ((0,),) * n)
+    with pytest.raises(ValueError, match="at least 2 vertices"):
+        spectral_report(g)

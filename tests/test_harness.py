@@ -5,13 +5,24 @@ suite; these tests use smaller batches."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from egc128 import bitslice
+from egc128.bitslice import (
+    BitslicedCipher,
+    broadcast_columns,
+    lanes_to_bits,
+    random_lanes,
+    unpack_words,
+)
 from egc128.cipher import Cipher, derive_round_keys
 from egc128.harness import (
+    REDUCED_SCAN_PARAMS,
     RngConfig,
+    _saturating_count,
     avalanche_profile,
     bic_correlations,
     empirical_max_dp,
@@ -273,7 +284,7 @@ def test_zero_diff_single_bit_outputs_are_reachable():
 
 @pytest.mark.slow
 def test_exhaustive_zero_scan_matches_exact_count():
-    # All 2^32 plaintexts (about 5 minutes): the single-bit count is the
+    # All 2^32 plaintexts (under a minute): the single-bit count is the
     # exact count itself, 115 * 2^22, not a sample of it.
     delta = Block.from_int(1, 16)
     rep = reduced_zero_diff_scan(delta, 2, cfg=RngConfig(0), exhaustive=True)
@@ -281,6 +292,48 @@ def test_exhaustive_zero_scan_matches_exact_count():
     assert rep.zero_output_hits == 0
     assert rep.single_bit_output_hits == exact_single_bit_output_count(
         delta, 2, MasterKey.from_hex(rep.key, 16))
+
+
+@pytest.mark.parametrize("tile_bytes", (bitslice._TILE_BYTES, 8 * 16 * 5))
+@pytest.mark.parametrize("delta, rounds", [(0x00000001, 0), (0x00018000, 0), (0x00000001, 2),
+                                           (0x00010000, 3), (0x80000001, 4)])
+def test_zero_diff_counts_match_per_sample_recount(delta, rounds, tile_bytes):
+    # The in-tile tree counts against a recount from the two encryptions
+    # and a per-sample popcount; 5-word tiles leave a ragged last tile.
+    n = (1 << 12) + 77
+    d = Block.from_int(delta, 16)
+    with mock.patch.object(bitslice, "_TILE_BYTES", tile_bytes):
+        rep = reduced_zero_diff_scan(d, rounds, samples=n, cfg=CFG)
+    rng = CFG.generator("zero_diff", delta, rounds, 0)
+    words = (n + 63) // 64
+    L, R = random_lanes(rng, 16, words), random_lanes(rng, 16, words)
+    engine = BitslicedCipher(REDUCED_SCAN_PARAMS)
+    key = MasterKey.from_hex(rep.key, 16)
+    flip = broadcast_columns([d.left, d.right], 16)
+    bL, bR = engine.encrypt(L, R, key, rounds=rounds)
+    qL, qR = engine.encrypt(L ^ flip[0], R ^ flip[1], key, rounds=rounds)
+    weight = np.bitwise_count(unpack_words(bL ^ qL, n) << np.uint64(16) | unpack_words(bR ^ qR, n))
+    assert rep.samples == n
+    assert rep.zero_output_hits == int((weight == 0).sum())
+    want_hw1 = int((weight == 1).sum()) if rounds < 4 else None
+    assert rep.single_bit_output_hits == want_hw1
+    if rounds == 0:
+        assert rep.single_bit_output_hits == (n if d.hamming_weight() == 1 else 0)
+
+
+@pytest.mark.parametrize("width", (1, 3, 5, 16))
+def test_saturating_count_matches_popcount(width):
+    rng = np.random.default_rng(width)
+    # Sparse lanes, so counts of 0, 1 and 2 all occur.
+    dL, dR = (rng.integers(0, 1 << 64, (width, 9), dtype=np.uint64)
+              & rng.integers(0, 1 << 64, (width, 9), dtype=np.uint64)
+              & rng.integers(0, 1 << 64, (width, 9), dtype=np.uint64) for _ in range(2))
+    count = np.zeros(64 * 9, dtype=np.int64)
+    for lane in (*dL, *dR):
+        count += lanes_to_bits(lane[None])[0]
+    some, many = _saturating_count(dL.copy(), dR.copy())
+    assert np.array_equal(lanes_to_bits(some[None])[0], count >= 1)
+    assert np.array_equal(lanes_to_bits(many[None])[0], count >= 2)
 
 
 def test_zero_diff_witness_pair():
