@@ -24,7 +24,9 @@ streaming each round's temporaries through memory.  It runs k stacked
 members per tile: :meth:`BitslicedCipher.encrypt` runs k = 1, and
 :meth:`BitslicedCipher.pair_differences` runs k = 2, the tile of P in
 tile columns 0..m-1 and the tile of P XOR delta in columns m..2m-1 of
-the same buffers.  A round is then one ufunc sequence over 2m words, a
+the same buffers.  Every member's L and R tiles are copied into the
+padded buffers before round 1, so every round reads and writes only
+those buffers.  A round is then one ufunc sequence over 2m words, a
 round key broadcasts over both members, and a per-sample key tile is
 copied into both halves.  At each wanted round the pair path XORs the
 two halves and hands that tile's difference to its caller, so no
@@ -171,11 +173,13 @@ def unpack_words(lanes: np.ndarray, count: int | None = None) -> np.ndarray:
 def random_lanes(rng: np.random.Generator, width: int, words: int) -> np.ndarray:
     """Uniform random lanes; equivalent to packing uniform random samples.
 
-    The draw is the byte stream of ``rng.bytes(8 * width * words)``
-    (which numpy builds from the same uint32 draws), read as uint64.
+    The words are the generator's next ``width * words`` raw 64-bit
+    outputs.  For a PCG64 generator with no buffered 32-bit half (every
+    generator the package passes here) they are the byte stream of
+    ``rng.bytes(8 * width * words)`` read as uint64, and the generator
+    is left in the same state as after that call.
     """
-    raw = rng.integers(0, 1 << 32, 2 * width * words, dtype=np.uint32)
-    return raw.view(np.uint64).reshape(width, words)
+    return rng.bit_generator.random_raw(width * words).reshape(width, words)
 
 
 def broadcast_columns(values, width: int) -> np.ndarray:
@@ -374,13 +378,10 @@ class BitslicedCipher:
             m = cs.stop - c0
             Lp, Rp, Np = padded[:, :, : k * m]
             A, B = scratch[:, :, : k * m]
+            np.copyto(pad.at(Lp)[:, :m], L[:, cs])
             np.copyto(pad.at(Rp)[:, :m], R[:, cs])
-            if k == 1:
-                L0 = L[:, cs]                  # round 1 reads L from the input
-            else:
-                L0 = pad.at(Lp)
-                np.copyto(L0[:, :m], L[:, cs])
-                np.bitwise_xor(L[:, cs], dL[:, cs], out=L0[:, m:])
+            if delta is not None:
+                np.bitwise_xor(L[:, cs], dL[:, cs], out=pad.at(Lp)[:, m:])
                 np.bitwise_xor(R[:, cs], dR[:, cs], out=pad.at(Rp)[:, m:])
             pad.wrap(Rp)
             if per_sample:
@@ -393,11 +394,11 @@ class BitslicedCipher:
                 np.invert(A[0], out=A[0])
                 S[0] |= A[0]
             if 0 in wanted:
-                yield cs, 0, L0, pad.at(Rp)
+                yield cs, 0, pad.at(Lp), pad.at(Rp)
             for r in range(nr):
                 _not_f_core(pad, Rp, Np, A, B)
                 newR = pad.at(Lp)
-                np.bitwise_xor(newR if r else L0, A, out=newR)
+                newR ^= A
                 np.bitwise_xor(newR.view(np.uint8), col_bytes[r], out=newR.view(np.uint8))
                 if per_sample:
                     newR ^= KLt

@@ -19,9 +19,9 @@ N_VARS = 4
 TT_SIZE = 1 << N_VARS
 
 
-def truth_table_bits(table: int, size: int = TT_SIZE) -> np.ndarray:
+def truth_table_bits(table: int) -> np.ndarray:
     """0/1 vector of a truth table given as an integer, bit k = f(k)."""
-    return ((table >> np.arange(size)) & 1).astype(np.uint8)
+    return ((table >> np.arange(TT_SIZE)) & 1).astype(np.uint8)
 
 
 def _butterfly_halves(a: np.ndarray):

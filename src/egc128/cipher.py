@@ -55,10 +55,8 @@ def f_core(x, params: CipherParams):
     return (((mask ^ x2) | (x ^ x1 ^ (x & x3))) ^ (x1 & x3)) & mask
 
 
-def lfsr_init(k_high: int, params: CipherParams | None = None) -> LfsrState:
+def lfsr_init(k_high: int) -> LfsrState:
     """Initial LFSR state: the high key half, or 1 if that half is zero."""
-    if params is not None:
-        k_high &= params.branch_mask
     return k_high if k_high != 0 else 1
 
 
@@ -96,7 +94,7 @@ def derive_round_keys(key: MasterKey, params: CipherParams) -> RoundKeySchedule:
     per round after each key is emitted."""
     if key.width != params.branch_width:
         raise ValueError("key width does not match cipher parameters")
-    s = lfsr_init(key.high, params)
+    s = lfsr_init(key.high)
     keys = []
     for rc in params.round_constants:
         keys.append(key.low ^ s ^ rc)

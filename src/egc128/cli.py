@@ -18,7 +18,7 @@ from typing import Callable
 from . import boolfun, graphs, harness, lpmodel, nist, trails, vectors
 from .cipher import EGC128
 from .params import Block, MasterKey
-from .reporting import build_manifest, manifest_hash, write_report
+from .reporting import run_directory, write_report
 
 USAGE_ERROR = 2
 
@@ -54,11 +54,6 @@ def _cfg(args) -> harness.RngConfig:
 
 def _graph(args) -> graphs.GraphTopology:
     return graphs.build_topology(args.variant, args.n, args.graph_seed)
-
-
-def _run_dir(args, params: dict) -> Path:
-    """The run directory the report of these parameters is written to."""
-    return Path(args.out) / manifest_hash(build_manifest(args.command, params, args.seed))
 
 
 def _encrypt(args):
@@ -99,7 +94,7 @@ def _graph_report(args):
     params = {"variant": args.variant, "n": args.n, "graph_seed": args.graph_seed}
     edges = sorted({(min(i, j), max(i, j))
                     for i, reads in enumerate(g.read_sets) for j in reads})
-    run_dir = _run_dir(args, params)
+    run_dir = run_directory(args.command, params, args.seed, args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "edges.txt").write_text("".join(f"{i} {j}\n" for i, j in edges))
     return (params, rep, f"{args.variant}: gap {rep.spectral_gap:.3f}, "
@@ -116,7 +111,8 @@ def _bounds(args):
 def _lp_emit(args):
     params = {"mode": args.mode, "rounds": args.rounds, "variant": args.variant, "n": args.n}
     path = (Path(args.out_file) if args.out_file
-            else _run_dir(args, params) / f"{args.mode}_{args.rounds}r.lp")
+            else run_directory(args.command, params, args.seed, args.out)
+            / f"{args.mode}_{args.rounds}r.lp")
     model = lpmodel.emit_lp_model(args.mode, args.rounds, _graph(args), path)
     return (params, model, f"wrote {model.path} ({model.n_variables} vars, "
             f"{model.n_constraints} constraints)", 0)

@@ -72,7 +72,9 @@ def _batches(total: int, size: int):
 
 
 def _run_units(worker, units, threads: int):
-    if threads <= 1:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads == 1:
         return [worker(u) for u in units]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, units))
@@ -81,8 +83,7 @@ def _run_units(worker, units, threads: int):
 def _random_pairs(rng: np.random.Generator, n: int, repeat: int = 1):
     """(L, R) plaintext and (KH, KL) key lanes of `n` random samples, each
     repeated `repeat` times; drawn key high, key low, left, right."""
-    words = (np.frombuffer(rng.bytes(8 * n), np.uint64) for _ in range(4))
-    kh, kl, lw, rw = (pack_words(np.repeat(w, repeat), 64) for w in words)
+    kh, kl, lw, rw = (pack_words(np.repeat(w, repeat), 64) for w in random_lanes(rng, 4, n))
     return (lw, rw), (kh, kl)
 
 
@@ -95,11 +96,6 @@ def _bit_lanes(bitpos: np.ndarray) -> tuple[np.ndarray, ...]:
     return pack_words(np.where(hi, one, zero), 64), pack_words(np.where(hi, zero, one), 64)
 
 
-def _difference_bits(dL: np.ndarray, dR: np.ndarray, n: int) -> np.ndarray:
-    """(128, n) uint8 block bits of the first n samples (rows 64.. are dL)."""
-    return lanes_to_bits(np.concatenate([dR, dL]))[:, :n]
-
-
 def _pair_difference(engine: BitslicedCipher, base, delta, key,
                      rounds: int | None = None, snapshots=None):
     """Output difference (dL, dR) lanes of the (L, R) lanes `base` and
@@ -109,6 +105,21 @@ def _pair_difference(engine: BitslicedCipher, base, delta, key,
     L, R = base
     return collect_tiles(engine.pair_differences(L, R, delta, key, rounds, snapshots), L,
                          snapshots is None)
+
+
+def _single_bit_differences(rng: np.random.Generator, n: int, rounds):
+    """Yield, for each entry of `rounds` in turn, the (128, n) uint8 block
+    bits (rows 64.. the left branch) of the output differences at that
+    round of `n` random (key, plaintext) samples, each under a random
+    single-bit input difference."""
+    pad = _pad64(n)
+    base, key = _random_pairs(rng, pad)
+    bitpos = rng.integers(0, 128, pad)
+    diffs = _pair_difference(_FULL_ENGINE, base, _bit_lanes(bitpos), key,
+                             snapshots=rounds)
+    for r in rounds:
+        dL, dR = diffs[r]
+        yield lanes_to_bits(np.concatenate([dR, dL]))[:, :n]
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +226,9 @@ def bic_correlations(samples: int, cfg: RngConfig = RngConfig()) -> BicReport:
     single-bit input differences."""
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    rng = cfg.generator("bic", samples)
     n = samples
-    pad = _pad64(n)
-    base, key = _random_pairs(rng, pad)
-    bitpos = rng.integers(0, 128, pad)
-    dL, dR = _pair_difference(_FULL_ENGINE, base, _bit_lanes(bitpos), key)
-    X = _difference_bits(dL, dR, n).astype(np.float64).T    # (samples, 128)
+    bits, = _single_bit_differences(cfg.generator("bic", samples), n, (_FULL_PARAMS.rounds,))
+    X = bits.astype(np.float64).T                           # (samples, 128)
     Xc = X - X.mean(axis=0)
     sd = Xc.std(axis=0)
     sd[sd == 0] = 1.0
@@ -272,7 +279,7 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
         samples=n,
         max_count=max_count,
         max_probability=max_count / n,
-        weight_bits=-log2(max_count / n),
+        weight_bits=0.0 - log2(max_count / n),   # -x, but 0.0 (not -0.0) at x = 0
         distinct_output_diffs=int(len(counts)),
     )
 
@@ -302,8 +309,7 @@ class RelatedKeyReport:
     case2_count: int                   # difference confined to low half
 
 
-def related_key_scan(n_diffs: int, cfg: RngConfig = RngConfig(),
-                     rounds: int = 20) -> RelatedKeyReport:
+def related_key_scan(n_diffs: int, cfg: RngConfig = RngConfig()) -> RelatedKeyReport:
     """Round-key differences for random nonzero master-key differences.
 
     The round constants cancel, so the difference at round r is the low
@@ -313,6 +319,7 @@ def related_key_scan(n_diffs: int, cfg: RngConfig = RngConfig(),
     """
     if n_diffs < 1:
         raise ValueError("n_diffs must be >= 1")
+    rounds = _FULL_PARAMS.rounds
     rng = cfg.generator("related_key", n_diffs, rounds)
     # Row i: the 32-bit halves of difference i, drawn as four scalar draws would be.
     c = rng.integers(0, 1 << 32, (n_diffs, 4), dtype=np.uint64)
@@ -321,7 +328,7 @@ def related_key_scan(n_diffs: int, cfg: RngConfig = RngConfig(),
     dk_low[(dk_high == 0) & (dk_low == 0)] = 1
     case1 = int(np.count_nonzero(dk_high))
     hw = np.empty((n_diffs, rounds), dtype=np.int64)
-    for r, d in enumerate(round_key_difference(dk_high, dk_low, rounds)):
+    for r, d in enumerate(round_key_difference(dk_high, dk_low)):
         hw[:, r] = np.bitwise_count(d)
     per_round = tuple(
         RoundHwStats(
@@ -345,13 +352,13 @@ def related_key_scan(n_diffs: int, cfg: RngConfig = RngConfig(),
     )
 
 
-def round_key_difference(dk_high, dk_low, rounds: int = 20) -> list:
+def round_key_difference(dk_high, dk_low) -> list:
     """Exact per-round round-key differences for the master-key difference
     (dk_high, dk_low): Python ints, or `uint64` arrays of differences
     that are stepped together (one array per round)."""
     d = dk_high
     out = []
-    for _ in range(rounds):
+    for _ in range(_FULL_PARAMS.rounds):
         out.append(dk_low ^ d)
         d = lfsr_step(d, _FULL_PARAMS)
     return out
@@ -397,21 +404,15 @@ def invariant_subspace_search(dims, trials_per_dim: int,
             rng = cfg.generator("subspace", k, trial)
             basis = _random_basis(rng, k)
             offset = np.uint64(_draw_u64(rng))
-            n_pts = min(1 << k, SUBSPACE_MAX_POINTS)
-            if 1 << k <= SUBSPACE_MAX_POINTS:
-                # Point i is the offset XOR the basis vectors at the set
-                # bits of i, built by doubling.
-                pts = np.array([offset])
-                for vec in basis:
-                    pts = np.concatenate([pts, pts ^ np.uint64(vec)])
-            else:
-                sel = rng.integers(0, 1 << k, n_pts).astype(np.uint64)
-                pts = np.full(n_pts, offset, dtype=np.uint64)
-                for t, vec in enumerate(basis):
-                    chosen = ((sel >> np.uint64(t)) & _U1).astype(bool)
-                    pts ^= np.where(chosen, np.uint64(vec), np.uint64(0))
+            # Point i is the offset XOR the basis vectors at the set bits
+            # of i, built by doubling; larger cosets are sampled.
+            pts = np.array([offset])
+            for vec in basis:
+                pts = np.concatenate([pts, pts ^ np.uint64(vec)])
+            if len(pts) > SUBSPACE_MAX_POINTS:
+                pts = pts[rng.integers(0, len(pts), SUBSPACE_MAX_POINTS)]
             images = fn(pts)
-            evals += n_pts
+            evals += len(pts)
             diffs = images ^ images[0]
             # Reduce from the highest pivot down: clearing a high pivot
             # may set lower bits, which later steps then absorb.
@@ -483,7 +484,7 @@ class ZeroDiffReport:
 
 
 def reduced_zero_diff_scan(delta: Block, rounds: int,
-                           samples: int | None = 1 << 24,
+                           samples: int = 1 << 24,
                            cfg: RngConfig = RngConfig(),
                            exhaustive: bool = False) -> ZeroDiffReport:
     """Count plaintext pairs with zero (and, at rounds 2-3, single-bit)
@@ -501,7 +502,7 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
         raise ValueError("input difference must be nonzero")
     if rounds not in (0, 2, 3, 4):
         raise ValueError("supported round counts are 0 (self-check), 2, 3, 4")
-    if not exhaustive and (samples is None or samples < 1):
+    if not exhaustive and samples < 1:
         raise ValueError("samples must be >= 1 in sampled mode")
     krng = cfg.generator("zero_diff_key")
     key = MasterKey(int(krng.integers(1, 1 << 16)), int(krng.integers(0, 1 << 16)), 16)
@@ -671,16 +672,9 @@ def truncated_coverage_scan(pairs: int, checkpoints=(5, 10, 15, 18, 20),
     if not checkpoints or not all(0 <= c <= rounds for c in checkpoints):
         raise ValueError(f"checkpoints must be one or more rounds in 0..{rounds}")
     rng = cfg.generator("coverage", pairs, checkpoints)
-    n = pairs
-    pad = _pad64(n)
-    base, key = _random_pairs(rng, pad)
-    bitpos = rng.integers(0, 128, pad)
-    diffs = _pair_difference(_FULL_ENGINE, base, _bit_lanes(bitpos), key,
-                             snapshots=checkpoints)
     never = []
     cover = []
-    for r in checkpoints:
-        bits = _difference_bits(*diffs[r], n)
+    for bits in _single_bit_differences(rng, pairs, checkpoints):
         active_any = bits.any(axis=1)
         never.append(int((~active_any).sum()))
         seen = np.logical_or.accumulate(bits.astype(bool), axis=1)

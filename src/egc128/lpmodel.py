@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .graphs import GraphTopology
+from .trails import MODES
 
 LP_FORMAT_VERSION = "1"
 
@@ -53,7 +54,7 @@ def emit_lp_model(mode: str, rounds: int, g: GraphTopology, out: str | Path) -> 
     Variables: L_r_i and R_r_i for r = 0..rounds, sF_r_i for
     r = 0..rounds-1, all binary; 3*n*rounds + 2*n variables in total.
     """
-    if mode not in ("differential", "linear"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

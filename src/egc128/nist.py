@@ -31,6 +31,8 @@ from .params import MasterKey
 
 MODES = ("random_pt", "counter", "nonce_counter")
 BLOCK_BITS = 128
+#: Blocks encrypted per batch; each random-plaintext batch has its own substream.
+NIST_BATCH_BLOCKS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,7 @@ class NistStreamReport:
 
 def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
                             out: str | Path, cfg: RngConfig = RngConfig(),
-                            fmt: str = "ascii",
-                            batch_blocks: int = 1 << 16) -> NistStreamReport:
+                            fmt: str = "ascii") -> NistStreamReport:
     """Write an `n_bits`-symbol stream of ciphertext bits to `out`."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -62,7 +63,7 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
     out.parent.mkdir(parents=True, exist_ok=True)
     ones = 0
     with open(out, "wb") as fh:
-        for batch_idx, done, m, words in _batches(n_blocks, batch_blocks):
+        for batch_idx, done, m, words in _batches(n_blocks, NIST_BATCH_BLOCKS):
             if mode == "random_pt":
                 rng = cfg.generator("nist_pt", batch_idx)
                 L = random_lanes(rng, 64, words)

@@ -88,14 +88,6 @@ class CipherParams:
         object.__setattr__(self, "rotations", tuple(residues))
         object.__setattr__(self, "lfsr_tap_mask", sum(1 << t for t in self.lfsr_taps))
 
-    @property
-    def block_width(self) -> int:
-        return 2 * self.branch_width
-
-    @property
-    def block_mask(self) -> int:
-        return (1 << self.block_width) - 1
-
     def round_count(self, rounds: int | None) -> int:
         """The number of rounds to run: `rounds`, or the whole schedule
         when None; it must lie in 0..rounds."""

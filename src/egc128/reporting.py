@@ -57,11 +57,16 @@ def manifest_hash(manifest: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def run_directory(subcommand: str, parameters: dict, seed: int, out_root: str | Path) -> Path:
+    """The directory under `out_root` that the report of this run goes to."""
+    return Path(out_root) / manifest_hash(build_manifest(subcommand, parameters, seed))
+
+
 def write_report(subcommand: str, parameters: dict, results, seed: int,
                  out_root: str | Path = "reports", fmt: str = "json") -> Path:
     """Write the report and return the path of its run directory."""
     manifest = build_manifest(subcommand, parameters, seed)
-    run_dir = Path(out_root) / manifest_hash(manifest)
+    run_dir = run_directory(subcommand, parameters, seed, out_root)
     run_dir.mkdir(parents=True, exist_ok=True)
     payload = {"manifest": manifest, "results": _jsonable(results)}
     report_path = run_dir / "report.json"

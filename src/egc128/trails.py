@@ -27,7 +27,7 @@ overall plus a nontrivial output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from math import log2
 
 import numpy as np
@@ -124,6 +124,14 @@ def _start_key(l0: int, r0: int) -> tuple:
     return (0 if l0 else 1, l0.bit_length(), r0.bit_length())
 
 
+def _start_traces(mode: str, rounds: int, g: GraphTopology, transpose: bool):
+    """((l0, r0), trace) of every admissible start, propagated `rounds`
+    rounds; the r-round trace of a start is a prefix of its trace."""
+    graph = g.transposed() if transpose else g
+    return [((l0, r0), propagate_activation(l0, r0, rounds, graph))
+            for l0, r0 in _candidate_starts(mode, graph)]
+
+
 def min_active(mode: str, rounds: int, g: GraphTopology,
                transpose: bool = False) -> TrailBoundReport:
     """Minimum cumulative active-vertex count over admissible starts.
@@ -131,18 +139,11 @@ def min_active(mode: str, rounds: int, g: GraphTopology,
     `transpose` propagates on the reversed read relation instead (the
     mask-propagation dual); the reference bounds use the forward one.
     """
-    graph = g.transposed() if transpose else g
-    best_trace = None
-    best_key = None
-    best_l0 = best_r0 = 0
-    for l0, r0 in _candidate_starts(mode, graph):
-        trace = propagate_activation(l0, r0, rounds, graph)
-        key = (trace.total_active, *_start_key(l0, r0))
-        if best_key is None or key < best_key:
-            best_trace, best_key, best_l0, best_r0 = trace, key, l0, r0
-    weight = differential_weight(best_trace.total_active) if mode == "differential" else None
-    return TrailBoundReport(mode, rounds, best_trace.total_active, weight,
-                            best_l0, best_r0, best_trace.round_counts)
+    (l0, r0), best = min(_start_traces(mode, rounds, g, transpose),
+                         key=lambda st: (st[1].total_active, *_start_key(*st[0])))
+    weight = differential_weight(best.total_active) if mode == "differential" else None
+    return TrailBoundReport(mode, rounds, best.total_active, weight, l0, r0,
+                            best.round_counts)
 
 
 @dataclass(frozen=True)
@@ -156,10 +157,13 @@ class BoundSeries:
 
 def bound_series(mode: str, max_rounds: int, g: GraphTopology,
                  transpose: bool = False) -> BoundSeries:
+    """`min_active` at 1..max_rounds rounds, from one propagation per
+    start: the r-round totals are prefix sums of its round counts."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    counts = [min_active(mode, r, g, transpose).min_active
-              for r in range(1, max_rounds + 1)]
+    totals = [accumulate(trace.round_counts)
+              for _, trace in _start_traces(mode, max_rounds, g, transpose)]
+    counts = [min(per_round) for per_round in zip(*totals)]
     growth = tuple(counts[i] / counts[i - 1] if counts[i - 1] else float("inf")
                    for i in range(1, len(counts)))
     weights = None
@@ -177,17 +181,17 @@ def differential_weight(count: int) -> float:
     return count * W_NODE
 
 
-def extrapolate_full(value: float, mode: str, n: int = 64,
-                     saturated_rounds: int = 10) -> float:
+def extrapolate_full(value: float, mode: str) -> float:
     """Extend a proven half-depth bound to the full 20-round cipher.
 
     Differential mode: the proven 10-round weight plus ten fully
-    saturated rounds of n active vertices each.  Linear mode: five
+    saturated rounds of n = 64 active vertices each.  Linear mode: five
     independent 4-round segments, each contributing the proven 4-round
     active count (pass that count as `value`).
     """
+    full = CipherParams.full()
     if mode == "differential":
-        return value + differential_weight(saturated_rounds * n)
+        return value + differential_weight(full.rounds // 2 * full.branch_width)
     if mode == "linear":
         return 5 * value
     raise ValueError(f"unknown mode {mode!r}")

@@ -58,6 +58,8 @@ def load_vectors(path: str | Path | None = None) -> list[TestVector]:
                 if len(field) != 32 or field != field.lower():
                     raise ValueError(f"vector {name}: fields must be 32 lowercase hex chars")
             out.append(TestVector(name, key_hex, pt_hex, ct_hex))
+    if not out:
+        raise ValueError(f"{src}: no test vectors")
     return out
 
 

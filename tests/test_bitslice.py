@@ -210,16 +210,27 @@ def test_lane_shape_must_match_width():
                        MasterKey(1, 2, 16))
 
 
-@pytest.mark.parametrize("width, words", [(16, 1), (16, 65), (64, 3), (5, 7), (16, 65536)])
+@pytest.mark.parametrize("width, words", [(16, 1), (16, 65), (64, 3), (5, 7), (1, 7),
+                                          (64, 32), (64, 157), (16, 65536)])
 def test_random_lanes_is_the_generator_byte_stream(width, words):
-    # Pins the seed-0 draws of every sampled scan: a numpy release that
-    # changes the stream fails here instead of silently moving results.
-    a, b = np.random.default_rng(9), np.random.default_rng(9)
-    got = random_lanes(a, width, words)
-    want = np.frombuffer(b.bytes(8 * width * words), dtype=np.uint64)
-    assert got.dtype == np.uint64 and got.shape == (width, words)
-    assert np.array_equal(got.reshape(-1), want)
-    assert a.bytes(16) == b.bytes(16)        # the generators stay in step
+    # Pins the draws of every sampled scan: the raw 64-bit outputs are the
+    # byte stream and the uint32 stream that earlier releases drew, and a
+    # numpy release that changes either fails here instead of silently
+    # moving results.
+    for seed in (0, 1, 2, 3, 4, 9):
+        a, b, c = (np.random.default_rng(seed) for _ in range(3))
+        got = random_lanes(a, width, words)
+        by_bytes = np.frombuffer(b.bytes(8 * width * words), dtype=np.uint64)
+        by_uint32 = c.integers(0, 1 << 32, 2 * width * words, dtype=np.uint32).view(np.uint64)
+        assert got.dtype == np.uint64 and got.shape == (width, words)
+        assert np.array_equal(got.reshape(-1), by_bytes)
+        assert np.array_equal(got.reshape(-1), by_uint32)
+        # The generators stay in step, with no buffered 32-bit half (the
+        # stale `uinteger` of the others is unused while has_uint32 is 0).
+        states = [g.bit_generator.state for g in (a, b, c)]
+        assert states[0]["state"] == states[1]["state"] == states[2]["state"]
+        assert [st["has_uint32"] for st in states] == [0, 0, 0]
+        assert a.integers(0, 1 << 40, 8).tolist() == b.integers(0, 1 << 40, 8).tolist()
 
 
 def test_f_core_matches_scalar():

@@ -246,9 +246,18 @@ def test_diff_empirical_subcommand(tmp_path):
     ["nist-gen", "--bits", "128", "--key", "0" * 32, "--out-file", "{tmp}"],
     ["lp-emit", "--mode", "differential", "--rounds", "1", "--n", "16", "--out-file", "{tmp}"],
     ["avalanche", "--pairs", "1", "--rounds", "1", "--out", "{tmp}/plain/x"],
+    # Nothing to verify would print a vacuous "0/0 passed".
+    ["vectors", "--file", "/dev/null"],
+    ["vectors", "--file", "{tmp}/plain"],
+    ["vectors", "--file", "{tmp}/comments.csv"],
+    # A worker count below one.
+    ["sac", "--samples", "128", "--threads", "0"],
+    ["sac", "--samples", "128", "--threads=-2"],
+    ["zero-scan", "--all", "--samples", "64", "--threads", "0"],
 ])
 def test_bad_input_exits_2_without_report(tmp_path, capsys, argv):
     (tmp_path / "plain").write_text("")
+    (tmp_path / "comments.csv").write_text("# name,key_hex,pt_hex,ct_hex\n\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path)]

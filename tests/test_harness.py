@@ -21,6 +21,7 @@ from egc128.bitslice import (
 from egc128.cipher import Cipher, derive_round_keys
 from egc128.harness import (
     REDUCED_SCAN_PARAMS,
+    CoverageReport,
     RngConfig,
     _saturating_count,
     avalanche_profile,
@@ -132,7 +133,7 @@ def test_empirical_dp_zero_rounds_identity():
     delta = Block.from_int(1)
     rep = empirical_max_dp(delta, 0, 512, CFG)
     assert rep.max_count == 512
-    assert rep.weight_bits == 0.0
+    assert rep.weight_bits == 0.0 and math.copysign(1.0, rep.weight_bits) == 1.0  # not -0.0
     assert rep.distinct_output_diffs == 1
 
 
@@ -182,7 +183,7 @@ def test_round_key_difference_steps_word_arrays():
     high = rng.integers(0, 1 << 64, 300, dtype=np.uint64)
     low = rng.integers(0, 1 << 64, 300, dtype=np.uint64)
     high[:3] = 0, 1, (1 << 64) - 1
-    rounds = round_key_difference(high, low, 20)
+    rounds = round_key_difference(high, low)
     assert len(rounds) == 20 and all(d.dtype == np.uint64 for d in rounds)
     for j in range(300):
         assert [int(d[j]) for d in rounds] == round_key_difference(int(high[j]), int(low[j]))
@@ -225,6 +226,18 @@ def test_subspace_xor_constant_positive_control():
     c = np.uint64(0x0123456789ABCDEF)
     rep = invariant_subspace_search((3,), 10, CFG, map_fn=lambda a: a ^ c)
     assert rep.invariants_found == 10
+
+
+@pytest.mark.parametrize("dims", [(13,), (16,), (13, 16)])
+def test_subspace_search_samples_large_cosets(dims):
+    # Above SUBSPACE_MAX_POINTS points a coset is sampled; the controls
+    # still find every trial and the interaction layer none.
+    trials = 3
+    for map_fn, want in ((None, 0), (lambda a: a, trials * len(dims)),
+                         (lambda a: a ^ np.uint64(0x0123456789ABCDEF), trials * len(dims))):
+        rep = invariant_subspace_search(dims, trials, CFG, map_fn=map_fn)
+        assert rep.invariants_found == want
+        assert rep.total_evaluations == trials * len(dims) * 4096
 
 
 def test_subspace_dimension_validation():
@@ -355,9 +368,11 @@ def test_zero_diff_validation():
     with pytest.raises(ValueError):
         reduced_zero_diff_scan(Block.from_int(1), 2, samples=64, cfg=CFG)
     # Sampled mode on no samples would report a vacuous "0 hits".
-    for samples in (0, -5, None):
+    for samples in (0, -5):
         with pytest.raises(ValueError):
             reduced_zero_diff_scan(Block.from_int(1, 16), 2, samples=samples, cfg=CFG)
+    with pytest.raises(TypeError):
+        reduced_zero_diff_scan(Block.from_int(1, 16), 2, samples=None, cfg=CFG)
 
 
 def test_exact_single_bit_count_matches_exhaustive_scalar():
@@ -411,6 +426,12 @@ def test_coverage_small_run():
     assert all(c is None or c >= 1 for c in rep.trials_to_full_coverage)
     # coverage accelerates with depth
     assert rep.trials_to_full_coverage[0] >= rep.trials_to_full_coverage[-1]
+
+
+def test_coverage_keeps_repeated_checkpoints():
+    # Checkpoints are sorted but not deduplicated: each entry is reported.
+    rep = truncated_coverage_scan(100, (3, 0, 3), CFG)
+    assert rep == CoverageReport(100, (0, 3, 3), (57, 0, 0), (None, 96, 96))
 
 
 def test_coverage_validates_args():

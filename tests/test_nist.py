@@ -1,8 +1,11 @@
 """Bitstream generation: formats, bit order, determinism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from egc128 import nist
 from egc128.cipher import Cipher
 from egc128.harness import RngConfig
 from egc128.nist import generate_nist_bitstream, monobit_sigma_bound
@@ -90,8 +93,10 @@ def test_monobit_on_moderate_stream(tmp_path):
 def test_batching_is_invisible(tmp_path):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
-    generate_nist_bitstream("counter", 128 * 300, KEY, a, CFG, batch_blocks=64)
-    generate_nist_bitstream("counter", 128 * 300, KEY, b, CFG, batch_blocks=256)
+    with mock.patch.object(nist, "NIST_BATCH_BLOCKS", 64):
+        generate_nist_bitstream("counter", 128 * 300, KEY, a, CFG)
+    with mock.patch.object(nist, "NIST_BATCH_BLOCKS", 256):
+        generate_nist_bitstream("counter", 128 * 300, KEY, b, CFG)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -105,8 +110,8 @@ def _file_bits(path, fmt) -> np.ndarray:
 def test_counter_streams_across_batches_match_scalar(tmp_path, mode, fmt):
     # 130 blocks in batches of 64: three batches, the last a partial word.
     path = tmp_path / "s"
-    rep = generate_nist_bitstream(mode, 128 * 130, KEY, path, CFG, fmt=fmt,
-                                  batch_blocks=64)
+    with mock.patch.object(nist, "NIST_BATCH_BLOCKS", 64):
+        rep = generate_nist_bitstream(mode, 128 * 130, KEY, path, CFG, fmt=fmt)
     c = Cipher()
     high = rep.nonce if mode == "nonce_counter" else 0
     want = "".join(f"{c.encrypt_block(KEY, Block(high, i)).to_int():0128b}"
@@ -118,9 +123,9 @@ def test_counter_streams_across_batches_match_scalar(tmp_path, mode, fmt):
 
 def test_random_pt_binary_is_packed_ascii(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.bin"
-    ra = generate_nist_bitstream("random_pt", 128 * 130, KEY, a, CFG, batch_blocks=64)
-    rb = generate_nist_bitstream("random_pt", 128 * 130, KEY, b, CFG, fmt="binary",
-                                 batch_blocks=64)
+    with mock.patch.object(nist, "NIST_BATCH_BLOCKS", 64):
+        ra = generate_nist_bitstream("random_pt", 128 * 130, KEY, a, CFG)
+        rb = generate_nist_bitstream("random_pt", 128 * 130, KEY, b, CFG, fmt="binary")
     bits = _file_bits(a, "ascii")
     assert b.read_bytes() == np.packbits(bits).tobytes()
     assert ra.ones_count == rb.ones_count == int(bits.sum())

@@ -104,6 +104,18 @@ def test_transposed_baseline_same_bounds():
     assert fwd == rev
 
 
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("mode", trails.MODES)
+@pytest.mark.parametrize("g", [BASE, POOR, IRR, build_topology("random3regular", 16, 3)],
+                         ids=["baseline", "poor_expander", "irregular34", "random3regular"])
+def test_bound_series_is_min_active_per_round(g, mode, transpose):
+    # The series reads every round count off one propagation per start;
+    # min_active propagates each round count separately.
+    series = bound_series(mode, 8, g, transpose)
+    assert series.min_active == tuple(min_active(mode, r, g, transpose).min_active
+                                      for r in range(1, 9))
+
+
 def test_monotonicity_of_or_propagation():
     rnd = random.Random(1)
     for g in (build_topology("baseline", 16), BASE):
