@@ -203,12 +203,6 @@ def tail_mask(count: int, words: int) -> np.ndarray:
     return mask
 
 
-def _signed(offset: int, width: int) -> int:
-    """The neighbour offset as a lane shift in (-width/2, width/2]."""
-    k = offset % width
-    return k if k <= width // 2 else k - width
-
-
 def collect_tiles(tiles, like: np.ndarray, final_only: bool):
     """Gather the (cols, r, L, R) tiles of one batch into lanes shaped
     like `like`: {round: (L, R)}, or the single (L, R) when `final_only`."""
@@ -233,7 +227,7 @@ class _Padding:
     def __init__(self, params: CipherParams):
         w = params.branch_width
         self.width = w
-        self.shifts = tuple(_signed(o, w) for o in params.offsets)
+        self.shifts = params.shifts
         self.lo = max(0, -min(self.shifts))
         self.hi = max(0, *self.shifts)
         self.rows = self.lo + w + self.hi

@@ -52,6 +52,10 @@ def _cfg(args) -> harness.RngConfig:
     return harness.RngConfig(args.seed)
 
 
+def _graph_params(args) -> dict:
+    return {"variant": args.variant, "n": args.n, "graph_seed": args.graph_seed}
+
+
 def _graph(args) -> graphs.GraphTopology:
     return graphs.build_topology(args.variant, args.n, args.graph_seed)
 
@@ -91,7 +95,7 @@ def _degree(args):
 def _graph_report(args):
     g = _graph(args)
     rep = graphs.spectral_report(g)
-    params = {"variant": args.variant, "n": args.n, "graph_seed": args.graph_seed}
+    params = _graph_params(args)
     edges = sorted({(min(i, j), max(i, j))
                     for i, reads in enumerate(g.read_sets) for j in reads})
     run_dir = run_directory(args.command, params, args.seed, args.out)
@@ -103,13 +107,13 @@ def _graph_report(args):
 
 def _bounds(args):
     series = trails.bound_series(args.mode, args.rounds, _graph(args), args.transpose)
-    return ({"mode": args.mode, "rounds": args.rounds, "variant": args.variant,
-             "n": args.n, "transpose": args.transpose}, series,
+    return ({"mode": args.mode, "rounds": args.rounds, **_graph_params(args),
+             "transpose": args.transpose}, series,
             f"{args.mode} min-active 1..{args.rounds}: {list(series.min_active)}", 0)
 
 
 def _lp_emit(args):
-    params = {"mode": args.mode, "rounds": args.rounds, "variant": args.variant, "n": args.n}
+    params = {"mode": args.mode, "rounds": args.rounds, **_graph_params(args)}
     path = (Path(args.out_file) if args.out_file
             else run_directory(args.command, params, args.seed, args.out)
             / f"{args.mode}_{args.rounds}r.lp")
@@ -122,7 +126,8 @@ def _single_layer(args):
     rep = trails.single_layer_min_weight(
         args.width, args.offsets, exhaustive_limit=(1 << 62) if args.full else (1 << 20),
         max_hamming=args.max_hamming)
-    return ({"width": args.width, "offsets": rep.offsets, "max_hamming": args.max_hamming},
+    return ({"width": args.width, "offsets": rep.offsets, "max_hamming": args.max_hamming,
+             "full": args.full},
             rep, f"width {args.width}: min weight {rep.min_weight_bits:.3f} bits", 0)
 
 
@@ -199,7 +204,7 @@ def _nist_gen(args):
     rep = nist.generate_nist_bitstream(
         args.mode, args.bits, MasterKey.from_hex(args.key), args.out_file, _cfg(args),
         fmt="binary" if args.binary else "ascii")
-    return ({"mode": args.mode, "bits": args.bits, "format": rep.format}, rep,
+    return ({"mode": args.mode, "bits": args.bits, "key": args.key, "format": rep.format}, rep,
             f"wrote {rep.n_bits} bits to {rep.path}; "
             f"ones {rep.ones_count} ({rep.monobit_sigma:+.2f} sigma)", 0)
 
@@ -209,6 +214,7 @@ GRAPH_ARGS = (
     _arg("--n", type=int, default=64),
     _arg("--graph-seed", type=int, default=None),
 )
+THREAD_ARGS = (_arg("--threads", type=int, default=1, help="worker cap"),)
 BOUND_ARGS = (_arg("--mode", choices=trails.MODES, required=True),
               _arg("--rounds", type=int, required=True)) + GRAPH_ARGS
 
@@ -238,7 +244,7 @@ COMMANDS = {
         _arg("--pairs", type=int, default=64), _arg("--rounds", type=int, default=20)),
         _avalanche),
     "sac": Command("strict avalanche matrix", (
-        _arg("--samples", type=int, default=2000),), _sac),
+        _arg("--samples", type=int, default=2000),) + THREAD_ARGS, _sac),
     "bic": Command("bit independence", (_arg("--samples", type=int, default=5000),), _bic),
     "diff-empirical": Command("empirical max differential probability", (
         _arg("--delta", required=True, help="input difference (32 hex chars)"),
@@ -254,7 +260,7 @@ COMMANDS = {
         _arg("--rounds", type=int, default=None, choices=(2, 3, 4)),
         _arg("--all", action="store_true", help="all 36 standard combos"),
         _arg("--samples", type=int, default=1 << 24), _arg("--exhaustive", action="store_true"),
-    ), _zero_scan),
+    ) + THREAD_ARGS, _zero_scan),
     "coverage": Command("truncated coverage scan", (
         _arg("--pairs", type=int, default=10000),
         _arg("--checkpoints", type=_int_list, default=(5, 10, 15, 18, 20))), _coverage),
@@ -269,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="egc128", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--threads", type=int, default=1, help="worker cap")
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default="reports", help="report output root")
     sub = top.add_subparsers(dest="command", required=True)

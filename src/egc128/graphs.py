@@ -24,9 +24,12 @@ for reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import log, log2
 
 import numpy as np
+
+from .params import scaled_offsets
 
 VARIANTS = ("baseline", "poor_expander", "random3regular", "irregular34")
 
@@ -67,6 +70,12 @@ class GraphTopology:
         return GraphTopology(self.n, tuple(tuple(r) for r in rev),
                              self.variant + "_transposed", offs)
 
+    @cached_property
+    def reader_masks(self) -> tuple[int, ...]:
+        """mask[j] = vertex j plus every vertex reading j, as a bitmask."""
+        return tuple(sum({1 << i for i in (j, *readers)})
+                     for j, readers in enumerate(self.transposed().read_sets))
+
 
 def _random_regular(n: int, degree: int, seed: int) -> GraphTopology:
     """Configuration model with rejection of self-loops and multi-edges."""
@@ -95,7 +104,7 @@ def build_topology(variant: str, n: int = 64, seed: int | None = None) -> GraphT
     if n < 8:
         raise ValueError("vertex count must be at least 8")
     if variant == "baseline":
-        return GraphTopology.from_offsets(n, (-1, 1, max(2, round(n / 4))), variant)
+        return GraphTopology.from_offsets(n, scaled_offsets(n), variant)
     if variant == "poor_expander":
         return GraphTopology.from_offsets(n, (-1, 1, 2), variant)
     if variant == "cycle":
@@ -108,7 +117,7 @@ def build_topology(variant: str, n: int = 64, seed: int | None = None) -> GraphT
         if n % 2:
             raise ValueError("irregular34 requires even vertex count")
         half = n // 2
-        base = max(2, round(n / 4))
+        base = scaled_offsets(n)[2]
         reads = tuple(
             tuple(sorted({(i - 1) % n, (i + 1) % n, (i + base) % n, (i + half) % n}))
             for i in range(n)

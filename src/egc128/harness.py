@@ -431,8 +431,7 @@ def _random_basis(rng: np.random.Generator, k: int) -> list[int]:
     has a unique leading bit), which makes coset-membership reduction
     cheap."""
     echelon: dict[int, int] = {}
-    raw: list[int] = []
-    while len(raw) < k:
+    while len(echelon) < k:
         w = _draw_u64(rng)
         while w:
             top = w.bit_length() - 1
@@ -443,7 +442,6 @@ def _random_basis(rng: np.random.Generator, k: int) -> list[int]:
         if w == 0:
             continue
         echelon[w.bit_length() - 1] = w
-        raw.append(w)
     return sorted(echelon.values())
 
 

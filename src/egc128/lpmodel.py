@@ -23,8 +23,6 @@ from pathlib import Path
 from .graphs import GraphTopology
 from .trails import MODES
 
-LP_FORMAT_VERSION = "1"
-
 
 @dataclass(frozen=True)
 class LpModel:

@@ -63,11 +63,13 @@ class CipherParams:
     branch_width: int = FULL_BRANCH_WIDTH
     offsets: tuple[int, int, int] = FULL_OFFSETS
     rounds: int = FULL_ROUNDS
-    round_constants: tuple[int, ...] = ROUND_CONSTANTS
-    # Constants derived from the fields above, computed once per instance
-    # for the scalar cipher's per-call hot paths.
+    # Constants derived from the fields above, computed once per instance.
+    # Round constant r is RC_(r mod 20) truncated to the branch width.
+    round_constants: tuple[int, ...] = field(init=False, compare=False)
     branch_mask: int = field(init=False, repr=False, compare=False)
+    # Offsets mod the width, and as lane shifts in (-width/2, width/2].
     rotations: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    shifts: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     lfsr_tap_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,13 +81,12 @@ class CipherParams:
         residues = [o % w for o in self.offsets]
         if len(set(residues)) != 3 or 0 in residues:
             raise ValueError(f"offsets {self.offsets} not distinct and nonzero mod {w}")
-        if len(self.round_constants) != self.rounds:
-            raise ValueError("round_constants length must equal round count")
         mask = (1 << w) - 1
-        if any(rc & ~mask for rc in self.round_constants):
-            raise ValueError("round constant wider than branch width")
+        object.__setattr__(self, "round_constants", tuple(
+            ROUND_CONSTANTS[r % len(ROUND_CONSTANTS)] & mask for r in range(self.rounds)))
         object.__setattr__(self, "branch_mask", mask)
         object.__setattr__(self, "rotations", tuple(residues))
+        object.__setattr__(self, "shifts", tuple(k if k <= w // 2 else k - w for k in residues))
         object.__setattr__(self, "lfsr_tap_mask", sum(1 << t for t in self.lfsr_taps))
 
     def round_count(self, rounds: int | None) -> int:
@@ -108,17 +109,11 @@ class CipherParams:
     @classmethod
     def reduced(cls, branch_width: int, offsets: tuple[int, int, int] | None = None,
                 rounds: int = FULL_ROUNDS) -> "CipherParams":
-        """A structurally identical instance at a smaller branch width.
-
-        Round constants are the full-width constants truncated to the
-        low ``branch_width`` bits (extended cyclically past round 20).
-        """
+        """A structurally identical instance at a smaller branch width,
+        with the scaled offsets unless `offsets` is given."""
         if offsets is None:
             offsets = scaled_offsets(branch_width)
-        mask = (1 << branch_width) - 1
-        rcs = tuple(ROUND_CONSTANTS[r % len(ROUND_CONSTANTS)] & mask for r in range(rounds))
-        return cls(branch_width=branch_width, offsets=offsets, rounds=rounds,
-                   round_constants=rcs)
+        return cls(branch_width=branch_width, offsets=offsets, rounds=rounds)
 
 
 class _Halves:

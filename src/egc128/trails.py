@@ -45,16 +45,6 @@ W_NODE = -log2(_RULE_A_DU / TT_SIZE)
 MODES = ("differential", "linear")
 
 
-def _reader_masks(g: GraphTopology) -> list[int]:
-    """mask[j] = vertices whose activation is triggered by bit j
-    (vertex j itself plus every vertex reading j)."""
-    masks = [1 << j for j in range(g.n)]
-    for i, reads in enumerate(g.read_sets):
-        for j in reads:
-            masks[j] |= 1 << i
-    return masks
-
-
 @dataclass(frozen=True)
 class ActivationTrace:
     """Full OR-propagation trace from one starting pattern."""
@@ -71,7 +61,7 @@ def propagate_activation(l0: int, r0: int, rounds: int, g: GraphTopology) -> Act
     """Deterministic OR-propagation of (L_0, R_0) activity."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    masks = _reader_masks(g)
+    masks = g.reader_masks
     full = (1 << g.n) - 1
     L, R = l0 & full, r0 & full
     ls, rs, sfs, counts = [L], [R], [], []
@@ -254,7 +244,8 @@ def single_layer_min_weight(width: int,
         chunks = _bounded_weight_chunks(width, max_hamming)
         restricted = max_hamming
 
-    reads = [(i, *((i + o) % width for o in offsets)) for i in range(width)]
+    graph = GraphTopology.from_offsets(width, offsets)
+    reads = [(i, *r) for i, r in enumerate(graph.read_sets)]
     best = None
     best_delta = 0
     examined = 0

@@ -147,6 +147,29 @@ def test_batch_matches_scalar_reduced_and_rounds():
             assert (int(lo[j]), int(ro[j])) == (want.left, want.right)
 
 
+@pytest.mark.parametrize("width", [8, 16, 64])
+def test_batch_matches_scalar_past_round_20(width):
+    # A 40-round schedule cycles through the 20 round constants twice;
+    # per-sample keys read them directly, a fixed key through its schedule.
+    p = CipherParams.reduced(width, rounds=40)
+    scalar = Cipher(p)
+    engine = BitslicedCipher(p)
+    rng = np.random.default_rng(width)
+    n = 64
+    kh, kl = _random_batch(rng, n, width), _random_batch(rng, n, width)
+    lw, rw = _random_batch(rng, n, width), _random_batch(rng, n, width)
+    fixed = MasterKey(int(kh[0]), int(kl[0]), width)
+    lanes = pack_words(lw, width), pack_words(rw, width)
+    per_sample = engine.encrypt(*lanes, (pack_words(kh, width), pack_words(kl, width)))
+    one_key = engine.encrypt(*lanes, fixed)
+    for (L, R), keys in ((per_sample, zip(kh, kl)), (one_key, [(kh[0], kl[0])] * n)):
+        lo, ro = unpack_words(L), unpack_words(R)
+        for j, (h, k) in enumerate(keys):
+            want = scalar.encrypt_block(MasterKey(int(h), int(k), width),
+                                        Block(int(lw[j]), int(rw[j]), width))
+            assert (int(lo[j]), int(ro[j])) == (want.left, want.right)
+
+
 def test_scalar_key_mode_and_snapshots():
     p = CipherParams.full()
     scalar = Cipher(p)

@@ -240,6 +240,10 @@ def test_params_derive_their_own_constants(width):
         offsets = tuple(k - width * rnd.randrange(2) for k in rnd.sample(range(1, width), 3))
         p = CipherParams.reduced(width, offsets)
         assert p.rotations == tuple(o % width for o in offsets)
+        # Each shift is its offset modulo the width, taken in (-width/2, width/2].
+        assert len(p.shifts) == 3
+        assert all((s - o) % width == 0 and -width < 2 * s <= width
+                   for s, o in zip(p.shifts, offsets))
         assert p.branch_mask == (1 << width) - 1
         assert p.lfsr_tap_mask == sum(1 << t for t in p.lfsr_taps)
         assert p == CipherParams.reduced(width, offsets)
@@ -438,3 +442,13 @@ def test_round_constant_truncation():
     p = CipherParams.reduced(16)
     assert p.round_constants[0] == ROUND_CONSTANTS[0] & 0xFFFF
     assert len(p.round_constants) == p.rounds
+    # RC_r is the (r mod 20)-th 16-digit word of pi's fraction, truncated
+    # to the branch width; no caller can supply its own table.
+    for width in range(4, 65):
+        for rounds in range(1, 46):
+            want = tuple(int(PI_FRACTIONAL_HEX[16 * (r % 20) : 16 * (r % 20) + 16], 16)
+                         % (1 << width) for r in range(rounds))
+            assert CipherParams.reduced(width, rounds=rounds).round_constants == want
+    assert CipherParams(rounds=10).round_constants == ROUND_CONSTANTS[:10]
+    with pytest.raises(TypeError):
+        CipherParams(round_constants=ROUND_CONSTANTS)

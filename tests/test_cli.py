@@ -45,6 +45,14 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["avalanche", "bic", "graph", "vectors"])
+def test_threads_is_only_accepted_where_it_is_used(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_vectors_pass(tmp_path, capsys):
     assert main(["vectors", "--out", str(tmp_path)]) == 0
     assert "10/10 passed" in capsys.readouterr().out
@@ -125,6 +133,23 @@ def test_lp_emit_subcommand(tmp_path):
                  "--out-file", str(lp), "--out", str(tmp_path)]) == 0
     assert lp.exists()
     assert "Minimize" in lp.read_text()
+
+
+@pytest.mark.parametrize("first, second", [
+    (["bounds", "--mode", "differential", "--rounds", "2", "--variant", "random3regular",
+      "--n", "16", "--graph-seed", "1"], ["--graph-seed", "2"]),
+    (["lp-emit", "--mode", "linear", "--rounds", "1", "--variant", "random3regular",
+      "--n", "16", "--graph-seed", "1"], ["--graph-seed", "2"]),
+    (["single-layer", "--width", "10"], ["--full"]),
+    (["nist-gen", "--bits", "128", "--key", TV1_KEY, "--out-file", "{tmp}/bits.txt"],
+     ["--key", "0" * 31 + "1"]),
+], ids=["bounds", "lp-emit", "single-layer", "nist-gen"])
+def test_runs_with_different_inputs_keep_separate_reports(tmp_path, capsys, first, second):
+    first = [a.replace("{tmp}", str(tmp_path)) for a in first]
+    out = ["--out", str(tmp_path / "out")]
+    assert main(first + out) == 0
+    assert main(first + second + out) == 0
+    assert len(list((tmp_path / "out").rglob("report.json"))) == 2
 
 
 def test_avalanche_seed_reproducibility(tmp_path):
@@ -280,13 +305,13 @@ GOLDEN_REPORTS = {
               "ea9e05156596e282",
               "f31eda89fdc931981b1f15abb2c5e1d53e0a9b2c50108ab6df3aaa95bd1d794e"),
     "bounds": (["bounds", "--mode", "linear", "--rounds", "4", "--variant", "poor_expander",
-                "--transpose"], "d9cf6cf276933b67",
-               "8d704e17659287c700e2ef380ac5c8c245f15e13b52e500cd9d76e69dadaf83d"),
+                "--transpose"], "d974acfb4c563f6e",
+               "cfb41c316f9bb02f8f78edf0660858a1cbc00af173cae4ccf8c777d44aac461c"),
     "lp-emit": (["lp-emit", "--mode", "differential", "--rounds", "2", "--n", "16"],
-                "668fb45a1268a50b",
-                "5fe8f3c2ac04b8a6d9802158aec5c981a9e00377afda2431ec9d7fb4a77ec62e"),
-    "single-layer": (["single-layer", "--width", "12", "--offsets=-1,1,5"], "acffdc59427b1642",
-                     "5eab5425830e7e889a391167989581fd8be94b8a10384f53a04f287039384230"),
+                "7d52cc1bb699888a",
+                "71d53a799d3a665f36be051a929f61f79f3d2188d2efb57764f50b67efbfc8ff"),
+    "single-layer": (["single-layer", "--width", "12", "--offsets=-1,1,5"], "72514ba0342cf078",
+                     "b61617481ea4448a3849f7bf8434fa05c28096ea851218f50808248e437fd6d8"),
     "avalanche": (["avalanche", "--pairs", "4", "--rounds", "6"], "028791ae58bdd276",
                   "ce05b0b3eddbd87a00c230ee73e17ba1e67841c15de2ee1c4dae9198fbdcbdeb"),
     "sac": (["sac", "--samples", "128", "--format", "csv"], "b479ac3a8f58023e",
@@ -309,8 +334,8 @@ GOLDEN_REPORTS = {
     "coverage": (["coverage", "--pairs", "500", "--checkpoints", "5,10"], "1a72b65b1e2f573c",
                  "bd73da0e2c8dc612581e412e77a6d4b8d35556ac49fdfc2cdf3b89feb4fa2aec"),
     "nist-gen": (["nist-gen", "--mode", "nonce_counter", "--bits", "1024", "--key", TV1_KEY,
-                  "--out-file", "{tmp}/bits.bin", "--binary"], "7b18dfdaed4c2967",
-                 "ac78e6f3395f64a21ef9977d7b2d3f4457aae130de0445a2092a2af9735083a5"),
+                  "--out-file", "{tmp}/bits.bin", "--binary"], "0982a3dd34f21906",
+                 "6e7af4da41c8df12c066e6a977d7cfedc3ea9ac5b4fe89d23721b84122f7eae7"),
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from egc128.graphs import (
+    VARIANTS,
     GraphTopology,
     build_topology,
     diameter,
@@ -15,6 +16,7 @@ from egc128.graphs import (
     spectral_report,
     symmetrized_adjacency,
 )
+from egc128.params import scaled_offsets
 
 
 def test_baseline_readset():
@@ -47,6 +49,40 @@ def test_random_regular_reproducible_and_simple():
     for i, reads in enumerate(a.read_sets):
         for j in reads:
             assert i in a.read_sets[j]
+
+
+def test_long_range_offset_follows_scaled_offsets():
+    # One formula for the long-range chord: width/4, floored at 2.
+    for n in range(8, 257):
+        long = max(2, round(n / 4))
+        assert scaled_offsets(n) == (-1, 1, long)
+        g = build_topology("baseline", n)
+        assert g.circulant_offsets == (n - 1, 1, long)
+        assert g.read_sets == tuple(((i - 1) % n, (i + 1) % n, (i + long) % n)
+                                    for i in range(n))
+        if n % 2 == 0:
+            g = build_topology("irregular34", n)
+            assert g.circulant_offsets == (n - 1, 1, long, n // 2)
+            assert g.read_sets == tuple(
+                tuple(sorted({(i - 1) % n, (i + 1) % n, (i + long) % n, (i + n // 2) % n}))
+                for i in range(n))
+
+
+def _reader_masks_loop(g):
+    masks = [1 << j for j in range(g.n)]
+    for i, reads in enumerate(g.read_sets):
+        for j in reads:
+            masks[j] |= 1 << i
+    return tuple(masks)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+@pytest.mark.parametrize("variant", VARIANTS + ("cycle",))
+def test_reader_masks_are_the_read_relation(variant, n):
+    g = build_topology(variant, n, seed=3)
+    for h in (g, g.transposed()):
+        assert h.reader_masks == _reader_masks_loop(h)
+        assert h.reader_masks is h.reader_masks      # computed once per graph
 
 
 def test_random_requires_seed_and_min_size():
