@@ -15,7 +15,9 @@ from math import log2
 
 import numpy as np
 
+from . import bitslice
 from .bitslice import (
+    _FULL,
     BitslicedCipher,
     broadcast_columns,
     collect_tiles,
@@ -96,30 +98,21 @@ def _bit_lanes(bitpos: np.ndarray) -> tuple[np.ndarray, ...]:
     return pack_words(np.where(hi, one, zero), 64), pack_words(np.where(hi, zero, one), 64)
 
 
-def _pair_difference(engine: BitslicedCipher, base, delta, key,
-                     rounds: int | None = None, snapshots=None):
+def _pair_difference(engine: BitslicedCipher, base, delta, key, rounds: int | None = None):
     """Output difference (dL, dR) lanes of the (L, R) lanes `base` and
-    `base` XOR `delta` under `engine`, or {round: (dL, dR)} at the
-    snapshot rounds when `snapshots` is given.  `delta` holds lanes or
-    broadcast columns."""
+    `base` XOR `delta` under `engine`.  `delta` holds lanes or broadcast
+    columns."""
     L, R = base
-    return collect_tiles(engine.pair_differences(L, R, delta, key, rounds, snapshots), L,
-                         snapshots is None)
+    return collect_tiles(engine.pair_differences(L, R, delta, key, rounds), L, True)
 
 
-def _single_bit_differences(rng: np.random.Generator, n: int, rounds):
-    """Yield, for each entry of `rounds` in turn, the (128, n) uint8 block
-    bits (rows 64.. the left branch) of the output differences at that
-    round of `n` random (key, plaintext) samples, each under a random
-    single-bit input difference."""
+def _single_bit_pairs(rng: np.random.Generator, n: int):
+    """(L, R) plaintext lanes, difference lanes and (KH, KL) key lanes of
+    `n` random (key, plaintext) samples, padded to whole words, each under
+    a random single-bit input difference."""
     pad = _pad64(n)
     base, key = _random_pairs(rng, pad)
-    bitpos = rng.integers(0, 128, pad)
-    diffs = _pair_difference(_FULL_ENGINE, base, _bit_lanes(bitpos), key,
-                             snapshots=rounds)
-    for r in rounds:
-        dL, dR = diffs[r]
-        yield lanes_to_bits(np.concatenate([dR, dL]))[:, :n]
+    return base, _bit_lanes(rng.integers(0, 128, pad)), key
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +138,11 @@ def avalanche_profile(pairs: int, rounds: int = 20,
     n = pairs * block
     base, key = _random_pairs(cfg.generator("avalanche", pairs, rounds), pairs, block)
     bitpos = np.tile(np.arange(block), pairs)
-    diffs = _pair_difference(_FULL_ENGINE, base, _bit_lanes(bitpos), key, rounds,
-                             range(rounds + 1))
-    means = [(popcount_lanes(diffs[r][0]) + popcount_lanes(diffs[r][1])) / n
-             for r in range(rounds + 1)]
+    weight = [0] * (rounds + 1)
+    for _, r, dL, dR in _FULL_ENGINE.pair_differences(*base, _bit_lanes(bitpos), key, rounds,
+                                                      range(rounds + 1)):
+        weight[r] += popcount_lanes(dL) + popcount_lanes(dR)
+    means = [w / n for w in weight]
     return AvalancheReport(pairs, n, tuple(means),
                            tuple(m / block for m in means))
 
@@ -171,6 +165,15 @@ class SacReport:
     per_input_mean_std: float
 
 
+def _sac_group(words: int) -> int:
+    """Input bits per SAC unit: as many `words`-word batches as fill,
+    with both members of every pair, one engine tile of
+    `bitslice._TILE_BYTES` per width-64 lane array.  Units twice as wide
+    measured slower (8 against 4 bits at 2,000 samples, 2 against 1 at
+    8,000), so 8,000 samples (125 words) keep one bit per unit."""
+    return max(1, bitslice._TILE_BYTES // (8 * 64) // (2 * words))
+
+
 def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
                threads: int = 1) -> SacReport:
     """Empirical flip probability of every output bit for every single
@@ -179,20 +182,39 @@ def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
         raise ValueError("need at least 100 samples per bit")
     n = samples_per_bit
     words = _pad64(n) // 64
-    mask = tail_mask(n, words)
+    group = _sac_group(words)
+    mask = np.tile(tail_mask(n, words), group)
+    # Row i: the flip counts of the 128 output bits (dR, then dL) under
+    # input bit i; one C-contiguous block, so the float reductions below
+    # see the same memory order for every grouping.
+    counts = np.zeros((128, 128), dtype=np.int64)
 
-    def one_bit(i: int) -> np.ndarray:
-        rng = cfg.generator("sac", samples_per_bit, i)
-        KH, KL, L, R = (random_lanes(rng, 64, words) for _ in range(4))
-        d = Block.from_int(1 << i)
-        dL, dR = _pair_difference(_FULL_ENGINE, (L, R),
-                                  broadcast_columns([d.left, d.right], 64), (KH, KL))
-        return np.concatenate([
-            np.bitwise_count(dR & mask).sum(axis=1),
-            np.bitwise_count(dL & mask).sum(axis=1),
-        ]).astype(np.int64)
+    def unit(first: int) -> None:
+        bits = range(first, min(first + group, 128))
+        # Bit i draws (KH, KL, L, R) from its own substream, and the j-th
+        # bit of the unit takes words j*words.. of each lane array.
+        draws = [[random_lanes(rng, 64, words) for _ in range(4)]
+                 for rng in (cfg.generator("sac", samples_per_bit, i) for i in bits)]
+        # Lane i of the difference is all ones over bit i's `cols` columns;
+        # a lone bit uses its draws uncopied and broadcasts one column.
+        if len(bits) == 1:
+            (KH, KL, L, R), cols = draws[0], 1
+        else:
+            KH, KL, L, R = (np.concatenate(lanes, axis=1) for lanes in zip(*draws))
+            cols = words
+        delta = np.zeros((2, 64, len(bits) * cols), dtype=np.uint64)
+        for j, i in enumerate(bits):
+            delta[1 - i // 64, i % 64, j * cols : (j + 1) * cols] = _FULL
+        for cs, _, dL, dR in _FULL_ENGINE.pair_differences(L, R, delta, (KH, KL)):
+            # The tile's columns split at bit boundaries into runs of one bit each.
+            runs = np.arange(cs.start - cs.start % words, cs.stop, words).clip(cs.start)
+            row = first + runs // words
+            for half, d in ((slice(0, 64), dR), (slice(64, 128), dL)):
+                d &= mask[cs]
+                counts[row, half] += np.add.reduceat(np.bitwise_count(d), runs - cs.start,
+                                                     axis=1, dtype=np.int64).T
 
-    counts = np.stack(_run_units(one_bit, range(128), threads))
+    _run_units(unit, range(0, 128, group), threads)
     P = counts / n
     per_input = P.mean(axis=1)
     return SacReport(
@@ -227,9 +249,10 @@ def bic_correlations(samples: int, cfg: RngConfig = RngConfig()) -> BicReport:
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     n = samples
-    bits, = _single_bit_differences(cfg.generator("bic", samples), n, (_FULL_PARAMS.rounds,))
-    X = bits.astype(np.float64).T                           # (samples, 128)
-    Xc = X - X.mean(axis=0)
+    dL, dR = _pair_difference(_FULL_ENGINE, *_single_bit_pairs(cfg.generator("bic", samples), n))
+    bits = lanes_to_bits(np.concatenate([dR, dL]))[:, :n]
+    Xc = bits.astype(np.float64).T                          # (samples, 128)
+    Xc -= Xc.mean(axis=0)
     sd = Xc.std(axis=0)
     sd[sd == 0] = 1.0
     C = (Xc.T @ Xc) / (n * np.outer(sd, sd))
@@ -270,8 +293,13 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
     base, key = _random_pairs(rng, _pad64(n))
     dL, dR = _pair_difference(_FULL_ENGINE, base,
                               broadcast_columns([delta.left, delta.right], 64), key, rounds)
-    diffs = np.stack([unpack_words(dL, n), unpack_words(dR, n)], axis=1)
-    _, counts = np.unique(diffs, axis=0, return_counts=True)
+    dL, dR = unpack_words(dL, n), unpack_words(dR, n)
+    # Sorted by (dL, dR), equal differences form runs; only the longest
+    # run and the number of runs are reported.
+    order = np.lexsort((dR, dL))
+    dL, dR = dL[order], dR[order]
+    starts = np.flatnonzero(np.concatenate([[True], (dL[1:] != dL[:-1]) | (dR[1:] != dR[:-1])]))
+    counts = np.diff(starts, append=n)
     max_count = int(counts.max())
     return DpReport(
         delta=delta.hex(),
@@ -670,13 +698,20 @@ def truncated_coverage_scan(pairs: int, checkpoints=(5, 10, 15, 18, 20),
     if not checkpoints or not all(0 <= c <= rounds for c in checkpoints):
         raise ValueError(f"checkpoints must be one or more rounds in 0..{rounds}")
     rng = cfg.generator("coverage", pairs, checkpoints)
-    never = []
-    cover = []
-    for bits in _single_bit_differences(rng, pairs, checkpoints):
-        active_any = bits.any(axis=1)
-        never.append(int((~active_any).sum()))
-        seen = np.logical_or.accumulate(bits.astype(bool), axis=1)
-        complete = seen.all(axis=0)
-        idx = np.nonzero(complete)[0]
-        cover.append(int(idx[0]) + 1 if len(idx) else None)
-    return CoverageReport(pairs, checkpoints, tuple(never), tuple(cover))
+    (L, R), delta, key = _single_bit_pairs(rng, pairs)
+    # Per checkpoint round and state bit (rows 64.. the left branch), the
+    # index of the first sample whose difference sets it.  It stays
+    # `pairs` where no pair does: the padding samples past `pairs` cannot
+    # lower it.
+    first = {r: np.full(128, pairs) for r in checkpoints}
+    for cs, r, dL, dR in _FULL_ENGINE.pair_differences(L, R, delta, key, None, checkpoints):
+        d = np.concatenate([dR, dL])
+        nonzero = d != 0
+        word = nonzero.argmax(axis=1)
+        lowest = d[np.arange(128), word]
+        ctz = np.bitwise_count(~lowest & (lowest - _U1))   # trailing zeros
+        found = np.where(nonzero.any(axis=1), 64 * (cs.start + word) + ctz, pairs)
+        np.minimum(first[r], found, out=first[r])
+    never = tuple(int((first[r] == pairs).sum()) for r in checkpoints)
+    cover = tuple(None if k else int(first[r].max()) + 1 for r, k in zip(checkpoints, never))
+    return CoverageReport(pairs, checkpoints, never, cover)

@@ -5,10 +5,14 @@ printed at the end of the run (see conftest).  All randomised criteria
 run at the documented sample counts under master seed 0.
 """
 
+import json
 import math
 import random
 import time
+import types
+from unittest import mock
 
+import conftest
 from conftest import ACCEPTANCE_RESULTS
 from lputil import solve_lp
 
@@ -295,3 +299,19 @@ def test_criterion_20_lp_cross_check(tmp_path):
         ok &= external == internal
     _finish(20, "LP emission vs independent solver", t0, 120.0, ok,
             ", ".join(details))
+
+
+def test_acceptance_summary_is_cached_as_json():
+    # The terminal summary also stores its rows, in criterion order, as
+    # JSON under a pytest cache key.
+    stored = {}
+    config = types.SimpleNamespace(cache=types.SimpleNamespace(set=stored.__setitem__))
+    rows = [(18, "coverage", True, 0.5, "never-active=[0]"), (1, "vectors", False, 0.1, "")]
+    with mock.patch.object(conftest, "ACCEPTANCE_RESULTS", rows):
+        conftest.pytest_terminal_summary(mock.Mock(), config)
+    got = json.loads(json.dumps(stored[conftest.ACCEPTANCE_CACHE_KEY]))
+    assert got == [
+        {"criterion": 1, "name": "vectors", "passed": False, "seconds": 0.1, "detail": ""},
+        {"criterion": 18, "name": "coverage", "passed": True, "seconds": 0.5,
+         "detail": "never-active=[0]"},
+    ]

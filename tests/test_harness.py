@@ -4,7 +4,9 @@ Full-size runs at the reference sample counts live in the acceptance
 suite; these tests use smaller batches."""
 
 import dataclasses
+import functools
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -19,10 +21,13 @@ from egc128.bitslice import (
     unpack_words,
 )
 from egc128.cipher import Cipher, derive_round_keys
+from egc128 import harness
 from egc128.harness import (
     REDUCED_SCAN_PARAMS,
     CoverageReport,
+    DpReport,
     RngConfig,
+    SacReport,
     _saturating_count,
     avalanche_profile,
     bic_correlations,
@@ -39,8 +44,11 @@ from egc128.harness import (
 )
 from egc128.cipher import lfsr_step
 from egc128.params import Block, CipherParams, MasterKey
+from test_bitslice import _two_call_pair
 
 CFG = RngConfig(12345)
+FULL_ENGINE = BitslicedCipher()
+ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def test_rng_substreams_are_stable():
@@ -73,6 +81,21 @@ def test_avalanche_deterministic():
     assert avalanche_profile(4, 10, CFG) == avalanche_profile(4, 10, CFG)
 
 
+@pytest.mark.parametrize("rounds", (0, 7, 20))
+@pytest.mark.parametrize("pairs", (1, 5, 64))
+def test_avalanche_matches_snapshot_sums(pairs, rounds):
+    # The in-tile per-round popcounts against full-size snapshots of two
+    # encryptions, summed per round.
+    base, key = harness._random_pairs(CFG.generator("avalanche", pairs, rounds), pairs, 128)
+    delta = harness._bit_lanes(np.tile(np.arange(128), pairs))
+    snaps = _two_call_pair(FULL_ENGINE, *base, delta, key, rounds, range(rounds + 1))
+    n = 128 * pairs
+    means = tuple((int(np.bitwise_count(snaps[r][0]).sum())
+                   + int(np.bitwise_count(snaps[r][1]).sum())) / n for r in range(rounds + 1))
+    want = harness.AvalancheReport(pairs, n, means, tuple(m / 128 for m in means))
+    assert avalanche_profile(pairs, rounds, CFG) == want
+
+
 def test_avalanche_validates_args():
     with pytest.raises(ValueError):
         avalanche_profile(0, 20, CFG)
@@ -95,18 +118,61 @@ def test_sac_thread_count_does_not_change_result():
     assert a.mean == b.mean
 
 
-def test_sac_thread_count_does_not_change_result_multi_tile():
-    # 313 words per lane: two engine tiles at width 64, on a shared engine.
-    a = sac_matrix(20000, CFG, threads=1)
-    b = sac_matrix(20000, CFG, threads=2)
-    assert (a.matrix == b.matrix).all()
-
-
 def test_sac_agrees_with_avalanche():
     # mean flip probability x 128 ~ final-round mean Hamming distance
     sac = sac_matrix(256, CFG)
     av = avalanche_profile(16, 20, CFG)
     assert abs(sac.mean * 128 - av.mean_hd[20]) < 1.5
+
+
+@functools.cache
+def _sac_reference(n):
+    """SacReport of `n` samples per bit from two encryptions per input bit,
+    each bit on its own substream, and masked per-output-bit popcounts."""
+    words = (n + 63) // 64
+    valid = np.zeros(64 * words, dtype=bool)
+    valid[:n] = True
+    mask = np.packbits(valid, bitorder="little").view(np.uint64)
+    counts = np.empty((128, 128), dtype=np.int64)
+    for i in range(128):
+        KH, KL, L, R = (random_lanes(CFG.generator("sac", n, i), 256, words)
+                        .reshape(4, 64, words))
+        delta = np.zeros((2, 64, 1), dtype=np.uint64)
+        delta[0 if i >= 64 else 1, i % 64] = ONES
+        dL, dR = _two_call_pair(FULL_ENGINE, L, R, delta, (KH, KL), None, [20])[20]
+        counts[i] = np.concatenate([np.bitwise_count(dR & mask).sum(axis=1),
+                                    np.bitwise_count(dL & mask).sum(axis=1)])
+    P = counts / n
+    per_input = P.mean(axis=1)
+    return SacReport(n, P, float(P.mean()), float(P.std()), float(P.min()), float(P.max()),
+                     float(((P >= 0.45) & (P <= 0.55)).mean()),
+                     float(((P >= 0.40) & (P <= 0.60)).mean()),
+                     tuple(float(v) for v in per_input), float(per_input.std()))
+
+
+def _assert_same_sac(got, want):
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    for field in dataclasses.fields(SacReport):
+        if field.name != "matrix":
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+@pytest.mark.parametrize("threads", (1, 2, 3))
+@pytest.mark.parametrize("n", (100, 128, 2000, 2049, 20000))
+def test_sac_matches_per_bit_reference(n, threads):
+    # 20,000 samples: one bit spans two engine tiles; the float fields
+    # must agree to the last bit.
+    _assert_same_sac(sac_matrix(n, CFG, threads), _sac_reference(n))
+
+
+@pytest.mark.parametrize("n", (100, 2049))
+def test_sac_units_split_across_tiles(n):
+    # 5-word engine tiles under 7-bit units: tile boundaries fall inside
+    # bits and between them, and the last unit is short (128 = 18 * 7 + 2).
+    with mock.patch.object(bitslice, "_TILE_BYTES", 8 * 64 * 5), \
+            mock.patch.object(harness, "_sac_group", lambda words: 7):
+        got = sac_matrix(n, CFG, threads=2)
+    _assert_same_sac(got, _sac_reference(n))
 
 
 def test_sac_validates_args():
@@ -135,6 +201,24 @@ def test_empirical_dp_zero_rounds_identity():
     assert rep.max_count == 512
     assert rep.weight_bits == 0.0 and math.copysign(1.0, rep.weight_bits) == 1.0  # not -0.0
     assert rep.distinct_output_diffs == 1
+
+
+@pytest.mark.parametrize("rounds", (3, 0))
+@pytest.mark.parametrize("samples", (1, 65, 512))
+def test_empirical_dp_matches_counter(samples, rounds):
+    delta = Block(0x80, 0x1)
+    rng = CFG.generator("empirical_dp", delta.to_int(), rounds, samples)
+    base, key = harness._random_pairs(rng, (samples + 63) // 64 * 64)
+    dL, dR = _two_call_pair(FULL_ENGINE, *base, broadcast_columns([delta.left, delta.right], 64),
+                            key, rounds, [rounds])[rounds]
+    diffs = Counter(zip(unpack_words(dL, samples).tolist(), unpack_words(dR, samples).tolist()))
+    top = max(diffs.values())
+    rep = empirical_max_dp(delta, rounds, samples, CFG)
+    assert rep == DpReport(delta.hex(), rounds, samples, top, top / samples,
+                           0.0 - math.log2(top / samples), len(diffs))
+    if rounds == 0:
+        assert rep.max_count == samples and rep.distinct_output_diffs == 1
+        assert rep.weight_bits == 0.0 and math.copysign(1.0, rep.weight_bits) == 1.0
 
 
 def test_empirical_dp_rejects_zero_delta():
@@ -432,6 +516,37 @@ def test_coverage_keeps_repeated_checkpoints():
     # Checkpoints are sorted but not deduplicated: each entry is reported.
     rep = truncated_coverage_scan(100, (3, 0, 3), CFG)
     assert rep == CoverageReport(100, (0, 3, 3), (57, 0, 0), (None, 96, 96))
+
+
+def _coverage_reference(pairs, checkpoints):
+    """CoverageReport from the (128, pairs) bit matrices of two encryptions
+    and a running OR over the pairs."""
+    checkpoints = tuple(sorted(checkpoints))
+    base, delta, key = harness._single_bit_pairs(CFG.generator("coverage", pairs, checkpoints),
+                                                 pairs)
+    snaps = _two_call_pair(FULL_ENGINE, *base, delta, key, None, checkpoints)
+    never, cover = [], []
+    for r in checkpoints:
+        dL, dR = snaps[r]
+        bits = lanes_to_bits(np.concatenate([dR, dL]))[:, :pairs].astype(bool)
+        never.append(int((~bits.any(axis=1)).sum()))
+        complete = np.logical_or.accumulate(bits, axis=1).all(axis=0)
+        idx = np.nonzero(complete)[0]
+        cover.append(int(idx[0]) + 1 if len(idx) else None)
+    return CoverageReport(pairs, checkpoints, tuple(never), tuple(cover))
+
+
+@pytest.mark.parametrize("tile_bytes", (bitslice._TILE_BYTES, 8 * 64 * 3))
+@pytest.mark.parametrize("pairs, checkpoints", [(100, (0,)), (100, (3, 0, 3)), (130, (2, 4, 20)),
+                                                (1000, (1, 5, 20)), (2000, (4,))])
+def test_coverage_matches_running_or(pairs, checkpoints, tile_bytes):
+    # Pair counts off a multiple of 64 (tail bits must not count), and
+    # 3-word tiles so a first set bit can lie in any tile.
+    with mock.patch.object(bitslice, "_TILE_BYTES", tile_bytes):
+        rep = truncated_coverage_scan(pairs, checkpoints, CFG)
+    assert rep == _coverage_reference(pairs, checkpoints)
+    if checkpoints == (0,):
+        assert rep.never_active_counts[0] > 0 and rep.trials_to_full_coverage == (None,)
 
 
 def test_coverage_validates_args():
