@@ -37,11 +37,15 @@ them:
 * the circulant reads of F_core are slice rotations: a tile of R
   carries copies of its wraparound lanes (``_Padding``), so the lanes
   read at each neighbour offset form one contiguous row range;
+* NOT Rule-A is five gates on those rows with no complemented input
+  (:func:`_xor_not_f_core`), XORed straight into the L tile that becomes
+  the new R, so no complemented copy of R and no F_core output exist;
 * the round key enters as one XOR with a precomputed ``(width, 1)``
   broadcast column, which also carries F_core's final NOT;
 * with one key per sample, the key-schedule LFSR is unrolled into rows
-  (state r is rows r..r+width-1), so a step appends one lane instead of
-  shifting all of them.
+  (state r is rows r..r+width-1).  Every feedback row is built before
+  round 1, in slices of width - max(tap) rows that each read only rows
+  already written, so a round adds just its two key XORs.
 
 :func:`collect_tiles` writes the tiles of the wanted rounds into
 full-size outputs.  The engine keeps no scratch on the instance, so one
@@ -242,22 +246,23 @@ class _Padding:
         np.copyto(P[lo + w :], P[lo : lo + self.hi])
 
 
-def _not_f_core(pad: _Padding, Rp, Np, A, B):
-    """A <- NOT F_core(R) for R held in the padded rows Rp; Np and B are
-    scratch of the shapes of Rp and A.
+def _xor_not_f_core(pad: _Padding, Rp, out, A, B):
+    """out ^= NOT F_core(R) for R held in the padded rows Rp; A and B are
+    scratch of the shape of out.
 
     Rule-A at vertex i reads x0 = R[i], x1 = R[i+s1], x2 = R[i+s2] and
-    x3 = R[i+s3] and equals NOT((x2 & ~g) ^ (x1 & x3)) with
-    g = x0 ^ x1 ^ (x0 & x3), that is ~g = (x0 & ~x3) ^ ~x1.  The final
-    NOT is left to the caller, which folds it into the round-key column.
+    x3 = R[i+s3]; its complement is x2 ^ ((x1 ^ (x0 & x2)) & (x2 ^ x3)),
+    five gates on uncomplemented inputs.  The final NOT is left to the
+    caller, which folds it into the round-key column.
     """
     s1, s2, s3 = pad.shifts
-    np.invert(Rp, out=Np)
-    np.bitwise_and(pad.at(Rp), pad.at(Np, s3), out=A)          # x0 & ~x3
-    np.bitwise_xor(A, pad.at(Np, s1), out=A)                   # ~g
-    np.bitwise_and(A, pad.at(Rp, s2), out=A)                   # x2 & ~g
-    np.bitwise_and(pad.at(Rp, s1), pad.at(Rp, s3), out=B)      # x1 & x3
-    A ^= B
+    x2 = pad.at(Rp, s2)
+    np.bitwise_and(pad.at(Rp), x2, out=A)                      # x0 & x2
+    A ^= pad.at(Rp, s1)                                        # x1 ^ (x0 & x2)
+    np.bitwise_xor(x2, pad.at(Rp, s3), out=B)                  # x2 ^ x3
+    A &= B
+    out ^= A
+    out ^= x2
 
 
 class BitslicedCipher:
@@ -273,9 +278,9 @@ class BitslicedCipher:
         Rp = np.empty((pad.rows,) + R.shape[1:], dtype=np.uint64)
         np.copyto(pad.at(Rp), R)
         pad.wrap(Rp)
-        A = np.empty_like(R)
-        _not_f_core(pad, Rp, np.empty_like(Rp), A, np.empty_like(R))
-        return np.invert(A, out=A)
+        out = np.full_like(R, _FULL)           # all ones: out ^ NOT F_core is F_core
+        _xor_not_f_core(pad, Rp, out, np.empty_like(R), np.empty_like(R))
+        return out
 
     def encrypt(
         self,
@@ -358,19 +363,22 @@ class BitslicedCipher:
         # column about twice as fast as a broadcast uint64 one.
         col_bytes = cols.view(np.uint8)[:, :, :1]
 
-        taps = p.lfsr_taps[1:]
         tile = min(words, max(1, _TILE_BYTES // (8 * w)))
-        padded = np.empty((3, pad.rows, k * tile), dtype=np.uint64)
+        padded = np.empty((2, pad.rows, k * tile), dtype=np.uint64)
         scratch = np.empty((2, w, k * tile), dtype=np.uint64)
         if per_sample:
             # Unrolled key-schedule LFSR: state S_r is rows r..r+w-1, and
-            # each step appends the feedback as row w+r.
+            # each step appends the feedback as row w+r.  Feedback row j
+            # reads rows j-w+t for the taps t, so a slice of w - max tap
+            # rows reads only rows written before it.
+            taps = p.lfsr_taps[1:]
+            lfsr_slice = w - p.lfsr_taps[-1]
             lfsr = np.empty((w + nr, k * tile), dtype=np.uint64)
             klow = np.empty((w, k * tile), dtype=np.uint64)
         for c0 in range(0, words, tile):
             cs = slice(c0, min(c0 + tile, words))
             m = cs.stop - c0
-            Lp, Rp, Np = padded[:, :, : k * m]
+            Lp, Rp = padded[:, :, : k * m]
             A, B = scratch[:, :, : k * m]
             np.copyto(pad.at(Lp)[:, :m], L[:, cs])
             np.copyto(pad.at(Rp)[:, :m], R[:, cs])
@@ -387,20 +395,21 @@ class BitslicedCipher:
                 np.bitwise_or.reduce(S[:w], axis=0, out=A[0])
                 np.invert(A[0], out=A[0])
                 S[0] |= A[0]
+                for a in range(0, nr, lfsr_slice):
+                    b = min(a + lfsr_slice, nr)
+                    feedback = S[w + a : w + b]
+                    np.copyto(feedback, S[a:b])          # tap 0
+                    for t in taps:
+                        feedback ^= S[a + t : b + t]
             if 0 in wanted:
                 yield cs, 0, pad.at(Lp), pad.at(Rp)
             for r in range(nr):
-                _not_f_core(pad, Rp, Np, A, B)
                 newR = pad.at(Lp)
-                newR ^= A
+                _xor_not_f_core(pad, Rp, newR, A, B)
                 np.bitwise_xor(newR.view(np.uint8), col_bytes[r], out=newR.view(np.uint8))
                 if per_sample:
                     newR ^= KLt
                     newR ^= S[r : r + w]
-                    feedback = S[w + r]
-                    np.copyto(feedback, S[r])            # tap 0
-                    for t in taps:
-                        feedback ^= S[r + t]
                 pad.wrap(Lp)
                 Lp, Rp = Rp, Lp
                 if r + 1 in wanted:

@@ -51,8 +51,10 @@ def f_core(x, params: CipherParams):
     x1 = x >> k1 | x << (w - k1)
     x2 = x >> k2 | x << (w - k2)
     x3 = x >> k3 | x << (w - k3)
-    # 1 ^ x2 ^ x0x2 ^ x1x2 ^ x1x3 ^ x0x2x3  ==  (~x2 | (x0^x1^(x0&x3))) ^ (x1&x3)
-    return (((mask ^ x2) | (x ^ x1 ^ (x & x3))) ^ (x1 & x3)) & mask
+    # Rule-A is 1 ^ x2 ^ x0x2 ^ x1x2 ^ x1x3 ^ x0x2x3, and the sum without
+    # the 1 is x2 ^ ((x1 ^ x0x2) & (x2 ^ x3)): five gates, the form the
+    # bitsliced engine evaluates, and one more XOR with the mask.
+    return (mask ^ x2 ^ ((x1 ^ (x & x2)) & (x2 ^ x3))) & mask
 
 
 def lfsr_init(k_high: int) -> LfsrState:

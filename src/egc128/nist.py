@@ -79,7 +79,10 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
             blocks[:, 1] = unpack_words(cR, m)
             raw = blocks.view(np.uint8).reshape(-1)
             ones += int(np.bitwise_count(raw).sum())
-            fh.write(np.unpackbits(raw) + ord("0") if fmt == "ascii" else raw)
+            if fmt == "ascii":
+                raw = np.unpackbits(raw)
+                raw += ord("0")
+            fh.write(raw)
     sigma = (ones - n_bits / 2) / (n_bits / 4) ** 0.5
     return NistStreamReport(out, mode, fmt, n_bits, ones, sigma, nonce)
 

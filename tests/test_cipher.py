@@ -45,6 +45,10 @@ def test_rule_a_truth_table_constant():
     assert bin(table).count("1") == 8
     assert tuple((RULE_A_TRUTH_TABLE >> k) & 1 for k in range(16)) == \
         tuple(rule_a_eval(*((k >> i) & 1 for i in range(4))) for k in range(16))
+    # The five-gate complement that cipher.f_core and the bitsliced engine
+    # evaluate, on the truth-table inputs (bit k of x_i is bit i of k).
+    x0, x1, x2, x3 = 0xAAAA, 0xCCCC, 0xF0F0, 0xFF00
+    assert x2 ^ ((x1 ^ (x0 & x2)) & (x2 ^ x3)) == RULE_A_TRUTH_TABLE ^ 0xFFFF
 
 
 # --- F_core -----------------------------------------------------------------

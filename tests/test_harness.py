@@ -381,8 +381,8 @@ def test_zero_diff_single_bit_outputs_are_reachable():
 
 @pytest.mark.slow
 def test_exhaustive_zero_scan_matches_exact_count():
-    # All 2^32 plaintexts (under a minute): the single-bit count is the
-    # exact count itself, 115 * 2^22, not a sample of it.
+    # All 2^32 plaintexts (43-48 s on a 2-core host): the single-bit
+    # count is the exact count itself, 115 * 2^22, not a sample of it.
     delta = Block.from_int(1, 16)
     rep = reduced_zero_diff_scan(delta, 2, cfg=RngConfig(0), exhaustive=True)
     assert rep.mode == "exhaustive" and rep.samples == 1 << 32
