@@ -14,7 +14,9 @@ matrix.  :func:`pack_words` and :func:`unpack_words` therefore convert
 a whole batch with one word-level transpose, :func:`_transpose64`: six
 masked-swap stages of in-place ufuncs over every column at once, with
 no per-bit intermediate.  :func:`lanes_to_bits` builds the uint8 bit
-matrix for the analyses that need single bits.
+matrix for the analyses that need single bits.  :func:`counter_lanes`
+builds the lanes of a counter run straight from its word index; its
+callers start on a multiple of 64, so it takes no other start.
 
 Cache tiling: one round loop (``BitslicedCipher._tiles``) walks the
 word axis in column tiles of ``_TILE_BYTES`` per lane array (1,024
@@ -47,9 +49,10 @@ them:
   round 1, in slices of width - max(tap) rows that each read only rows
   already written, so a round adds just its two key XORs.
 
-:func:`collect_tiles` writes the tiles of the wanted rounds into
-full-size outputs.  The engine keeps no scratch on the instance, so one
-engine may serve several threads at once.
+:func:`collect_tiles` writes the final-round tiles into full-size
+outputs: :meth:`BitslicedCipher.encrypt` returns only the final state,
+and only the pair path yields earlier rounds.  The engine keeps no
+scratch on the instance, so one engine may serve several threads at once.
 
 Results are bit-identical to the scalar implementation in
 :mod:`egc128.cipher`; the test suite cross-checks the two routes.
@@ -126,29 +129,20 @@ _COUNTER_PATTERNS = np.array(
 def counter_lanes(start: int, words: int, width: int) -> np.ndarray:
     """(width, words) lanes of the 64 * words counters from `start` (low `width` bits).
 
-    From a multiple of 64, word w of the batch holds the counters
-    64 * (q + w) + j with q = start // 64: lanes 0..5 are the fixed
-    patterns of j, and lane b >= 6 is all ones exactly where bit b - 6
-    of q + w is set.  Any other start reads those aligned lanes over one
-    extra word, funnel-shifted right by start % 64.
+    `start` must be a multiple of 64, so word w of the batch holds the
+    counters 64 * (q + w) + j with q = start // 64: lanes 0..5 are the
+    fixed patterns of j, and lane b >= 6 is all ones exactly where bit
+    b - 6 of q + w is set.
     """
-    q, s = divmod(start, 64)
-    index = np.arange(q, q + words + 1, dtype=np.uint64)
-    right, left = np.uint64(s), np.uint64(64 - s)  # numpy shifts by 64 give 0
+    if start % 64:
+        raise ValueError(f"counter start {start} is not a multiple of 64")
+    index = np.arange(start // 64, start // 64 + words, dtype=np.uint64)
     lanes = np.empty((width, words), dtype=np.uint64)
-    aligned = np.empty(words + 1, dtype=np.uint64)
-    carry = np.empty(words, dtype=np.uint64)
-    # Lane by lane, so the aligned lane and the shift stay in cache.
-    for b, lane in enumerate(lanes):
-        if b < 6:
-            aligned.fill(_COUNTER_PATTERNS[b])
-        else:
-            np.right_shift(index, np.uint64(b - 6), out=aligned)
-            aligned &= _ONE
-            np.negative(aligned, out=aligned)
-        np.right_shift(aligned[:-1], right, out=lane)
-        np.left_shift(aligned[1:], left, out=carry)
-        lane |= carry
+    lanes[:6] = _COUNTER_PATTERNS[:width, None]
+    for b, lane in enumerate(lanes[6:], 6):
+        np.right_shift(index, np.uint64(b - 6), out=lane)
+        lane &= _ONE
+        np.negative(lane, out=lane)
     return lanes
 
 
@@ -207,16 +201,14 @@ def tail_mask(count: int, words: int) -> np.ndarray:
     return mask
 
 
-def collect_tiles(tiles, like: np.ndarray, final_only: bool):
-    """Gather the (cols, r, L, R) tiles of one batch into lanes shaped
-    like `like`: {round: (L, R)}, or the single (L, R) when `final_only`."""
-    out = {}
-    for cs, r, Lt, Rt in tiles:
-        if r not in out:
-            out[r] = (np.empty_like(like), np.empty_like(like))
-        np.copyto(out[r][0][:, cs], Lt)
-        np.copyto(out[r][1][:, cs], Rt)
-    return out.popitem()[1] if final_only else out
+def collect_tiles(tiles, like: np.ndarray):
+    """Gather the (cols, r, L, R) tiles of one batch, all of its final
+    round, into (L, R) lanes shaped like `like`."""
+    L, R = np.empty_like(like), np.empty_like(like)
+    for cs, _, Lt, Rt in tiles:
+        np.copyto(L[:, cs], Lt)
+        np.copyto(R[:, cs], Rt)
+    return L, R
 
 
 class _Padding:
@@ -288,7 +280,6 @@ class BitslicedCipher:
         R: np.ndarray,
         key: MasterKey | tuple[np.ndarray, np.ndarray],
         rounds: int | None = None,
-        snapshot_rounds=None,
     ):
         """Encrypt a batch of (L, R) lanes; the inputs are not modified.
 
@@ -296,11 +287,10 @@ class BitslicedCipher:
         sample (the schedule is then precomputed once) or a pair of
         (high, low) lane arrays holding one key per sample.
 
-        Returns (L, R) lanes, or a dict {round: (L, R)} when
-        `snapshot_rounds` is given (round 0 is the input state).
+        Returns the (L, R) lanes after `rounds` rounds (default: the
+        full schedule; 0 gives a copy of the input).
         """
-        return collect_tiles(self._tiles(L, R, key, rounds, snapshot_rounds), L,
-                             snapshot_rounds is None)
+        return collect_tiles(self._tiles(L, R, key, rounds), L)
 
     def pair_differences(
         self,
@@ -331,7 +321,7 @@ class BitslicedCipher:
             np.bitwise_xor(Rt[:, :m], Rt[:, m:], out=dR)
             yield cs, r, dL, dR
 
-    def _tiles(self, L, R, key, rounds, snapshot_rounds, delta=None):
+    def _tiles(self, L, R, key, rounds, snapshot_rounds=None, delta=None):
         """The round loop: yield (cols, r, L, R) at each wanted round r of
         each column tile, in order; L and R are views valid until the next
         step.  With `delta`, each tile stacks two members, P and then

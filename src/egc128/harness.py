@@ -98,14 +98,6 @@ def _bit_lanes(bitpos: np.ndarray) -> tuple[np.ndarray, ...]:
     return pack_words(np.where(hi, one, zero), 64), pack_words(np.where(hi, zero, one), 64)
 
 
-def _pair_difference(engine: BitslicedCipher, base, delta, key, rounds: int | None = None):
-    """Output difference (dL, dR) lanes of the (L, R) lanes `base` and
-    `base` XOR `delta` under `engine`.  `delta` holds lanes or broadcast
-    columns."""
-    L, R = base
-    return collect_tiles(engine.pair_differences(L, R, delta, key, rounds), L, True)
-
-
 def _single_bit_pairs(rng: np.random.Generator, n: int):
     """(L, R) plaintext lanes, difference lanes and (KH, KL) key lanes of
     `n` random (key, plaintext) samples, padded to whole words, each under
@@ -195,16 +187,11 @@ def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
         # bit of the unit takes words j*words.. of each lane array.
         draws = [[random_lanes(rng, 64, words) for _ in range(4)]
                  for rng in (cfg.generator("sac", samples_per_bit, i) for i in bits)]
-        # Lane i of the difference is all ones over bit i's `cols` columns;
-        # a lone bit uses its draws uncopied and broadcasts one column.
-        if len(bits) == 1:
-            (KH, KL, L, R), cols = draws[0], 1
-        else:
-            KH, KL, L, R = (np.concatenate(lanes, axis=1) for lanes in zip(*draws))
-            cols = words
-        delta = np.zeros((2, 64, len(bits) * cols), dtype=np.uint64)
+        KH, KL, L, R = (np.concatenate(lanes, axis=1) for lanes in zip(*draws))
+        # Lane i of the difference is all ones over bit i's columns.
+        delta = np.zeros((2, 64, len(bits) * words), dtype=np.uint64)
         for j, i in enumerate(bits):
-            delta[1 - i // 64, i % 64, j * cols : (j + 1) * cols] = _FULL
+            delta[1 - i // 64, i % 64, j * words : (j + 1) * words] = _FULL
         for cs, _, dL, dR in _FULL_ENGINE.pair_differences(L, R, delta, (KH, KL)):
             # The tile's columns split at bit boundaries into runs of one bit each.
             runs = np.arange(cs.start - cs.start % words, cs.stop, words).clip(cs.start)
@@ -249,7 +236,8 @@ def bic_correlations(samples: int, cfg: RngConfig = RngConfig()) -> BicReport:
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     n = samples
-    dL, dR = _pair_difference(_FULL_ENGINE, *_single_bit_pairs(cfg.generator("bic", samples), n))
+    (L, R), delta, key = _single_bit_pairs(cfg.generator("bic", samples), n)
+    dL, dR = collect_tiles(_FULL_ENGINE.pair_differences(L, R, delta, key), L)
     bits = lanes_to_bits(np.concatenate([dR, dL]))[:, :n]
     Xc = bits.astype(np.float64).T                          # (samples, 128)
     Xc -= Xc.mean(axis=0)
@@ -290,9 +278,9 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
         raise ValueError("samples must be >= 1")
     rng = cfg.generator("empirical_dp", delta.to_int(), rounds, samples)
     n = samples
-    base, key = _random_pairs(rng, _pad64(n))
-    dL, dR = _pair_difference(_FULL_ENGINE, base,
-                              broadcast_columns([delta.left, delta.right], 64), key, rounds)
+    (L, R), key = _random_pairs(rng, _pad64(n))
+    flip = broadcast_columns([delta.left, delta.right], 64)
+    dL, dR = collect_tiles(_FULL_ENGINE.pair_differences(L, R, flip, key, rounds), L)
     dL, dR = unpack_words(dL, n), unpack_words(dR, n)
     # Sorted by (dL, dR), equal differences form runs; only the longest
     # run and the number of runs are reported.

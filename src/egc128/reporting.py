@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
@@ -23,6 +24,10 @@ TOOL_NAME = "egc128"
 
 
 def _jsonable(obj):
+    """`obj` as JSON data; a non-finite float (such as the growth rate of
+    a series from 0) becomes null, as JSON has no token for it."""
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -33,8 +38,6 @@ def _jsonable(obj):
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, Path):
         return str(obj)
     return obj
@@ -75,7 +78,8 @@ def write_report(subcommand: str, parameters: dict, results, seed: int,
         csv_path = run_dir / "results.csv"
         _write_csv(payload["results"], csv_path)
         manifest["outputs"].append(str(csv_path))
-    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+                           + "\n")
     return run_dir
 
 

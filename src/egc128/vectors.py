@@ -12,6 +12,7 @@ pseudorandom inputs.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -20,6 +21,7 @@ from .cipher import Cipher
 from .params import Block, MasterKey
 
 BUNDLED_VECTOR_FILE = "reference_vectors.csv"
+_HEX32 = re.compile(r"[0-9a-f]{32}")
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,19 @@ def load_vectors(path: str | Path | None = None) -> list[TestVector]:
     src = Path(path) if path is not None else bundled_vector_path()
     out = []
     with open(src, newline="") as fh:
-        for row in csv.reader(fh):
+        rows = csv.reader(fh)
+        for row in rows:
             if not row or row[0].startswith("#"):
                 continue
-            name, key_hex, pt_hex, ct_hex = (c.strip() for c in row)
-            for field in (key_hex, pt_hex, ct_hex):
-                if len(field) != 32 or field != field.lower():
-                    raise ValueError(f"vector {name}: fields must be 32 lowercase hex chars")
-            out.append(TestVector(name, key_hex, pt_hex, ct_hex))
+            where = f"{src}, line {rows.line_num}"
+            if len(row) != 4:
+                raise ValueError(f"{where}: {len(row)} fields, expected 4 "
+                                 "(name,key_hex,pt_hex,ct_hex)")
+            name, *fields = (c.strip() for c in row)
+            if not all(_HEX32.fullmatch(f) for f in fields):
+                raise ValueError(f"{where}: vector {name}: key, plaintext and ciphertext "
+                                 "must be 32 lowercase hex digits each")
+            out.append(TestVector(name, *fields))
     if not out:
         raise ValueError(f"{src}: no test vectors")
     return out

@@ -60,10 +60,16 @@ def test_lane_layout_matches_definition(width, words, count, seed):
 
 
 @pytest.mark.parametrize("width", (5, 16, 32, 64))
-@pytest.mark.parametrize("start", (0, 5, 63, 64, 64 * 3 + 17, (1 << 32) - 100,
-                                   (1 << 40) + 1, (1 << 64) - 64 * 3 - 1))
+@pytest.mark.parametrize("start", (0, 64, 192, (1 << 32) - (1 << 22), 1 << 40, (1 << 64) - 192,
+                                   # Starts off a 64-counter word are refused.
+                                   5, 63, 64 * 3 + 17, (1 << 32) - 100, (1 << 40) + 1,
+                                   (1 << 64) - 64 * 3 - 1))
 def test_counter_lanes_match_definition(width, start):
     words = 3
+    if start % 64:
+        with pytest.raises(ValueError, match="multiple of 64"):
+            counter_lanes(start, words, width)
+        return
     lanes = counter_lanes(start, words, width)
     assert lanes.dtype == np.uint64 and lanes.shape == (width, words)
     # Lane b, word w, bit j is bit b of counter start + 64w + j.
@@ -180,13 +186,11 @@ def test_scalar_key_mode_and_snapshots():
     rng = np.random.default_rng(3)
     n = 64
     lw, rw = _random_batch(rng, n, 64), _random_batch(rng, n, 64)
-    snaps = engine.encrypt(pack_words(lw, 64), pack_words(rw, 64), key,
-                           snapshot_rounds=range(21))
+    L, R = pack_words(lw, 64), pack_words(rw, 64)
     j = 17
     pt = Block(int(lw[j]), int(rw[j]))
     for r in range(21):
-        lo = unpack_words(snaps[r][0])
-        ro = unpack_words(snaps[r][1])
+        lo, ro = (unpack_words(x) for x in engine.encrypt(L, R, key, rounds=r))
         want = scalar.encrypt_block(key, pt, rounds=r)
         assert (int(lo[j]), int(ro[j])) == (want.left, want.right)
 
@@ -225,7 +229,7 @@ def test_snapshot_rounds_outside_schedule_raise():
     key = MasterKey(1, 2, 16)
     for rounds, snaps in ((None, [21]), (None, [-1, 5]), (3, [0, 4])):
         with pytest.raises(ValueError, match="snapshot rounds"):
-            engine.encrypt(L, L, key, rounds=rounds, snapshot_rounds=snaps)
+            next(engine.pair_differences(L, L, (L, L), key, rounds, snaps))
 
 
 def test_lane_shape_must_match_width():
@@ -295,11 +299,8 @@ def test_bitsliced_matches_scalar_property(case):
         key = (KH, KL)
     else:
         key = MasterKey(*(int(v) for v in rng.integers(0, 1 << w, 2, dtype=np.uint64)), w)
-    result = BitslicedCipher(params).encrypt(L, R, key, rounds=rounds,
-                                             snapshot_rounds=snapshots)
-
-    got = {rounds: result} if snapshots is None else result
-    assert set(got) == ({rounds} if snapshots is None else snapshots)
+    engine = BitslicedCipher(params)
+    got = {r: engine.encrypt(L, R, key, rounds=r) for r in snapshots or {rounds}}
 
     # Check the batch ends, both sides of the first tile boundary and a
     # few random samples.
@@ -350,12 +351,15 @@ def test_word_array_f_core_matches_scalar_property(case):
 
 # --- property test: pair entry point == two encrypt calls XORed ------------------
 
-def _two_call_pair(engine, L, R, delta, key, rounds, snapshots):
-    """The pair differences of two separate encryptions (the reference)."""
-    b = engine.encrypt(L, R, key, rounds=rounds, snapshot_rounds=snapshots)
-    q = engine.encrypt(L ^ delta[0], R ^ delta[1], key, rounds=rounds,
-                       snapshot_rounds=snapshots)
-    return {r: (b[r][0] ^ q[r][0], b[r][1] ^ q[r][1]) for r in b}
+def _two_call_pair(engine, L, R, delta, key, snapshots):
+    """{r: pair difference} at each round r of `snapshots`, from two
+    separate encryptions per round (the reference)."""
+    want = {}
+    for r in snapshots:
+        b = engine.encrypt(L, R, key, rounds=r)
+        q = engine.encrypt(L ^ delta[0], R ^ delta[1], key, rounds=r)
+        want[r] = b[0] ^ q[0], b[1] ^ q[1]
+    return want
 
 
 @settings(max_examples=60, deadline=None, database=None,
@@ -380,7 +384,7 @@ def test_pair_differences_match_two_encryptions(case, words, tile, lane_delta, f
         d = int(rng.integers(1, 1 << w, dtype=np.uint64)) if w < 64 else 1 << 63
         delta = tuple(broadcast_columns([d >> 1, d], w))
     engine = BitslicedCipher(params)
-    want = _two_call_pair(engine, L, R, delta, key, rounds, sorted(snapshots | {rounds}))
+    want = _two_call_pair(engine, L, R, delta, key, snapshots | {rounds})
     given_inputs = [a.copy() for a in (L, R, KH, KL)]
 
     # A tile of `tile` words per lane array, so most batches span several

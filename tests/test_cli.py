@@ -9,6 +9,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from egc128.cli import main
+from egc128.vectors import load_vectors
 
 TV1_KEY = "00000000000000000000000000000000"
 TV1_CT = "054e2db44cd3907d7c814c56070da703"
@@ -279,16 +280,41 @@ def test_diff_empirical_subcommand(tmp_path):
     ["sac", "--samples", "128", "--threads", "0"],
     ["sac", "--samples", "128", "--threads=-2"],
     ["zero-scan", "--all", "--samples", "64", "--threads", "0"],
+    # Vector rows with 3 fields, 5 fields and a field that is not hex.
+    ["vectors", "--file", "{tmp}/short.csv"],
+    ["vectors", "--file", "{tmp}/long.csv"],
+    ["vectors", "--file", "{tmp}/nonhex.csv"],
 ])
 def test_bad_input_exits_2_without_report(tmp_path, capsys, argv):
     (tmp_path / "plain").write_text("")
     (tmp_path / "comments.csv").write_text("# name,key_hex,pt_hex,ct_hex\n\n")
+    for name, row in BAD_VECTOR_ROWS.items():
+        (tmp_path / name).write_text(row + "\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     if "--out" not in argv:
         argv += ["--out", str(tmp_path)]
     assert main(argv) == 2
     assert not list(tmp_path.rglob("report.json"))
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "--file" in argv:
+        assert argv[argv.index("--file") + 1] in err
+
+
+BAD_VECTOR_ROWS = {
+    "short.csv": f"tv,{TV1_KEY},{TV1_KEY}",
+    "long.csv": f"tv,{TV1_KEY},{TV1_KEY},{TV1_KEY},{TV1_KEY}",
+    "nonhex.csv": f"tv,{TV1_KEY},{'zz' * 16},{TV1_KEY}",
+}
+
+
+@pytest.mark.parametrize("name", BAD_VECTOR_ROWS)
+def test_bad_vector_row_names_file_and_line(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(f"# comment\ntv0,{TV1_KEY},{TV1_KEY},{TV1_KEY}\n{BAD_VECTOR_ROWS[name]}\n")
+    with pytest.raises(ValueError, match="fields|hex") as exc:
+        load_vectors(path)
+    assert str(exc.value).startswith(f"{path}, line 3: ")
 
 
 # Every report-writing subcommand at a small size with seed 0: the run
@@ -306,7 +332,7 @@ GOLDEN_REPORTS = {
               "f31eda89fdc931981b1f15abb2c5e1d53e0a9b2c50108ab6df3aaa95bd1d794e"),
     "bounds": (["bounds", "--mode", "linear", "--rounds", "4", "--variant", "poor_expander",
                 "--transpose"], "d974acfb4c563f6e",
-               "cfb41c316f9bb02f8f78edf0660858a1cbc00af173cae4ccf8c777d44aac461c"),
+               "a5e9ef18ebfe3684802ef12193c1f4468a71f16556f497253eb10dc4af20de57"),
     "lp-emit": (["lp-emit", "--mode", "differential", "--rounds", "2", "--n", "16"],
                 "7d52cc1bb699888a",
                 "71d53a799d3a665f36be051a929f61f79f3d2188d2efb57764f50b67efbfc8ff"),
@@ -339,6 +365,11 @@ GOLDEN_REPORTS = {
 }
 
 
+def _reject_constant(token):
+    # NaN, Infinity and -Infinity are not JSON (RFC 8259).
+    raise ValueError(f"{token} is not JSON")
+
+
 @pytest.mark.parametrize("name", GOLDEN_REPORTS)
 def test_golden_report(tmp_path, capsys, name):
     argv, run_dir, digest = GOLDEN_REPORTS[name]
@@ -346,7 +377,7 @@ def test_golden_report(tmp_path, capsys, name):
     assert main(argv + ["--seed", "0", "--out", str(tmp_path / "out")]) == 0
     (path,) = (tmp_path / "out").rglob("report.json")
     assert path.parent.name == run_dir
-    report = json.loads(path.read_text())
+    report = json.loads(path.read_text(), parse_constant=_reject_constant)
     del report["manifest"]["timestamp"], report["manifest"]["outputs"]
     if name in ("lp-emit", "nist-gen"):
         del report["results"]["path"]

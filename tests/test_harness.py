@@ -88,7 +88,7 @@ def test_avalanche_matches_snapshot_sums(pairs, rounds):
     # encryptions, summed per round.
     base, key = harness._random_pairs(CFG.generator("avalanche", pairs, rounds), pairs, 128)
     delta = harness._bit_lanes(np.tile(np.arange(128), pairs))
-    snaps = _two_call_pair(FULL_ENGINE, *base, delta, key, rounds, range(rounds + 1))
+    snaps = _two_call_pair(FULL_ENGINE, *base, delta, key, range(rounds + 1))
     n = 128 * pairs
     means = tuple((int(np.bitwise_count(snaps[r][0]).sum())
                    + int(np.bitwise_count(snaps[r][1]).sum())) / n for r in range(rounds + 1))
@@ -139,7 +139,7 @@ def _sac_reference(n):
                         .reshape(4, 64, words))
         delta = np.zeros((2, 64, 1), dtype=np.uint64)
         delta[0 if i >= 64 else 1, i % 64] = ONES
-        dL, dR = _two_call_pair(FULL_ENGINE, L, R, delta, (KH, KL), None, [20])[20]
+        dL, dR = _two_call_pair(FULL_ENGINE, L, R, delta, (KH, KL), [20])[20]
         counts[i] = np.concatenate([np.bitwise_count(dR & mask).sum(axis=1),
                                     np.bitwise_count(dL & mask).sum(axis=1)])
     P = counts / n
@@ -210,7 +210,7 @@ def test_empirical_dp_matches_counter(samples, rounds):
     rng = CFG.generator("empirical_dp", delta.to_int(), rounds, samples)
     base, key = harness._random_pairs(rng, (samples + 63) // 64 * 64)
     dL, dR = _two_call_pair(FULL_ENGINE, *base, broadcast_columns([delta.left, delta.right], 64),
-                            key, rounds, [rounds])[rounds]
+                            key, [rounds])[rounds]
     diffs = Counter(zip(unpack_words(dL, samples).tolist(), unpack_words(dR, samples).tolist()))
     top = max(diffs.values())
     rep = empirical_max_dp(delta, rounds, samples, CFG)
@@ -524,7 +524,7 @@ def _coverage_reference(pairs, checkpoints):
     checkpoints = tuple(sorted(checkpoints))
     base, delta, key = harness._single_bit_pairs(CFG.generator("coverage", pairs, checkpoints),
                                                  pairs)
-    snaps = _two_call_pair(FULL_ENGINE, *base, delta, key, None, checkpoints)
+    snaps = _two_call_pair(FULL_ENGINE, *base, delta, key, checkpoints)
     never, cover = [], []
     for r in checkpoints:
         dL, dR = snaps[r]
