@@ -50,8 +50,9 @@ them:
   already written, so a round adds just its two key XORs.
 
 :func:`collect_tiles` writes the final-round tiles into full-size
-outputs: :meth:`BitslicedCipher.encrypt` returns only the final state,
-and only the pair path yields earlier rounds.  The engine keeps no
+outputs: :meth:`BitslicedCipher.encrypt` returns only the final state.
+The pair path takes a round count or a collection of them as its one
+``rounds`` argument and yields each listed round.  The engine keeps no
 scratch on the instance, so one engine may serve several threads at once.
 
 Results are bit-identical to the scalar implementation in
@@ -298,21 +299,20 @@ class BitslicedCipher:
         R: np.ndarray,
         delta: tuple[np.ndarray, np.ndarray],
         key: MasterKey | tuple[np.ndarray, np.ndarray],
-        rounds: int | None = None,
-        snapshot_rounds=None,
+        rounds=None,
     ):
         """Yield the output differences of the pairs (P, P XOR delta), P
         from the (L, R) lanes, tile by tile.
 
         `delta` holds (dL, dR) lanes or broadcast columns; `key` is as
-        for :meth:`encrypt`.  Yields (cols, r, dL, dR): the difference
-        lanes at round r (the last round, or each of `snapshot_rounds`)
-        of the word columns `cols`.  dL and dR are scratch of the
-        generator, valid until the next step; the caller may overwrite
-        them.
+        for :meth:`encrypt`.  `rounds` is a round count (default: the
+        full schedule) or a collection of them.  Yields (cols, r, dL, dR):
+        the difference lanes at each listed round r of the word columns
+        `cols`.  dL and dR are scratch of the generator, valid until the
+        next step; the caller may overwrite them.
         """
         D = None
-        for cs, r, Lt, Rt in self._tiles(L, R, key, rounds, snapshot_rounds, delta):
+        for cs, r, Lt, Rt in self._tiles(L, R, key, rounds, delta):
             m = cs.stop - cs.start
             if D is None:                      # the first tile is the widest
                 D = np.empty((2, len(Lt), m), dtype=np.uint64)
@@ -321,17 +321,18 @@ class BitslicedCipher:
             np.bitwise_xor(Rt[:, :m], Rt[:, m:], out=dR)
             yield cs, r, dL, dR
 
-    def _tiles(self, L, R, key, rounds, snapshot_rounds=None, delta=None):
+    def _tiles(self, L, R, key, rounds, delta=None):
         """The round loop: yield (cols, r, L, R) at each wanted round r of
         each column tile, in order; L and R are views valid until the next
         step.  With `delta`, each tile stacks two members, P and then
         P XOR delta, so L and R hold 2m words for a tile of m columns."""
         p, pad = self.params, self._pad
         w = p.branch_width
-        nr = p.round_count(rounds)
-        wanted = [nr] if snapshot_rounds is None else sorted(set(snapshot_rounds))
-        if any(not 0 <= r <= nr for r in wanted):
-            raise ValueError(f"snapshot rounds {wanted} outside 0..{nr}")
+        wanted = {p.round_count(r) for r in ([rounds] if rounds is None or np.isscalar(rounds)
+                                              else rounds)}
+        if not wanted:
+            raise ValueError("no rounds to run")
+        nr = max(wanted)
         if L.shape != R.shape or L.ndim != 2 or L.shape[0] != w:
             raise ValueError(f"L and R must both be ({w}, words) lane arrays")
         words = L.shape[1]

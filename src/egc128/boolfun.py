@@ -157,6 +157,9 @@ def search_rule_candidates(max_anf_terms: int = 7) -> CandidateSearchReport:
     selected = base & (n_terms <= max_anf_terms)
 
     sel_idx = np.nonzero(selected)[0]
+    if not len(sel_idx):
+        raise ValueError(f"no balanced, nonlinearity-4, degree-3 function has at most "
+                         f"{max_anf_terms} ANF terms")
     idx = np.arange(TT_SIZE)
     du = np.zeros(len(sel_idx), dtype=np.int64)
     sel_bits = bits[sel_idx]

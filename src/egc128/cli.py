@@ -106,7 +106,8 @@ def _graph_report(args):
 
 
 def _bounds(args):
-    series = trails.bound_series(args.mode, args.rounds, _graph(args), args.transpose)
+    g = _graph(args)
+    series = trails.bound_series(args.mode, args.rounds, g.transposed() if args.transpose else g)
     return ({"mode": args.mode, "rounds": args.rounds, **_graph_params(args),
              "transpose": args.transpose}, series,
             f"{args.mode} min-active 1..{args.rounds}: {list(series.min_active)}", 0)
@@ -114,6 +115,8 @@ def _bounds(args):
 
 def _lp_emit(args):
     params = {"mode": args.mode, "rounds": args.rounds, **_graph_params(args)}
+    if args.out_file:
+        params["out_file"] = args.out_file
     path = (Path(args.out_file) if args.out_file
             else run_directory(args.command, params, args.seed, args.out)
             / f"{args.mode}_{args.rounds}r.lp")
@@ -204,7 +207,8 @@ def _nist_gen(args):
     rep = nist.generate_nist_bitstream(
         args.mode, args.bits, MasterKey.from_hex(args.key), args.out_file, _cfg(args),
         fmt="binary" if args.binary else "ascii")
-    return ({"mode": args.mode, "bits": args.bits, "key": args.key, "format": rep.format}, rep,
+    return ({"mode": args.mode, "bits": args.bits, "key": args.key, "format": rep.format,
+             "out_file": args.out_file}, rep,
             f"wrote {rep.n_bits} bits to {rep.path}; "
             f"ones {rep.ones_count} ({rep.monobit_sigma:+.2f} sigma)", 0)
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import bitslice
 from .bitslice import (
-    _FULL,
     BitslicedCipher,
     broadcast_columns,
     collect_tiles,
@@ -131,7 +130,7 @@ def avalanche_profile(pairs: int, rounds: int = 20,
     base, key = _random_pairs(cfg.generator("avalanche", pairs, rounds), pairs, block)
     bitpos = np.tile(np.arange(block), pairs)
     weight = [0] * (rounds + 1)
-    for _, r, dL, dR in _FULL_ENGINE.pair_differences(*base, _bit_lanes(bitpos), key, rounds,
+    for _, r, dL, dR in _FULL_ENGINE.pair_differences(*base, _bit_lanes(bitpos), key,
                                                       range(rounds + 1)):
         weight[r] += popcount_lanes(dL) + popcount_lanes(dR)
     means = [w / n for w in weight]
@@ -175,7 +174,6 @@ def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
     n = samples_per_bit
     words = _pad64(n) // 64
     group = _sac_group(words)
-    mask = np.tile(tail_mask(n, words), group)
     # Row i: the flip counts of the 128 output bits (dR, then dL) under
     # input bit i; one C-contiguous block, so the float reductions below
     # see the same memory order for every grouping.
@@ -188,18 +186,17 @@ def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
         draws = [[random_lanes(rng, 64, words) for _ in range(4)]
                  for rng in (cfg.generator("sac", samples_per_bit, i) for i in bits)]
         KH, KL, L, R = (np.concatenate(lanes, axis=1) for lanes in zip(*draws))
-        # Lane i of the difference is all ones over bit i's columns.
+        # Lane i of the difference flips bit i in the first n samples of
+        # bit i's columns; the padding pairs differ nowhere, so flip nothing.
         delta = np.zeros((2, 64, len(bits) * words), dtype=np.uint64)
         for j, i in enumerate(bits):
-            delta[1 - i // 64, i % 64, j * words : (j + 1) * words] = _FULL
+            delta[1 - i // 64, i % 64, j * words : (j + 1) * words] = tail_mask(n, words)
+        # Column c: the flips of the 128 output bits (dR, then dL) in word c.
+        flips = np.empty((128, len(bits) * words), dtype=np.uint8)
         for cs, _, dL, dR in _FULL_ENGINE.pair_differences(L, R, delta, (KH, KL)):
-            # The tile's columns split at bit boundaries into runs of one bit each.
-            runs = np.arange(cs.start - cs.start % words, cs.stop, words).clip(cs.start)
-            row = first + runs // words
-            for half, d in ((slice(0, 64), dR), (slice(64, 128), dL)):
-                d &= mask[cs]
-                counts[row, half] += np.add.reduceat(np.bitwise_count(d), runs - cs.start,
-                                                     axis=1, dtype=np.int64).T
+            np.bitwise_count(dR, out=flips[:64, cs])
+            np.bitwise_count(dL, out=flips[64:, cs])
+        counts[first : bits.stop] = flips.reshape(128, len(bits), words).sum(axis=2).T
 
     _run_units(unit, range(0, 128, group), threads)
     P = counts / n
@@ -692,7 +689,7 @@ def truncated_coverage_scan(pairs: int, checkpoints=(5, 10, 15, 18, 20),
     # `pairs` where no pair does: the padding samples past `pairs` cannot
     # lower it.
     first = {r: np.full(128, pairs) for r in checkpoints}
-    for cs, r, dL, dR in _FULL_ENGINE.pair_differences(L, R, delta, key, None, checkpoints):
+    for cs, r, dL, dR in _FULL_ENGINE.pair_differences(L, R, delta, key, checkpoints):
         d = np.concatenate([dR, dL])
         nonzero = d != 0
         word = nonzero.argmax(axis=1)

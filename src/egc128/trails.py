@@ -121,22 +121,16 @@ def _start_key(l0: int, r0: int) -> tuple:
     return (0 if l0 else 1, l0.bit_length(), r0.bit_length())
 
 
-def _start_traces(mode: str, rounds: int, g: GraphTopology, transpose: bool):
+def _start_traces(mode: str, rounds: int, g: GraphTopology):
     """((l0, r0), trace) of every admissible start, propagated `rounds`
     rounds; the r-round trace of a start is a prefix of its trace."""
-    graph = g.transposed() if transpose else g
-    return [((l0, r0), propagate_activation(l0, r0, rounds, graph))
-            for l0, r0 in _candidate_starts(mode, graph)]
+    return [((l0, r0), propagate_activation(l0, r0, rounds, g))
+            for l0, r0 in _candidate_starts(mode, g)]
 
 
-def min_active(mode: str, rounds: int, g: GraphTopology,
-               transpose: bool = False) -> TrailBoundReport:
-    """Minimum cumulative active-vertex count over admissible starts.
-
-    `transpose` propagates on the reversed read relation instead (the
-    mask-propagation dual); the reference bounds use the forward one.
-    """
-    (l0, r0), best = min(_start_traces(mode, rounds, g, transpose),
+def min_active(mode: str, rounds: int, g: GraphTopology) -> TrailBoundReport:
+    """Minimum cumulative active-vertex count over admissible starts."""
+    (l0, r0), best = min(_start_traces(mode, rounds, g),
                          key=lambda st: (st[1].total_active, *_start_key(*st[0])))
     weight = differential_weight(best.total_active) if mode == "differential" else None
     return TrailBoundReport(mode, rounds, best.total_active, weight, l0, r0,
@@ -152,14 +146,13 @@ class BoundSeries:
     weights_bits: tuple[float, ...] | None
 
 
-def bound_series(mode: str, max_rounds: int, g: GraphTopology,
-                 transpose: bool = False) -> BoundSeries:
+def bound_series(mode: str, max_rounds: int, g: GraphTopology) -> BoundSeries:
     """`min_active` at 1..max_rounds rounds, from one propagation per
     start: the r-round totals are prefix sums of its round counts."""
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     totals = [accumulate(trace.round_counts)
-              for _, trace in _start_traces(mode, max_rounds, g, transpose)]
+              for _, trace in _start_traces(mode, max_rounds, g)]
     counts = [min(per_round) for per_round in zip(*totals)]
     growth = tuple(counts[i] / counts[i - 1] if counts[i - 1] else float("inf")
                    for i in range(1, len(counts)))

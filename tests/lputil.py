@@ -31,7 +31,9 @@ def parse_lp(path):
     constraints = []
     binaries = []
     pending = ""
-    for raw in open(path):
+    with open(path) as fh:
+        lines = fh.readlines()
+    for raw in lines:
         line = raw.split("\\")[0].strip()
         if not line:
             continue

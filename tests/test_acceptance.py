@@ -277,7 +277,8 @@ def test_criterion_19_nist_bitstream(tmp_path):
     path = tmp_path / "stream.txt"
     rep = generate_nist_bitstream("random_pt", 10**8, MasterKey(0, 0), path, CFG)
     size_ok = path.stat().st_size == 10**8
-    sample = path.open().read(4096)
+    with path.open() as fh:
+        sample = fh.read(4096)
     fmt_ok = set(sample) <= {"0", "1"}
     mono_ok = abs(rep.ones_count - 10**8 / 2) < monobit_sigma_bound(10**8, 3)
     path.unlink()

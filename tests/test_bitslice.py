@@ -227,9 +227,9 @@ def test_snapshot_rounds_outside_schedule_raise():
     engine = BitslicedCipher(CipherParams.reduced(16))
     L = np.zeros((16, 2), dtype=np.uint64)
     key = MasterKey(1, 2, 16)
-    for rounds, snaps in ((None, [21]), (None, [-1, 5]), (3, [0, 4])):
-        with pytest.raises(ValueError, match="snapshot rounds"):
-            next(engine.pair_differences(L, L, (L, L), key, rounds, snaps))
+    for rounds in ([21], [-1, 5], []):
+        with pytest.raises(ValueError):
+            next(engine.pair_differences(L, L, (L, L), key, rounds))
 
 
 def test_lane_shape_must_match_width():
@@ -370,7 +370,7 @@ def test_pair_differences_match_two_encryptions(case, words, tile, lane_delta, f
     w = params.branch_width
     if full_schedule:
         rounds = params.rounds
-    snapshots = {0} | {min(r, rounds) for r in snapshots or ()}
+    snapshots = {0, rounds} | {min(r, rounds) for r in snapshots or ()}
     rng = np.random.default_rng(seed)
     L, R, KH, KL = (random_lanes(rng, w, words) for _ in range(4))
     if per_sample:
@@ -384,14 +384,14 @@ def test_pair_differences_match_two_encryptions(case, words, tile, lane_delta, f
         d = int(rng.integers(1, 1 << w, dtype=np.uint64)) if w < 64 else 1 << 63
         delta = tuple(broadcast_columns([d >> 1, d], w))
     engine = BitslicedCipher(params)
-    want = _two_call_pair(engine, L, R, delta, key, snapshots | {rounds})
+    want = _two_call_pair(engine, L, R, delta, key, snapshots)
     given_inputs = [a.copy() for a in (L, R, KH, KL)]
 
     # A tile of `tile` words per lane array, so most batches span several
     # tiles and end on a ragged one.
     with mock.patch.object(bitslice, "_TILE_BYTES", 8 * w * tile):
         got = {}
-        for cs, r, dL, dR in engine.pair_differences(L, R, delta, key, rounds, snapshots):
+        for cs, r, dL, dR in engine.pair_differences(L, R, delta, key, snapshots):
             got.setdefault(r, []).append((cs, dL.copy(), dR.copy()))
         final = [(cs, r, dL.copy(), dR.copy())
                  for cs, r, dL, dR in engine.pair_differences(L, R, delta, key, rounds)]

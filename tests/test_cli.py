@@ -100,6 +100,14 @@ def test_degree_subcommand(tmp_path, capsys):
     assert report["results"]["degrees"] == [3, 7, 10]
 
 
+@pytest.mark.parametrize("budget", ["2", "0", "-1"])
+def test_rule_search_empty_selection_names_budget(tmp_path, capsys, budget):
+    # No balanced, nonlinearity-4, degree-3 function has at most 2 ANF terms.
+    assert main(["rule-search", f"--max-anf-terms={budget}", "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.rglob("report.json"))
+    assert f"at most {budget} ANF terms" in capsys.readouterr().err
+
+
 def test_rule_search_subcommand(tmp_path, capsys):
     assert main(["rule-search", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -144,9 +152,14 @@ def test_lp_emit_subcommand(tmp_path):
     (["single-layer", "--width", "10"], ["--full"]),
     (["nist-gen", "--bits", "128", "--key", TV1_KEY, "--out-file", "{tmp}/bits.txt"],
      ["--key", "0" * 31 + "1"]),
-], ids=["bounds", "lp-emit", "single-layer", "nist-gen"])
+    (["nist-gen", "--bits", "128", "--key", TV1_KEY, "--out-file", "{tmp}/a.txt"],
+     ["--out-file", "{tmp}/b.txt"]),
+    (["lp-emit", "--mode", "linear", "--rounds", "1", "--n", "8", "--out-file", "{tmp}/a.lp"],
+     ["--out-file", "{tmp}/b.lp"]),
+], ids=["bounds", "lp-emit", "single-layer", "nist-gen", "nist-gen-out-file",
+        "lp-emit-out-file"])
 def test_runs_with_different_inputs_keep_separate_reports(tmp_path, capsys, first, second):
-    first = [a.replace("{tmp}", str(tmp_path)) for a in first]
+    first, second = ([a.replace("{tmp}", str(tmp_path)) for a in argv] for argv in (first, second))
     out = ["--out", str(tmp_path / "out")]
     assert main(first + out) == 0
     assert main(first + second + out) == 0
@@ -317,9 +330,10 @@ def test_bad_vector_row_names_file_and_line(tmp_path, name):
     assert str(exc.value).startswith(f"{path}, line 3: ")
 
 
-# Every report-writing subcommand at a small size with seed 0: the run
-# directory and the SHA-256 of report.json without its timestamp, its `outputs` list and the
-# `path` results that point into the temporary directory.
+# Every report-writing subcommand at a small size with seed 0, run from the
+# temporary directory: the run directory and the SHA-256 of report.json
+# without its timestamp, its `outputs` list and the lp-emit `path` result,
+# which points into the run directory under the temporary one.
 GOLDEN_REPORTS = {
     "vectors": (["vectors"], "fc630d234b1e7fbe",
                 "be39c087c69d22f84941dc02582344b4af47b2fac93b9fea470c9e7d82d82334"),
@@ -360,8 +374,8 @@ GOLDEN_REPORTS = {
     "coverage": (["coverage", "--pairs", "500", "--checkpoints", "5,10"], "1a72b65b1e2f573c",
                  "bd73da0e2c8dc612581e412e77a6d4b8d35556ac49fdfc2cdf3b89feb4fa2aec"),
     "nist-gen": (["nist-gen", "--mode", "nonce_counter", "--bits", "1024", "--key", TV1_KEY,
-                  "--out-file", "{tmp}/bits.bin", "--binary"], "0982a3dd34f21906",
-                 "6e7af4da41c8df12c066e6a977d7cfedc3ea9ac5b4fe89d23721b84122f7eae7"),
+                  "--out-file", "bits.bin", "--binary"], "f771c655a54d295f",
+                 "b874d7d2758b82fa4e80c282db399e3aa19fae960553a0ed01d2be8bc6af90cf"),
 }
 
 
@@ -371,15 +385,15 @@ def _reject_constant(token):
 
 
 @pytest.mark.parametrize("name", GOLDEN_REPORTS)
-def test_golden_report(tmp_path, capsys, name):
+def test_golden_report(tmp_path, capsys, monkeypatch, name):
     argv, run_dir, digest = GOLDEN_REPORTS[name]
-    argv = [a.format(tmp=tmp_path) for a in argv]
+    monkeypatch.chdir(tmp_path)                # nist-gen writes its relative --out-file here
     assert main(argv + ["--seed", "0", "--out", str(tmp_path / "out")]) == 0
     (path,) = (tmp_path / "out").rglob("report.json")
     assert path.parent.name == run_dir
     report = json.loads(path.read_text(), parse_constant=_reject_constant)
     del report["manifest"]["timestamp"], report["manifest"]["outputs"]
-    if name in ("lp-emit", "nist-gen"):
+    if name == "lp-emit":
         del report["results"]["path"]
     blob = json.dumps(report, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
