@@ -2,10 +2,12 @@
 
 The nonlinear layer F_core evaluates Rule-A at every bit position of a
 branch word.  Because the interaction graph is circulant, the whole
-layer reduces to three word rotations plus the Boolean algebra of
-Rule-A's normal form, so one call transforms an entire branch (or an
-array of branch words) at once while remaining bit-identical to a
-per-vertex evaluation.
+layer reduces to three word rotations plus five gates of Rule-A's
+normal form, so one call transforms an entire branch (or an array of
+branch words) at once while remaining bit-identical to a per-vertex
+evaluation.  A Python int is rotated by shifting one doubled word
+``x << w | x``; a numpy word array, whose shifts cannot reach past its
+dtype, by two shifts per rotation.
 
 Feistel update for round r (branches L, R; round key RK_r):
 
@@ -33,28 +35,50 @@ def rule_a_eval(x0: int, x1: int, x2: int, x3: int) -> int:
     return (1 ^ x2 ^ (x0 & x2) ^ (x1 & x2) ^ (x1 & x3) ^ (x0 & x2 & x3)) & 1
 
 
+def _rule_a_gates(x0, x1, x2, x3, mask):
+    """Rule-A at every bit of the words x0..x3 (x_k holds each bit's k-th
+    input), as one word under `mask`; bits of x1..x3 outside the mask are
+    dropped."""
+    # Rule-A is 1 ^ x2 ^ x0x2 ^ x1x2 ^ x1x3 ^ x0x2x3, and the sum without
+    # the 1 is x2 ^ ((x1 ^ x0x2) & (x2 ^ x3)): five gates, the form the
+    # bitsliced engine evaluates, and one more XOR with the mask.
+    return (mask ^ x2 ^ ((x1 ^ (x0 & x2)) & (x2 ^ x3))) & mask
+
+
+def _int_layer(params: CipherParams):
+    """F_core of `params` on one branch word given as a Python int in
+    range (unchecked)."""
+    w, mask = params.branch_width, params.branch_mask
+    k1, k2, k3 = params.rotations
+
+    def layer(x: int) -> int:
+        # Bits 0..w-1 of xx >> k are x rotated right by k, so bit i is
+        # bit i + k of x; the bits above the width are dropped at the end.
+        xx = x << w | x
+        return _rule_a_gates(x, xx >> k1, xx >> k2, xx >> k3, mask)
+
+    return layer
+
+
 def f_core(x, params: CipherParams):
     """Graph interaction layer: output bit i is Rule-A applied to
     (x_i, x_{i+o1}, x_{i+o2}, x_{i+o3}) with all indices mod width.
 
     `x` is one branch word as a Python int, or an array of branch words
     of an unsigned numpy dtype at least `branch_width` bits wide; every
-    output bit is computed from the unmodified input word.
+    output bit is computed from the unmodified input word.  An int goes
+    through the layer `Cipher` binds, which rotates by shifting the
+    doubled word ``x << w | x``; an array, which cannot hold that word at
+    width 64, is rotated by two shifts per rotation.
     """
     w, mask = params.branch_width, params.branch_mask
-    if isinstance(x, int) and not 0 <= x <= mask:
-        raise ValueError(f"branch value does not fit in {w} bits")
-    # x_k is x rotated right by offset o_k, so its bit i is bit i + o_k of x.
-    # The rotations are left unmasked: bits above the width are dropped once,
-    # at the end.
+    if isinstance(x, int):
+        if not 0 <= x <= mask:
+            raise ValueError(f"branch value does not fit in {w} bits")
+        return _int_layer(params)(x)
     k1, k2, k3 = params.rotations
-    x1 = x >> k1 | x << (w - k1)
-    x2 = x >> k2 | x << (w - k2)
-    x3 = x >> k3 | x << (w - k3)
-    # Rule-A is 1 ^ x2 ^ x0x2 ^ x1x2 ^ x1x3 ^ x0x2x3, and the sum without
-    # the 1 is x2 ^ ((x1 ^ x0x2) & (x2 ^ x3)): five gates, the form the
-    # bitsliced engine evaluates, and one more XOR with the mask.
-    return (mask ^ x2 ^ ((x1 ^ (x & x2)) & (x2 ^ x3))) & mask
+    return _rule_a_gates(x, x >> k1 | x << (w - k1), x >> k2 | x << (w - k2),
+                         x >> k3 | x << (w - k3), mask)
 
 
 def lfsr_init(k_high: int) -> LfsrState:
@@ -97,10 +121,12 @@ def derive_round_keys(key: MasterKey, params: CipherParams) -> RoundKeySchedule:
     if key.width != params.branch_width:
         raise ValueError("key width does not match cipher parameters")
     s = lfsr_init(key.high)
+    low, taps, top = key.low, params.lfsr_tap_mask, params.branch_width - 1
     keys = []
     for rc in params.round_constants:
-        keys.append(key.low ^ s ^ rc)
-        s = lfsr_step(s, params)
+        keys.append(low ^ s ^ rc)
+        # lfsr_step on one Python int.
+        s = s >> 1 | ((s & taps).bit_count() & 1) << top
     return tuple(keys)
 
 
@@ -113,6 +139,7 @@ class Cipher:
 
     def __init__(self, params: CipherParams | None = None):
         self.params = params or CipherParams.full()
+        self._f_core = _int_layer(self.params)
 
     def _round_keys(self, key: MasterKey, block: Block, rounds: int | None) -> RoundKeySchedule:
         """The round keys of the first `rounds` rounds (all by default)."""
@@ -123,9 +150,9 @@ class Cipher:
         return derive_round_keys(key, p)[:nr]
 
     def _feistel(self, L: int, R: int, rks) -> tuple[int, int]:
-        p = self.params
+        f = self._f_core
         for rk in rks:
-            L, R = R, L ^ f_core(R, p) ^ rk
+            L, R = R, L ^ f(R) ^ rk
         return L, R
 
     def encrypt_block(self, key: MasterKey, pt: Block, rounds: int | None = None) -> Block:

@@ -55,9 +55,11 @@ class RngConfig:
         return np.random.default_rng(int.from_bytes(digest[:16], "little"))
 
 
-def _draw_u64(rng: np.random.Generator) -> int:
-    """One uniform 64-bit integer from two 32-bit draws, high half first."""
-    return int(rng.integers(0, 1 << 32)) << 32 | int(rng.integers(0, 1 << 32))
+def _draw_u64s(rng: np.random.Generator, n: int) -> np.ndarray:
+    """`n` uniform 64-bit words from 2n 32-bit draws, high half first: the
+    words that n pairs of scalar `rng.integers(0, 2**32)` draws give."""
+    halves = rng.integers(0, 1 << 32, 2 * n, dtype=np.uint64)
+    return halves[0::2] << np.uint64(32) | halves[1::2]
 
 
 def _pad64(n: int) -> int:
@@ -334,10 +336,7 @@ def related_key_scan(n_diffs: int, cfg: RngConfig = RngConfig()) -> RelatedKeyRe
         raise ValueError("n_diffs must be >= 1")
     rounds = _FULL_PARAMS.rounds
     rng = cfg.generator("related_key", n_diffs, rounds)
-    # Row i: the 32-bit halves of difference i, drawn as four scalar draws would be.
-    c = rng.integers(0, 1 << 32, (n_diffs, 4), dtype=np.uint64)
-    dk_high = c[:, 0] << np.uint64(32) | c[:, 1]
-    dk_low = c[:, 2] << np.uint64(32) | c[:, 3]
+    dk_high, dk_low = _draw_u64s(rng, 2 * n_diffs).reshape(n_diffs, 2).T
     dk_low[(dk_high == 0) & (dk_low == 0)] = 1
     case1 = int(np.count_nonzero(dk_high))
     hw = np.empty((n_diffs, rounds), dtype=np.int64)
@@ -392,6 +391,10 @@ class SubspaceTestReport:
 
 #: Coset points tested per subspace; larger subspaces are sampled.
 SUBSPACE_MAX_POINTS = 4096
+#: Coset points checked together.  At 64 KiB per uint64 array the map's
+#: temporaries stay below malloc's 128 KiB mmap threshold, so they are
+#: reused from the heap instead of being page-faulted in on every batch.
+_SUBSPACE_BATCH_POINTS = 1 << 13
 
 
 def invariant_subspace_search(dims, trials_per_dim: int,
@@ -401,11 +404,16 @@ def invariant_subspace_search(dims, trials_per_dim: int,
     invariance under the interaction layer: the subspace passes only if
     every sampled coset point maps into a single coset of V.
 
-    `map_fn` substitutes another vectorised map over uint64 arrays
-    (the identity map serves as the positive control)."""
+    Each trial draws from its own substream, and trials are checked in
+    batches of at most `_SUBSPACE_BATCH_POINTS` points, so the report does
+    not depend on the batch size.  `map_fn` substitutes another vectorised
+    map over uint64 arrays (the identity map serves as the positive
+    control)."""
     dims = tuple(sorted(dims))
     if not dims or any(d < 1 or d > 16 for d in dims):
         raise ValueError("dims must list one or more subspace dimensions in 1..16")
+    if len(set(dims)) < len(dims):
+        raise ValueError(f"dims must not repeat a dimension, got {dims}")
     if trials_per_dim < 1:
         raise ValueError("trials_per_dim must be >= 1")
     fn = map_fn if map_fn is not None else lambda pts: f_core(pts, _FULL_PARAMS)
@@ -413,48 +421,91 @@ def invariant_subspace_search(dims, trials_per_dim: int,
     examples = []
     evals = 0
     for k in dims:
-        for trial in range(trials_per_dim):
-            rng = cfg.generator("subspace", k, trial)
-            basis = _random_basis(rng, k)
-            offset = np.uint64(_draw_u64(rng))
-            # Point i is the offset XOR the basis vectors at the set bits
-            # of i, built by doubling; larger cosets are sampled.
-            pts = np.array([offset])
-            for vec in basis:
-                pts = np.concatenate([pts, pts ^ np.uint64(vec)])
-            if len(pts) > SUBSPACE_MAX_POINTS:
-                pts = pts[rng.integers(0, len(pts), SUBSPACE_MAX_POINTS)]
-            images = fn(pts)
-            evals += len(pts)
-            diffs = images ^ images[0]
-            # Reduce from the highest pivot down: clearing a high pivot
-            # may set lower bits, which later steps then absorb.
-            for vec in sorted(basis, reverse=True):
-                pivot = np.uint64(vec.bit_length() - 1)
-                diffs ^= (diffs >> pivot & _U1) * np.uint64(vec)
-            if not diffs.any():
-                found += 1
-                examples.append(tuple(int(v) for v in basis))
-    return SubspaceTestReport(dims, trials_per_dim, found,
-                              tuple(examples[:8]), evals)
+        points = min(1 << k, SUBSPACE_MAX_POINTS)
+        per_batch = max(1, _SUBSPACE_BATCH_POINTS // points)
+        for first in range(0, trials_per_dim, per_batch):
+            bases, offsets, picks = [], [], []
+            for trial in range(first, min(first + per_batch, trials_per_dim)):
+                rng = cfg.generator("subspace", k, trial)
+                words = _u64_stream(rng, k + 1)
+                bases.append(_random_basis(words, k))
+                offsets.append(next(words))
+                if points < 1 << k:
+                    picks.append(rng.integers(0, 1 << k, points))
+            passed = _coset_check(np.array(bases, dtype=np.uint64),
+                                  np.array(offsets, dtype=np.uint64), fn,
+                                  np.array(picks) if picks else None)
+            evals += len(bases) * points
+            found += int(passed.sum())
+            examples += [tuple(bases[t]) for t in np.flatnonzero(passed)[:8 - len(examples)]]
+    return SubspaceTestReport(dims, trials_per_dim, found, tuple(examples), evals)
 
 
-def _random_basis(rng: np.random.Generator, k: int) -> list[int]:
-    """k linearly independent 64-bit words kept in row-echelon form (each
+def _coset_check(bases: np.ndarray, offsets: np.ndarray, fn, picks=None) -> np.ndarray:
+    """For each trial t, whether `fn` maps the coset offsets[t] + span(bases[t])
+    into a single coset of that span.
+
+    `bases` is (trials, k) in row-echelon form, ascending, as
+    `_random_basis` returns it.  Point i of a coset is its offset XOR the
+    basis vectors at the set bits of i; all 2^k points are checked, or
+    only those at the (trials, points) indices `picks`."""
+    trials, k = bases.shape
+    # Doubling: points m..2m-1 are points 0..m-1 XOR the next vector.
+    pts = np.empty((trials, 1 << k), dtype=np.uint64)
+    pts[:, 0] = offsets
+    for j in range(k):
+        np.bitwise_xor(pts[:, :1 << j], bases[:, j:j + 1], out=pts[:, 1 << j:2 << j])
+    if picks is not None:
+        pts = np.take_along_axis(pts, picks, 1)
+    images = fn(pts.reshape(-1)).reshape(pts.shape)
+    diffs = images ^ images[:, :1]
+    # A vector's pivot is its leading bit: smear it down and count the ones.
+    smear = bases.copy()
+    for s in (1, 2, 4, 8, 16, 32):
+        smear |= smear >> np.uint64(s)
+    pivots = np.bitwise_count(smear).astype(np.uint64) - _U1
+    # A trial that fails nearly always fails within its first points, so
+    # every trial reduces its first 64 and only the ones left reduce the rest.
+    passed = np.ones(trials, dtype=bool)
+    for cols in (slice(0, 64), slice(64, None)):
+        d = diffs[passed, cols]
+        # Reduce from the highest pivot down: clearing a high pivot may set
+        # lower bits, which later steps then absorb.
+        bit = np.empty_like(d)
+        for j in reversed(range(k)):
+            np.right_shift(d, pivots[passed, j:j + 1], out=bit)
+            bit &= _U1
+            bit *= bases[passed, j:j + 1]
+            d ^= bit
+        passed[passed] = ~d.any(axis=1)
+    return passed
+
+
+def _u64_stream(rng: np.random.Generator, n: int):
+    """Uniform 64-bit words as Python ints: `n` drawn at once, then one at a
+    time, in the order of single `_draw_u64s` draws."""
+    yield from _draw_u64s(rng, n).tolist()
+    while True:
+        yield int(_draw_u64s(rng, 1)[0])
+
+
+def _random_basis(words, k: int) -> list[int]:
+    """The first k linearly independent 64-bit words of the iterator
+    `words` (dependent ones are skipped), kept in row-echelon form (each
     has a unique leading bit), which makes coset-membership reduction
-    cheap."""
+    cheap; ascending."""
     echelon: dict[int, int] = {}
-    while len(echelon) < k:
-        w = _draw_u64(rng)
+    for w in words:
         while w:
             top = w.bit_length() - 1
             if top in echelon:
                 w ^= echelon[top]
             else:
                 break
-        if w == 0:
-            continue
-        echelon[w.bit_length() - 1] = w
+        if w:
+            echelon[w.bit_length() - 1] = w
+            if len(echelon) == k:
+                break
     return sorted(echelon.values())
 
 

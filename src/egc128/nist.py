@@ -26,7 +26,7 @@ from .bitslice import (
     random_lanes,
     unpack_words,
 )
-from .harness import _FULL_ENGINE, RngConfig, _batches, _draw_u64
+from .harness import _FULL_ENGINE, RngConfig, _batches, _draw_u64s
 from .params import MasterKey
 
 MODES = ("random_pt", "counter", "nonce_counter")
@@ -57,7 +57,7 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
     if n_bits < BLOCK_BITS or n_bits % BLOCK_BITS:
         raise ValueError("n_bits must be a positive multiple of 128")
     n_blocks = n_bits // BLOCK_BITS
-    nonce = _draw_u64(cfg.generator("nist_nonce")) if mode == "nonce_counter" else None
+    nonce = int(_draw_u64s(cfg.generator("nist_nonce"), 1)[0]) if mode == "nonce_counter" else None
 
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)

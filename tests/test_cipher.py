@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egc128.bitslice import BitslicedCipher
 from egc128.cipher import (
@@ -387,6 +389,34 @@ def test_round_override_matches_naive_loop(width):
             assert pt == _naive_decrypt(p, rks, block, r), r
             assert c.decrypt_block(key, ct, rounds=r) == block, r
             assert c.encrypt_block(key, pt, rounds=r) == block, r
+
+
+@st.composite
+def _family_cases(draw):
+    width = draw(st.integers(4, 64))
+    residues = draw(st.lists(st.integers(1, width - 1), min_size=3, max_size=3, unique=True))
+    # Any representative of a residue names the same neighbour.
+    offsets = tuple(k - width if draw(st.booleans()) else k for k in residues)
+    p = CipherParams.reduced(width, offsets, rounds=draw(st.integers(1, 24)))
+    rounds = draw(st.integers(0, p.rounds))
+    key = MasterKey(draw(st.integers(0, p.branch_mask)), draw(st.integers(0, p.branch_mask)), width)
+    block = Block(draw(st.integers(0, p.branch_mask)), draw(st.integers(0, p.branch_mask)), width)
+    return p, rounds, key, block
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_family_cases())
+def test_scalar_cipher_matches_naive_loop_across_family(case):
+    # The doubled-word rotation depends on the width and the offsets, so
+    # the whole family is drawn, against the per-vertex F_core and the
+    # per-tap key schedule.
+    p, rounds, key, block = case
+    c = Cipher(p)
+    rks = _naive_schedule(key, p)
+    ct = c.encrypt_block(key, block, rounds=rounds)
+    assert ct == _naive_encrypt(p, rks, block, rounds)
+    assert c.decrypt_block(key, block, rounds=rounds) == _naive_decrypt(p, rks, block, rounds)
+    assert c.decrypt_block(key, ct, rounds=rounds) == block
 
 
 @pytest.mark.parametrize("width", (4, 8, 16, 33, 64))

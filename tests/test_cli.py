@@ -228,6 +228,13 @@ def test_subspace_rejects_zero_trials(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_subspace_rejects_repeated_dims(tmp_path, capsys):
+    assert main(["subspace", "--dims", "2,2", "--trials", "5",
+                 "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.rglob("report.json"))
+    assert "repeat" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["0", "-64"])
 def test_diff_empirical_rejects_nonpositive_samples(tmp_path, capsys, samples):
     assert main(["diff-empirical", "--delta", "0" * 31 + "1", "--rounds", "3",

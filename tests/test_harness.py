@@ -20,10 +20,11 @@ from egc128.bitslice import (
     random_lanes,
     unpack_words,
 )
-from egc128.cipher import Cipher, derive_round_keys
+from egc128.cipher import Cipher, derive_round_keys, f_core
 from egc128 import harness
 from egc128.harness import (
     REDUCED_SCAN_PARAMS,
+    SUBSPACE_MAX_POINTS,
     CoverageReport,
     DpReport,
     RngConfig,
@@ -335,6 +336,102 @@ def test_subspace_dimension_validation():
 def test_subspace_rejects_nonpositive_trials(trials):
     with pytest.raises(ValueError, match="trials"):
         invariant_subspace_search((2, 4), trials, CFG)
+
+
+def test_subspace_rejects_repeated_dims():
+    # A repeated dimension would rerun the same substreams and count them twice.
+    with pytest.raises(ValueError, match="repeat"):
+        invariant_subspace_search((2, 2), 5, CFG)
+    with pytest.raises(ValueError, match="repeat"):
+        invariant_subspace_search((4, 2, 4), 5, CFG)
+
+
+@pytest.mark.parametrize("spent", [0, 1])
+def test_draw_u64s_matches_two_scalar_draws_per_word(spent):
+    # After one 32-bit draw a generator holds the other half of a 64-bit
+    # output; the helper must use it as a scalar draw would.
+    a, b = np.random.default_rng(99), np.random.default_rng(99)
+    for _ in range(spent):
+        assert a.integers(0, 2**32) == b.integers(0, 2**32)
+    got = harness._draw_u64s(a, 5)
+    want = [int(b.integers(0, 2**32)) << 32 | int(b.integers(0, 2**32)) for _ in range(5)]
+    assert got.dtype == np.uint64 and got.tolist() == want
+    assert a.integers(0, 2**32) == b.integers(0, 2**32)
+
+
+def test_random_basis_skips_dependent_words():
+    # 0b110 = 0b011 ^ 0b101 and 0 add nothing; the word after the basis is left.
+    words = iter([0, 0b011, 0b101, 0b110, 0b1000, 7])
+    assert harness._random_basis(words, 3) == [0b011, 0b101, 0b1000]
+    assert next(words) == 7
+    # Each word is stored reduced by the ones before it: one leading bit each.
+    assert harness._random_basis(iter([0b110, 0b101]), 2) == [0b011, 0b110]
+
+
+def _period_basis(p: int) -> list[int]:
+    """Echelon basis of V_p, the 64-bit words of period p: vector j has
+    bits j, j + p, j + 2p, ... (leading bit 64 - p + j)."""
+    return [sum(1 << i for i in range(j, 64, p)) for j in range(p)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8, 16])
+def test_coset_check_accepts_period_subspaces(p):
+    # F_core commutes with every rotation, so it maps V_p into V_p (the
+    # all-ones word of its constant term lies in every V_p).  Flipping bit 0
+    # of the last vector breaks that for p >= 2; both trials share a batch.
+    bases = [_period_basis(p)]
+    if p >= 2:
+        bases.append(bases[0][:-1] + [bases[0][-1] ^ 1])
+    bases = np.array(bases, dtype=np.uint64)
+    offsets = np.zeros(len(bases), dtype=np.uint64)
+    picks = None
+    if 1 << p > SUBSPACE_MAX_POINTS:
+        picks = np.random.default_rng(p).integers(0, 1 << p, (len(bases), SUBSPACE_MAX_POINTS))
+    passed = harness._coset_check(bases, offsets, lambda x: f_core(x, CipherParams.full()), picks)
+    assert passed.tolist() == [True, False][:len(bases)]
+
+
+def test_subspace_search_matches_per_trial_loop():
+    # x -> x ^ bit63(x) * C is linear and fixes every word below 2^63, so a
+    # trial passes exactly when none of its basis vectors has its pivot at
+    # bit 63 (C lies in none of these spans).  The loop redraws every trial
+    # with scalar draws and rebuilds its points in the order the map sees them.
+    c = 0x0123456789ABCDEF
+    dims, trials = (3, 12, 13), 24
+    seen = []
+
+    def map_fn(a):
+        seen.append(a.copy())
+        return a ^ (a >> np.uint64(63)) * np.uint64(c)
+
+    rep = invariant_subspace_search(dims, trials, CFG, map_fn=map_fn)
+    found, examples, points = 0, [], []
+    for k in dims:
+        for t in range(trials):
+            rng = CFG.generator("subspace", k, t)
+            draw = lambda: int(rng.integers(0, 2**32)) << 32 | int(rng.integers(0, 2**32))
+            echelon = {}
+            while len(echelon) < k:
+                w = draw()
+                while w and w.bit_length() - 1 in echelon:
+                    w ^= echelon[w.bit_length() - 1]
+                if w:
+                    echelon[w.bit_length() - 1] = w
+            basis = sorted(echelon.values())
+            coset = [draw()]
+            for v in basis:
+                coset += [x ^ v for x in coset]
+            if len(coset) > SUBSPACE_MAX_POINTS:
+                coset = [coset[i] for i in rng.integers(0, len(coset), SUBSPACE_MAX_POINTS)]
+            points += coset
+            if max(basis) < 1 << 63:
+                found += 1
+                examples.append(tuple(basis))
+    assert 0 < found < trials
+    assert rep.invariants_found == found
+    assert rep.invariant_examples == tuple(examples[:8])
+    assert rep.total_evaluations == len(points) == trials * (8 + 4096 + 4096)
+    assert np.concatenate(seen).tolist() == points
 
 
 # --- reduced zero-differential scan ------------------------------------------------
