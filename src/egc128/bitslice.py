@@ -31,10 +31,10 @@ padded buffers before round 1, so every round reads and writes only
 those buffers.  A round is then one ufunc sequence over 2m words, a
 round key broadcasts over both members, and a per-sample key tile is
 copied into both halves.  At each wanted round the pair path XORs the
-two halves and hands that tile's difference to its caller, so no
-full-size output or flipped batch exists.  Each call allocates its tile
-buffers once, and a round is a fixed sequence of in-place ufuncs on
-them:
+two halves and hands that tile's difference, in block-bit order, to its
+caller, so no full-size output or flipped batch exists.  Each call
+allocates its tile buffers once, and a round is a fixed sequence of
+in-place ufuncs on them:
 
 * the circulant reads of F_core are slice rotations: a tile of R
   carries copies of its wraparound lanes (``_Padding``), so the lanes
@@ -49,11 +49,11 @@ them:
   round 1, in slices of width - max(tap) rows that each read only rows
   already written, so a round adds just its two key XORs.
 
-:func:`collect_tiles` writes the final-round tiles into full-size
-outputs: :meth:`BitslicedCipher.encrypt` returns only the final state.
-The pair path takes a round count or a collection of them as its one
-``rounds`` argument and yields each listed round.  The engine keeps no
-scratch on the instance, so one engine may serve several threads at once.
+:func:`collect_tiles` writes the final-round tiles, whatever arrays
+they carry, into full-size outputs.  The pair path takes a round count
+or a collection of them as its one ``rounds`` argument and yields each
+listed round.  The engine keeps no scratch on the instance, so one
+engine may serve several threads at once.
 
 Results are bit-identical to the scalar implementation in
 :mod:`egc128.cipher`; the test suite cross-checks the two routes.
@@ -202,14 +202,16 @@ def tail_mask(count: int, words: int) -> np.ndarray:
     return mask
 
 
-def collect_tiles(tiles, like: np.ndarray):
-    """Gather the (cols, r, L, R) tiles of one batch, all of its final
-    round, into (L, R) lanes shaped like `like`."""
-    L, R = np.empty_like(like), np.empty_like(like)
-    for cs, _, Lt, Rt in tiles:
-        np.copyto(L[:, cs], Lt)
-        np.copyto(R[:, cs], Rt)
-    return L, R
+def collect_tiles(tiles, words: int):
+    """Gather the (cols, r, *arrays) tiles of one batch, all of its final
+    round, into one full-size array of `words` columns per tile array."""
+    out = None
+    for cs, _, *parts in tiles:
+        if out is None:
+            out = tuple(np.empty((len(a), words), dtype=a.dtype) for a in parts)
+        for full, part in zip(out, parts):
+            np.copyto(full[:, cs], part)
+    return out
 
 
 class _Padding:
@@ -291,35 +293,36 @@ class BitslicedCipher:
         Returns the (L, R) lanes after `rounds` rounds (default: the
         full schedule; 0 gives a copy of the input).
         """
-        return collect_tiles(self._tiles(L, R, key, rounds), L)
+        return collect_tiles(self._tiles(L, R, key, rounds), L.shape[1])
 
     def pair_differences(
         self,
         L: np.ndarray,
         R: np.ndarray,
-        delta: tuple[np.ndarray, np.ndarray],
+        delta: np.ndarray,
         key: MasterKey | tuple[np.ndarray, np.ndarray],
         rounds=None,
     ):
         """Yield the output differences of the pairs (P, P XOR delta), P
         from the (L, R) lanes, tile by tile.
 
-        `delta` holds (dL, dR) lanes or broadcast columns; `key` is as
-        for :meth:`encrypt`.  `rounds` is a round count (default: the
-        full schedule) or a collection of them.  Yields (cols, r, dL, dR):
-        the difference lanes at each listed round r of the word columns
-        `cols`.  dL and dR are scratch of the generator, valid until the
-        next step; the caller may overwrite them.
+        Differences are (2w, .) lanes in block-bit order (bit b of
+        :meth:`Block.to_int` in row b: R, then L).  `delta` is such a lane
+        array or a (2w, 1) broadcast column; `key` is as for
+        :meth:`encrypt`.  `rounds` is a round count (default: the full
+        schedule) or a collection of them.  Yields (cols, r, D): the
+        difference at each listed round r of the word columns `cols`.  D
+        is scratch of the generator, valid until the next step; the
+        caller may overwrite it.
         """
         D = None
         for cs, r, Lt, Rt in self._tiles(L, R, key, rounds, delta):
-            m = cs.stop - cs.start
+            m, w = cs.stop - cs.start, len(Lt)
             if D is None:                      # the first tile is the widest
-                D = np.empty((2, len(Lt), m), dtype=np.uint64)
-            dL, dR = D[:, :, :m]
-            np.bitwise_xor(Lt[:, :m], Lt[:, m:], out=dL)
-            np.bitwise_xor(Rt[:, :m], Rt[:, m:], out=dR)
-            yield cs, r, dL, dR
+                D = np.empty((2 * w, m), dtype=np.uint64)
+            np.bitwise_xor(Rt[:, :m], Rt[:, m:], out=D[:w, :m])
+            np.bitwise_xor(Lt[:, :m], Lt[:, m:], out=D[w:, :m])
+            yield cs, r, D[:, :m]
 
     def _tiles(self, L, R, key, rounds, delta=None):
         """The round loop: yield (cols, r, L, R) at each wanted round r of
@@ -338,7 +341,7 @@ class BitslicedCipher:
         words = L.shape[1]
         k = 1 if delta is None else 2
         if delta is not None:
-            dL, dR = (np.broadcast_to(d, L.shape) for d in delta)
+            dR, dL = np.split(np.broadcast_to(delta, (2 * w, words)), 2)
 
         # Column r is NOT(RK_r), or NOT(RC_r) with one key per sample;
         # the NOT is F_core's final one.

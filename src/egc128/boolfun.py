@@ -4,6 +4,10 @@ Covers the algebraic normal form (binary Moebius transform), Walsh
 spectrum and nonlinearity, difference distribution table, the full
 65,536-function search behind the Rule-A selection, and exact algebraic
 degree measurement of iterated F_core on reduced widths.
+
+Each property is defined once for an int truth table (bit k = f(k)) or
+an array of them: points or masks run along the first axis and tables
+along the trailing ones, and one int table gives Python int results.
 """
 
 from __future__ import annotations
@@ -19,9 +23,15 @@ N_VARS = 4
 TT_SIZE = 1 << N_VARS
 
 
-def truth_table_bits(table: int) -> np.ndarray:
-    """0/1 vector of a truth table given as an integer, bit k = f(k)."""
-    return ((table >> np.arange(TT_SIZE)) & 1).astype(np.uint8)
+def truth_table_bits(table) -> np.ndarray:
+    """(16,) + shape uint8 points f(k) of int truth tables, bit k = f(k)."""
+    bit = 1 << np.arange(TT_SIZE, dtype=np.uint16)     # pairs with any integer dtype
+    return (np.bitwise_and.outer(bit, table) != 0).astype(np.uint8)
+
+
+def _per_table(values: np.ndarray):
+    """A Python int for a 0-d result (one table), else the array."""
+    return values if values.ndim else int(values)
 
 
 def _butterfly_halves(a: np.ndarray):
@@ -56,13 +66,11 @@ def _walsh_butterflies(a: np.ndarray) -> np.ndarray:
 
 
 def moebius_transform(values) -> np.ndarray:
-    """Binary Moebius transform mapping a truth table to its ANF
-    coefficient vector (and back: the transform is an involution).
-
-    Input length must be a power of two; one entry per point/monomial.
-    """
-    vals = np.array(values, dtype=np.uint8, copy=True) & 1
-    n = vals.shape[0]
+    """Binary Moebius transform along the first axis (one entry per
+    point/monomial, a power-of-two length), mapping truth tables to ANF
+    coefficients and back (an involution); on words it acts on every bit."""
+    vals = np.array(values, order="C")          # a private copy, transformed in place
+    n = vals.shape[0] if vals.ndim else 0
     if n == 0 or n & (n - 1):
         raise ValueError("table length must be a power of two")
     return _xor_butterflies(vals)
@@ -70,44 +78,43 @@ def moebius_transform(values) -> np.ndarray:
 
 def anf_monomials(table: int) -> list[int]:
     """Masks of the monomials present in the ANF of a 16-entry table."""
-    coeffs = moebius_transform(truth_table_bits(table))
-    return [m for m in range(TT_SIZE) if coeffs[m]]
+    return np.flatnonzero(moebius_transform(truth_table_bits(table))).tolist()
 
 
-def algebraic_degree(values) -> int:
+def algebraic_degree(values):
+    """Largest weight of a monomial in the ANF of the point values along
+    the first axis, per table along the trailing axes.  Values are 0/1 or
+    words whose bits are coordinate functions; the degree is then the
+    maximum over the coordinates."""
     coeffs = moebius_transform(values)
-    nz = np.nonzero(coeffs)[0]
-    if len(nz) == 0:
-        return 0
-    return int(max(int(m).bit_count() for m in nz))
+    weight = np.bitwise_count(np.arange(len(coeffs))).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    return _per_table(((coeffs != 0) * weight).max(axis=0))
 
 
-def walsh_spectrum(table: int) -> np.ndarray:
-    """W_f(a) = sum_x (-1)^(f(x) xor a.x) for all 16 masks a."""
+def walsh_spectrum(table) -> np.ndarray:
+    """W_f(a) = sum_x (-1)^(f(x) xor a.x) for all 16 masks a, along the
+    first axis."""
     return _walsh_butterflies(1 - 2 * truth_table_bits(table).astype(np.int32))
 
 
-def nonlinearity(table: int) -> int:
+def nonlinearity(table):
     """Distance to the nearest affine function: 8 - max|W_f|/2."""
-    return int(8 - np.abs(walsh_spectrum(table)).max() // 2)
+    return _per_table(8 - np.abs(walsh_spectrum(table)).max(axis=0) // 2)
 
 
-def ddt(table: int) -> np.ndarray:
-    """16x2 difference distribution table of a single-output function."""
+def ddt(table) -> np.ndarray:
+    """(16, 2) + shape difference distribution table of single-output
+    functions: entry [a, b] counts the x with f(x) xor f(x xor a) = b."""
     bits = truth_table_bits(table)
-    out = np.zeros((TT_SIZE, 2), dtype=np.int64)
     x = np.arange(TT_SIZE)
-    for a in range(TT_SIZE):
-        d = bits ^ bits[x ^ a]
-        out[a, 1] = int(d.sum())
-        out[a, 0] = TT_SIZE - out[a, 1]
-    return out
+    ones = (bits[x[:, None] ^ x] ^ bits).sum(axis=1, dtype=np.int64)
+    return np.stack([TT_SIZE - ones, ones], axis=1)
 
 
-def differential_uniformity(table: int) -> tuple[int, np.ndarray]:
+def differential_uniformity(table):
     """Largest DDT entry over nonzero input differences, plus the DDT."""
     t = ddt(table)
-    return int(t[1:].max()), t
+    return _per_table(t[1:].max(axis=(0, 1))), t
 
 
 @dataclass(frozen=True)
@@ -137,37 +144,25 @@ def search_rule_candidates(max_anf_terms: int = 7) -> CandidateSearchReport:
     """Enumerate all 65,536 truth tables and filter on balance,
     nonlinearity 4, degree 3 and ANF size.
 
-    Fully vectorised single pass; the result is deterministic and
-    independent of any partitioning of the table space.
+    One call of each property helper over every table at once, and the
+    differential uniformity over the selection; the result is
+    deterministic and independent of any partitioning of the table space.
     """
-    tables = np.arange(1 << TT_SIZE, dtype=np.uint32)
-    bits = ((tables[:, None] >> np.arange(TT_SIZE)[None, :]) & 1).astype(np.int8)
-    balanced = bits.sum(axis=1) == 8
-
-    cols = bits.T.copy()                         # (point, table)
-    walsh = _walsh_butterflies(1 - 2 * cols.astype(np.int32))
-    nl = 8 - np.abs(walsh).max(axis=0) // 2
-
-    anf = _xor_butterflies(cols)                 # (monomial, table)
-    mono_deg = np.array([m.bit_count() for m in range(TT_SIZE)])
-    deg = (anf * mono_deg[:, None]).max(axis=0)
-    n_terms = anf.sum(axis=0)
-
-    base = balanced & (nl == 4) & (deg == 3)
+    tables = np.arange(1 << TT_SIZE)
+    bits = truth_table_bits(tables)              # (point, table)
+    balanced = bits.sum(axis=0) == 8
+    nl = nonlinearity(tables)
+    n_terms = moebius_transform(bits).sum(axis=0)
+    base = balanced & (nl == 4) & (algebraic_degree(bits) == 3)
     selected = base & (n_terms <= max_anf_terms)
 
-    sel_idx = np.nonzero(selected)[0]
-    if not len(sel_idx):
+    sel = tables[selected]
+    if not len(sel):
         raise ValueError(f"no balanced, nonlinearity-4, degree-3 function has at most "
                          f"{max_anf_terms} ANF terms")
-    idx = np.arange(TT_SIZE)
-    du = np.zeros(len(sel_idx), dtype=np.int64)
-    sel_bits = bits[sel_idx]
-    for a in range(1, TT_SIZE):
-        d1 = (sel_bits ^ sel_bits[:, idx ^ a]).sum(axis=1)
-        du = np.maximum(du, np.maximum(d1, TT_SIZE - d1))
+    du = differential_uniformity(sel)[0]
     du_min = int(du.min())
-    minimizers = tuple(int(t) for t in sel_idx[du == du_min])
+    minimizers = tuple(int(t) for t in sel[du == du_min])
 
     return CandidateSearchReport(
         count_satisfying=int(selected.sum()),
@@ -195,22 +190,20 @@ MAX_EXHAUSTIVE_DEGREE_WIDTH = 16
 def degree_series(width: int, rounds: int,
                   offsets: tuple[int, int, int] | None = None) -> list[int]:
     """Degrees of F_core^r for r = 1..rounds via exhaustive Moebius
-    transform over all 2^width inputs."""
+    transform over all 2^width inputs: the largest degree of any output
+    coordinate, all transformed at once as the bits of one word."""
     if width > MAX_EXHAUSTIVE_DEGREE_WIDTH:
         raise ValueError(f"width {width} too large for exhaustive transform")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     params = CipherParams.reduced(width, offsets)  # validates width and offsets
-    size = 1 << width
-    lut = f_core(np.arange(size, dtype=np.uint32), params)
-    vals = np.arange(size, dtype=np.uint32)
-    pc = np.bitwise_count(np.arange(size, dtype=np.uint32)).astype(np.uint8)
+    vals = np.arange(1 << width, dtype=np.uint32)
+    lut = f_core(vals, params)
     out = []
     for _ in range(rounds):
         vals = lut[vals]
-        # The butterflies act on all output coordinates at once.
-        nz = np.nonzero(_xor_butterflies(vals.copy()))[0]
-        out.append(int(pc[nz].max()) if len(nz) else 0)
+        # The word's bits are the output coordinates.
+        out.append(algebraic_degree(vals))
     return out
 
 

@@ -90,13 +90,13 @@ def _random_pairs(rng: np.random.Generator, n: int, repeat: int = 1):
     return (lw, rw), (kh, kl)
 
 
-def _bit_lanes(bitpos: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(L, R) lanes in which sample j has only block bit bitpos[j] set
-    (bits 64..127 are the left branch)."""
-    hi = bitpos >= 64
-    one = _U1 << (bitpos % 64).astype(np.uint64)
-    zero = np.uint64(0)
-    return pack_words(np.where(hi, one, zero), 64), pack_words(np.where(hi, zero, one), 64)
+def _bit_lanes(bitpos: np.ndarray) -> np.ndarray:
+    """(128, N/64) difference lanes in block-bit order (rows 64..127 are
+    the left branch) in which sample j has only block bit bitpos[j] set."""
+    lanes = np.zeros((128, len(bitpos) // 64), dtype=np.uint64)
+    j = np.arange(len(bitpos))
+    np.bitwise_or.at(lanes, (bitpos, j // 64), _U1 << (j % 64).astype(np.uint64))
+    return lanes
 
 
 def _single_bit_pairs(rng: np.random.Generator, n: int):
@@ -126,15 +126,16 @@ def avalanche_profile(pairs: int, rounds: int = 20,
     over `pairs` random (key, plaintext) pairs and all 128 bit flips."""
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
+    _FULL_PARAMS.round_count(rounds)                # raises outside 0..20
     # n = 128 * pairs samples, a whole number of 64-sample words.
     block = 2 * _FULL_PARAMS.branch_width
     n = pairs * block
     base, key = _random_pairs(cfg.generator("avalanche", pairs, rounds), pairs, block)
     bitpos = np.tile(np.arange(block), pairs)
     weight = [0] * (rounds + 1)
-    for _, r, dL, dR in _FULL_ENGINE.pair_differences(*base, _bit_lanes(bitpos), key,
-                                                      range(rounds + 1)):
-        weight[r] += popcount_lanes(dL) + popcount_lanes(dR)
+    for _, r, D in _FULL_ENGINE.pair_differences(*base, _bit_lanes(bitpos), key,
+                                                 range(rounds + 1)):
+        weight[r] += popcount_lanes(D)
     means = [w / n for w in weight]
     return AvalancheReport(pairs, n, tuple(means),
                            tuple(m / block for m in means))
@@ -176,9 +177,9 @@ def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
     n = samples_per_bit
     words = _pad64(n) // 64
     group = _sac_group(words)
-    # Row i: the flip counts of the 128 output bits (dR, then dL) under
-    # input bit i; one C-contiguous block, so the float reductions below
-    # see the same memory order for every grouping.
+    # Row i: the flip counts of the 128 output bits, in block-bit order,
+    # under input bit i; one C-contiguous block, so the float reductions
+    # below see the same memory order for every grouping.
     counts = np.zeros((128, 128), dtype=np.int64)
 
     def unit(first: int) -> None:
@@ -190,14 +191,13 @@ def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
         KH, KL, L, R = (np.concatenate(lanes, axis=1) for lanes in zip(*draws))
         # Lane i of the difference flips bit i in the first n samples of
         # bit i's columns; the padding pairs differ nowhere, so flip nothing.
-        delta = np.zeros((2, 64, len(bits) * words), dtype=np.uint64)
+        delta = np.zeros((128, len(bits) * words), dtype=np.uint64)
         for j, i in enumerate(bits):
-            delta[1 - i // 64, i % 64, j * words : (j + 1) * words] = tail_mask(n, words)
-        # Column c: the flips of the 128 output bits (dR, then dL) in word c.
+            delta[i, j * words : (j + 1) * words] = tail_mask(n, words)
+        # Column c: the flips of the 128 output bits in word c.
         flips = np.empty((128, len(bits) * words), dtype=np.uint8)
-        for cs, _, dL, dR in _FULL_ENGINE.pair_differences(L, R, delta, (KH, KL)):
-            np.bitwise_count(dR, out=flips[:64, cs])
-            np.bitwise_count(dL, out=flips[64:, cs])
+        for cs, _, D in _FULL_ENGINE.pair_differences(L, R, delta, (KH, KL)):
+            np.bitwise_count(D, out=flips[:, cs])
         counts[first : bits.stop] = flips.reshape(128, len(bits), words).sum(axis=2).T
 
     _run_units(unit, range(0, 128, group), threads)
@@ -236,8 +236,8 @@ def bic_correlations(samples: int, cfg: RngConfig = RngConfig()) -> BicReport:
         raise ValueError("need at least 1000 samples")
     n = samples
     (L, R), delta, key = _single_bit_pairs(cfg.generator("bic", samples), n)
-    dL, dR = collect_tiles(_FULL_ENGINE.pair_differences(L, R, delta, key), L)
-    bits = lanes_to_bits(np.concatenate([dR, dL]))[:, :n]
+    D, = collect_tiles(_FULL_ENGINE.pair_differences(L, R, delta, key), L.shape[1])
+    bits = lanes_to_bits(D)[:, :n]
     Xc = bits.astype(np.float64).T                          # (samples, 128)
     Xc -= Xc.mean(axis=0)
     sd = Xc.std(axis=0)
@@ -278,14 +278,13 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
     rng = cfg.generator("empirical_dp", delta.to_int(), rounds, samples)
     n = samples
     (L, R), key = _random_pairs(rng, _pad64(n))
-    flip = broadcast_columns([delta.left, delta.right], 64)
-    dL, dR = collect_tiles(_FULL_ENGINE.pair_differences(L, R, flip, key, rounds), L)
-    dL, dR = unpack_words(dL, n), unpack_words(dR, n)
+    flip = broadcast_columns([delta.right, delta.left], 64).reshape(-1, 1)
+    D, = collect_tiles(_FULL_ENGINE.pair_differences(L, R, flip, key, rounds), L.shape[1])
+    halves = np.array([unpack_words(half, n) for half in np.split(D, 2)])
     # Sorted by (dL, dR), equal differences form runs; only the longest
     # run and the number of runs are reported.
-    order = np.lexsort((dR, dL))
-    dL, dR = dL[order], dR[order]
-    starts = np.flatnonzero(np.concatenate([[True], (dL[1:] != dL[:-1]) | (dR[1:] != dR[:-1])]))
+    halves = halves[:, np.lexsort(halves)]
+    starts = np.flatnonzero(np.concatenate([[True], (halves[:, 1:] != halves[:, :-1]).any(axis=0)]))
     counts = np.diff(starts, append=n)
     max_count = int(counts.max())
     return DpReport(
@@ -569,7 +568,7 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
     krng = cfg.generator("zero_diff_key")
     key = MasterKey(int(krng.integers(1, 1 << 16)), int(krng.integers(0, 1 << 16)), 16)
     engine = BitslicedCipher(p)
-    flip = broadcast_columns([delta.left, delta.right], p.branch_width)
+    flip = broadcast_columns([delta.right, delta.left], p.branch_width).reshape(-1, 1)
     check_hw1 = rounds in (0, 2, 3)
     total = 1 << 32 if exhaustive else samples
     zero_hits = 0
@@ -584,8 +583,8 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
             L = random_lanes(rng, 16, words)
             R = random_lanes(rng, 16, words)
         valid = tail_mask(m, words)
-        for cs, _, dL, dR in engine.pair_differences(L, R, flip, key, rounds):
-            some, many = _saturating_count(dL, dR)
+        for cs, _, D in engine.pair_differences(L, R, flip, key, rounds):
+            some, many = _saturating_count(D)
             v = valid[cs]
             zero_hits += int(np.bitwise_count(~some & v).sum())
             if check_hw1:
@@ -601,15 +600,15 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
     )
 
 
-def _saturating_count(dL: np.ndarray, dR: np.ndarray):
-    """Per sample, whether the 2w difference lanes dL, dR (w, m) hold at
-    least one and at least two set bits: a halving OR/AND tree over the
-    lane axis, run in place on dL and dR.  Returns the (m,) words
-    (some, many)."""
-    dL ^= dR
-    dR |= dL                                  # dL | dR of the inputs
-    dL ^= dR                                  # dL & dR of the inputs
-    some, many = dR, dL
+def _saturating_count(D: np.ndarray):
+    """Per sample, whether the 2w difference lanes D (2w, m) hold at least
+    one and at least two set bits: a halving OR/AND tree over the lane
+    axis, run in place on D.  Returns the (m,) words (some, many)."""
+    dR, dL = D[: len(D) // 2], D[len(D) // 2 :]
+    dR ^= dL
+    dL |= dR                                  # dR | dL of the inputs
+    dR ^= dL                                  # dR & dL of the inputs
+    some, many = dL, dR
     n = len(some)
     while n > 1:
         h = (n + 1) // 2                      # an odd middle row waits a level
@@ -735,16 +734,15 @@ def truncated_coverage_scan(pairs: int, checkpoints=(5, 10, 15, 18, 20),
         raise ValueError(f"checkpoints must be one or more rounds in 0..{rounds}")
     rng = cfg.generator("coverage", pairs, checkpoints)
     (L, R), delta, key = _single_bit_pairs(rng, pairs)
-    # Per checkpoint round and state bit (rows 64.. the left branch), the
+    # Per checkpoint round and block bit (rows 64.. the left branch), the
     # index of the first sample whose difference sets it.  It stays
     # `pairs` where no pair does: the padding samples past `pairs` cannot
     # lower it.
     first = {r: np.full(128, pairs) for r in checkpoints}
-    for cs, r, dL, dR in _FULL_ENGINE.pair_differences(L, R, delta, key, checkpoints):
-        d = np.concatenate([dR, dL])
-        nonzero = d != 0
+    for cs, r, D in _FULL_ENGINE.pair_differences(L, R, delta, key, checkpoints):
+        nonzero = D != 0
         word = nonzero.argmax(axis=1)
-        lowest = d[np.arange(128), word]
+        lowest = D[np.arange(128), word]
         ctz = np.bitwise_count(~lowest & (lowest - _U1))   # trailing zeros
         found = np.where(nonzero.any(axis=1), 64 * (cs.start + word) + ctz, pairs)
         np.minimum(first[r], found, out=first[r])

@@ -94,7 +94,7 @@ class CipherParams:
         when None; it must lie in 0..rounds."""
         nr = self.rounds if rounds is None else rounds
         if not 0 <= nr <= self.rounds:
-            raise ValueError("round override outside schedule length")
+            raise ValueError(f"rounds {nr} outside 0..{self.rounds}")
         return nr
 
     @property

@@ -229,7 +229,7 @@ def test_snapshot_rounds_outside_schedule_raise():
     key = MasterKey(1, 2, 16)
     for rounds in ([21], [-1, 5], []):
         with pytest.raises(ValueError):
-            next(engine.pair_differences(L, L, (L, L), key, rounds))
+            next(engine.pair_differences(L, L, np.zeros((32, 1), np.uint64), key, rounds))
 
 
 def test_lane_shape_must_match_width():
@@ -353,12 +353,14 @@ def test_word_array_f_core_matches_scalar_property(case):
 
 def _two_call_pair(engine, L, R, delta, key, snapshots):
     """{r: pair difference} at each round r of `snapshots`, from two
-    separate encryptions per round (the reference)."""
+    separate encryptions per round (the reference).  `delta` and the
+    differences are (2w, .) lanes in block-bit order: R's rows, then L's."""
+    w = len(L)
     want = {}
     for r in snapshots:
         b = engine.encrypt(L, R, key, rounds=r)
-        q = engine.encrypt(L ^ delta[0], R ^ delta[1], key, rounds=r)
-        want[r] = b[0] ^ q[0], b[1] ^ q[1]
+        q = engine.encrypt(L ^ delta[w:], R ^ delta[:w], key, rounds=r)
+        want[r] = np.concatenate([b[1] ^ q[1], b[0] ^ q[0]])
     return want
 
 
@@ -379,10 +381,10 @@ def test_pair_differences_match_two_encryptions(case, words, tile, lane_delta, f
     else:
         key = MasterKey(*(int(v) for v in rng.integers(0, 1 << w, 2, dtype=np.uint64)), w)
     if lane_delta:
-        delta = tuple(random_lanes(rng, w, words) for _ in range(2))
+        delta = random_lanes(rng, 2 * w, words)
     else:
         d = int(rng.integers(1, 1 << w, dtype=np.uint64)) if w < 64 else 1 << 63
-        delta = tuple(broadcast_columns([d >> 1, d], w))
+        delta = broadcast_columns([d, d >> 1], w).reshape(2 * w, 1)
     engine = BitslicedCipher(params)
     want = _two_call_pair(engine, L, R, delta, key, snapshots)
     given_inputs = [a.copy() for a in (L, R, KH, KL)]
@@ -391,19 +393,40 @@ def test_pair_differences_match_two_encryptions(case, words, tile, lane_delta, f
     # tiles and end on a ragged one.
     with mock.patch.object(bitslice, "_TILE_BYTES", 8 * w * tile):
         got = {}
-        for cs, r, dL, dR in engine.pair_differences(L, R, delta, key, snapshots):
-            got.setdefault(r, []).append((cs, dL.copy(), dR.copy()))
-        final = [(cs, r, dL.copy(), dR.copy())
-                 for cs, r, dL, dR in engine.pair_differences(L, R, delta, key, rounds)]
+        for cs, r, D in engine.pair_differences(L, R, delta, key, snapshots):
+            got.setdefault(r, []).append((cs, D.copy()))
+        final = [(cs, r, D.copy())
+                 for cs, r, D in engine.pair_differences(L, R, delta, key, rounds)]
     assert set(got) == snapshots
     for r, tiles in got.items():
-        stops = [cs.stop for cs, _, _ in tiles]
-        assert [cs.start for cs, _, _ in tiles] == [0] + stops[:-1] and stops[-1] == words
-        assert all(cs.stop - cs.start == tile for cs, _, _ in tiles[:-1])
-        assert np.array_equal(np.concatenate([t[1] for t in tiles], axis=1), want[r][0])
-        assert np.array_equal(np.concatenate([t[2] for t in tiles], axis=1), want[r][1])
-    assert {r for _, r, _, _ in final} == {rounds}
-    for cs, _, dL, dR in final:
-        assert np.array_equal(dL, want[rounds][0][:, cs])
-        assert np.array_equal(dR, want[rounds][1][:, cs])
+        stops = [cs.stop for cs, _ in tiles]
+        assert [cs.start for cs, _ in tiles] == [0] + stops[:-1] and stops[-1] == words
+        assert all(cs.stop - cs.start == tile for cs, _ in tiles[:-1])
+        assert np.array_equal(np.concatenate([D for _, D in tiles], axis=1), want[r])
+    assert {r for _, r, _ in final} == {rounds}
+    for cs, _, D in final:
+        assert np.array_equal(D, want[rounds][:, cs])
     assert all(np.array_equal(a, b) for a, b in zip((L, R, KH, KL), given_inputs))
+
+
+@pytest.mark.parametrize("b", (0, 63, 64, 100, 127))
+def test_pair_differences_are_in_block_bit_order(b):
+    # A one-hot difference at block bit b is row b of the difference at
+    # round 0.  At round 3, sample j's column read as a 128-bit integer is
+    # E(P) xor E(P xor 2^b) of the scalar cipher, in Block.to_int order.
+    p = CipherParams.full()
+    rng = np.random.default_rng(b)
+    L, R = random_lanes(rng, 64, 2), random_lanes(rng, 64, 2)
+    key = MasterKey(0x0123456789ABCDEF, 0xFEDCBA9876543210)
+    delta = np.zeros((128, 1), dtype=np.uint64)
+    delta[b] = ~np.uint64(0)
+    pairs = BitslicedCipher(p).pair_differences(L, R, delta, key, (0, 3))
+    got = {r: D.copy() for _, r, D in pairs}
+    assert np.flatnonzero(got[0].any(axis=1)).tolist() == [b]
+    assert (got[0][b] == ~np.uint64(0)).all()
+    scalar, flip = Cipher(p), Block.from_int(1 << b)
+    for j in (0, 77, 127):
+        pt = Block(_sample(L, j), _sample(R, j))
+        want = (scalar.encrypt_block(key, pt, rounds=3)
+                ^ scalar.encrypt_block(key, pt ^ flip, rounds=3))
+        assert _sample(got[3], j) == want.to_int()

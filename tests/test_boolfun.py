@@ -1,6 +1,7 @@
 """Boolean-function analysis: ANF, Walsh, DDT, the candidate search,
 and iterated-layer degrees."""
 
+import functools
 import random
 
 import numpy as np
@@ -21,7 +22,8 @@ from egc128.boolfun import (
     truth_table_bits,
     walsh_spectrum,
 )
-from egc128.params import RULE_A_TRUTH_TABLE
+from egc128.harness import _fcore_table
+from egc128.params import RULE_A_TRUTH_TABLE, CipherParams
 from egc128.trails import W_NODE
 
 
@@ -188,3 +190,107 @@ def test_degree_errors():
         degree_series(17, 2)
     with pytest.raises(ValueError):
         degree_series(16, 0)
+
+
+# --- brute-force reference over every 4-input function ------------------------
+
+ALL_TABLES = np.arange(1 << 16)
+
+
+def _mask(points) -> int:
+    """16-bit table with ones at `points`."""
+    return sum(1 << x for x in points)
+
+
+@functools.cache
+def _brute_force_properties():
+    """Per table: NL, ANF degree, ANF term count and DU from their
+    definitions, with no Walsh or Moebius transform."""
+    t = ALL_TABLES.astype(np.uint64)
+    # NL: Hamming distance to the nearest of the 32 affine tables a.x ^ c.
+    linear = [_mask(x for x in range(16) if (a & x).bit_count() & 1) for a in range(16)]
+    affine = np.array(linear + [lin ^ 0xFFFF for lin in linear], dtype=np.uint64)
+    nl = np.bitwise_count(t[:, None] ^ affine).min(axis=1)
+    # ANF coefficient u: the parity of f over the points x within u.
+    within = [np.uint64(_mask(x for x in range(16) if x & ~u == 0)) for u in range(16)]
+    coeff = np.array([np.bitwise_count(t & m) & 1 for m in within])
+    weight = np.array([u.bit_count() for u in range(16)])[:, None]
+    degree = (coeff * weight).max(axis=0)
+    terms = coeff.sum(axis=0)
+    # DDT[a][1] counts the x with f(x) != f(x ^ a): the weight of t ^ (t
+    # with its points permuted by x -> x ^ a).
+    ddt_ones = []
+    for a in range(16):
+        shifted = sum((t >> np.uint64(x ^ a) & np.uint64(1)) << np.uint64(x) for x in range(16))
+        ddt_ones.append(np.bitwise_count(t ^ shifted).astype(np.int64))
+    ddt_ones = np.array(ddt_ones)
+    du = np.maximum(ddt_ones[1:], 16 - ddt_ones[1:]).max(axis=0)
+    return nl, degree, terms, ddt_ones, du
+
+
+def test_array_properties_match_brute_force_definitions():
+    nl, degree, terms, ddt_ones, du = _brute_force_properties()
+    bits = truth_table_bits(ALL_TABLES)
+    assert bits.shape == (16, 1 << 16)
+    assert np.array_equal(nonlinearity(ALL_TABLES), nl)
+    assert np.array_equal(algebraic_degree(bits), degree)
+    assert np.array_equal(moebius_transform(bits).sum(axis=0), terms)
+    got_du, got_ddt = differential_uniformity(ALL_TABLES)
+    assert got_ddt.shape == (16, 2, 1 << 16)
+    assert np.array_equal(got_ddt[:, 1], ddt_ones)
+    assert np.array_equal(got_ddt[:, 0], 16 - ddt_ones)
+    assert np.array_equal(got_du, du)
+    # Tables along several trailing axes keep their shape.
+    grid = ALL_TABLES[:600].reshape(20, 30)
+    assert np.array_equal(nonlinearity(grid), nl[:600].reshape(20, 30))
+    assert np.array_equal(walsh_spectrum(grid)[:, 3, 7], walsh_spectrum(int(grid[3, 7])))
+
+
+def test_single_table_properties_are_python_ints():
+    nl, degree, _, _, du = _brute_force_properties()
+    for t in (0x0000, 0xFFFF, 0x00FF, RULE_A_TRUTH_TABLE, 0x6996, 0x1234):
+        got = (nonlinearity(t), algebraic_degree(truth_table_bits(t)),
+               differential_uniformity(t)[0])
+        assert got == (nl[t], degree[t], du[t])
+        assert all(type(v) is int for v in got)
+        assert truth_table_bits(t).shape == (16,) and ddt(t).shape == (16, 2)
+    for dtype in (np.uint16, np.int32, np.uint32, np.uint64):
+        assert np.array_equal(nonlinearity(ALL_TABLES[:300].astype(dtype)), nl[:300])
+
+
+def test_search_matches_brute_force_selection():
+    nl, degree, terms, _, du = _brute_force_properties()
+    balanced = np.bitwise_count(ALL_TABLES) == 8
+    base = balanced & (nl == 4) & (degree == 3)
+    selected = base & (terms <= 7)
+    rep = search_rule_candidates()
+    assert (rep.count_satisfying, rep.count_unrestricted) == (4158, 10080)
+    assert (int(selected.sum()), int(base.sum())) == (4158, 10080)
+    assert rep.max_balanced_nonlinearity == nl[balanced].max()
+    assert rep.du_min == du[selected].min()
+    assert set(rep.minimizers) == set(np.flatnonzero(selected & (du == rep.du_min)).tolist())
+
+
+def test_word_degree_is_the_largest_coordinate_degree():
+    # Width 8: each output coordinate of F_core^r gets its ANF from subset
+    # parities over all 256 points.
+    params = CipherParams.reduced(8)
+    x = np.arange(256)
+    within = (x[:, None] & ~x[None, :]) == 0              # [x, u]: x lies within u
+    table, vals, want = _fcore_table(params), x, []
+    for _ in range(5):
+        vals = table[vals]
+        coords = (vals[:, None] >> np.arange(8)) & 1           # (point, coordinate)
+        coeff = (within.T.astype(np.int64) @ coords) & 1       # (monomial, coordinate)
+        want.append(max((u.bit_count() for u in range(256) if coeff[u].any()), default=0))
+    assert degree_series(8, 5, params.offsets) == want
+    # F_core's coordinates are rotations of one another, so they share a
+    # degree; random words over 16 points do not.
+    rng = np.random.default_rng(6)
+    within16 = within[:16, :16].T.astype(np.int64)
+    for _ in range(200):
+        words = rng.integers(0, 256, 16) & rng.integers(0, 256, 16)
+        coeff = (within16 @ ((words[:, None] >> np.arange(8)) & 1)) & 1
+        per_coord = [max((u.bit_count() for u in range(16) if coeff[u, i]), default=0)
+                     for i in range(8)]
+        assert algebraic_degree(words) == max(per_coord)

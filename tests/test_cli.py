@@ -221,6 +221,17 @@ def test_coverage_rejects_checkpoints_outside_schedule(tmp_path, capsys, checkpo
     assert "checkpoints" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, rounds", [
+    (["avalanche", "--pairs", "2"], -1),
+    (["avalanche", "--pairs", "2"], 21),
+    (["diff-empirical", "--delta", "0" * 31 + "1", "--samples", "64"], 21),
+])
+def test_round_count_outside_schedule_names_value_and_range(tmp_path, capsys, argv, rounds):
+    assert main(argv + [f"--rounds={rounds}", "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.rglob("report.json"))
+    assert f"error: rounds {rounds} outside 0..20" in capsys.readouterr().err
+
+
 def test_subspace_rejects_zero_trials(tmp_path, capsys):
     assert main(["subspace", "--dims", "2,4", "--trials", "0",
                  "--out", str(tmp_path)]) == 2

@@ -45,7 +45,7 @@ from egc128.harness import (
 )
 from egc128.cipher import lfsr_step
 from egc128.params import Block, CipherParams, MasterKey
-from test_bitslice import _two_call_pair
+from test_bitslice import _sample, _two_call_pair
 
 CFG = RngConfig(12345)
 FULL_ENGINE = BitslicedCipher()
@@ -91,15 +91,26 @@ def test_avalanche_matches_snapshot_sums(pairs, rounds):
     delta = harness._bit_lanes(np.tile(np.arange(128), pairs))
     snaps = _two_call_pair(FULL_ENGINE, *base, delta, key, range(rounds + 1))
     n = 128 * pairs
-    means = tuple((int(np.bitwise_count(snaps[r][0]).sum())
-                   + int(np.bitwise_count(snaps[r][1]).sum())) / n for r in range(rounds + 1))
+    means = tuple(int(np.bitwise_count(snaps[r]).sum()) / n for r in range(rounds + 1))
     want = harness.AvalancheReport(pairs, n, means, tuple(m / 128 for m in means))
     assert avalanche_profile(pairs, rounds, CFG) == want
+
+
+def test_bit_lanes_are_one_hot_block_bits():
+    # Sample j's column, read as a 128-bit integer in block-bit order, is 2^bitpos[j].
+    bitpos = np.random.default_rng(8).integers(0, 128, 192)
+    bitpos[:3] = 0, 64, 127
+    lanes = harness._bit_lanes(bitpos)
+    assert lanes.shape == (128, 3)
+    assert [_sample(lanes, j) for j in range(192)] == [1 << int(b) for b in bitpos]
 
 
 def test_avalanche_validates_args():
     with pytest.raises(ValueError):
         avalanche_profile(0, 20, CFG)
+    for rounds in (-1, 21):
+        with pytest.raises(ValueError, match=rf"rounds {rounds} outside 0\.\.20"):
+            avalanche_profile(2, rounds, CFG)
 
 
 # --- SAC ----------------------------------------------------------------------
@@ -138,11 +149,10 @@ def _sac_reference(n):
     for i in range(128):
         KH, KL, L, R = (random_lanes(CFG.generator("sac", n, i), 256, words)
                         .reshape(4, 64, words))
-        delta = np.zeros((2, 64, 1), dtype=np.uint64)
-        delta[0 if i >= 64 else 1, i % 64] = ONES
-        dL, dR = _two_call_pair(FULL_ENGINE, L, R, delta, (KH, KL), [20])[20]
-        counts[i] = np.concatenate([np.bitwise_count(dR & mask).sum(axis=1),
-                                    np.bitwise_count(dL & mask).sum(axis=1)])
+        delta = np.zeros((128, 1), dtype=np.uint64)
+        delta[i] = ONES
+        D = _two_call_pair(FULL_ENGINE, L, R, delta, (KH, KL), [20])[20]
+        counts[i] = np.bitwise_count(D & mask).sum(axis=1)
     P = counts / n
     per_input = P.mean(axis=1)
     return SacReport(n, P, float(P.mean()), float(P.std()), float(P.min()), float(P.max()),
@@ -210,9 +220,11 @@ def test_empirical_dp_matches_counter(samples, rounds):
     delta = Block(0x80, 0x1)
     rng = CFG.generator("empirical_dp", delta.to_int(), rounds, samples)
     base, key = harness._random_pairs(rng, (samples + 63) // 64 * 64)
-    dL, dR = _two_call_pair(FULL_ENGINE, *base, broadcast_columns([delta.left, delta.right], 64),
-                            key, [rounds])[rounds]
-    diffs = Counter(zip(unpack_words(dL, samples).tolist(), unpack_words(dR, samples).tolist()))
+    # The difference column in block-bit order, bit by bit from Block.to_int.
+    column = np.array([ONES * (delta.to_int() >> b & 1) for b in range(128)])[:, None]
+    D = _two_call_pair(FULL_ENGINE, *base, column, key, [rounds])[rounds]
+    diffs = Counter(zip(unpack_words(D[64:], samples).tolist(),
+                        unpack_words(D[:64], samples).tolist()))
     top = max(diffs.values())
     rep = empirical_max_dp(delta, rounds, samples, CFG)
     assert rep == DpReport(delta.hex(), rounds, samples, top, top / samples,
@@ -519,13 +531,13 @@ def test_zero_diff_counts_match_per_sample_recount(delta, rounds, tile_bytes):
 def test_saturating_count_matches_popcount(width):
     rng = np.random.default_rng(width)
     # Sparse lanes, so counts of 0, 1 and 2 all occur.
-    dL, dR = (rng.integers(0, 1 << 64, (width, 9), dtype=np.uint64)
-              & rng.integers(0, 1 << 64, (width, 9), dtype=np.uint64)
-              & rng.integers(0, 1 << 64, (width, 9), dtype=np.uint64) for _ in range(2))
+    D = (rng.integers(0, 1 << 64, (2 * width, 9), dtype=np.uint64)
+         & rng.integers(0, 1 << 64, (2 * width, 9), dtype=np.uint64)
+         & rng.integers(0, 1 << 64, (2 * width, 9), dtype=np.uint64))
     count = np.zeros(64 * 9, dtype=np.int64)
-    for lane in (*dL, *dR):
+    for lane in D:
         count += lanes_to_bits(lane[None])[0]
-    some, many = _saturating_count(dL.copy(), dR.copy())
+    some, many = _saturating_count(D.copy())
     assert np.array_equal(lanes_to_bits(some[None])[0], count >= 1)
     assert np.array_equal(lanes_to_bits(many[None])[0], count >= 2)
 
@@ -624,8 +636,7 @@ def _coverage_reference(pairs, checkpoints):
     snaps = _two_call_pair(FULL_ENGINE, *base, delta, key, checkpoints)
     never, cover = [], []
     for r in checkpoints:
-        dL, dR = snaps[r]
-        bits = lanes_to_bits(np.concatenate([dR, dL]))[:, :pairs].astype(bool)
+        bits = lanes_to_bits(snaps[r])[:, :pairs].astype(bool)
         never.append(int((~bits.any(axis=1)).sum()))
         complete = np.logical_or.accumulate(bits, axis=1).all(axis=0)
         idx = np.nonzero(complete)[0]
