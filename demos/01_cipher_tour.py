@@ -33,14 +33,14 @@ for tv, res in zip(load_vectors(), verify_vectors()):
           f"decrypt {'ok' if res.decrypt_ok else 'FAIL'}")
 
 print("\nThe same structure scales down for exhaustive analyses:")
-tiny = Cipher(CipherParams.reduced(4))
+tiny = Cipher(CipherParams(4))
 k4 = MasterKey(0x9, 0x3, 4)
 images = sorted(tiny.encrypt_block(k4, Block.from_int(x, 4)).to_int()
                 for x in range(256))
 print(f"  4-bit-branch instance permutes all 256 blocks: "
       f"{images == list(range(256))}")
 
-mid = Cipher(CipherParams.reduced(16, (-1, 1, 4)))
+mid = Cipher(CipherParams(16))
 k16 = MasterKey(0x1234, 0xabcd, 16)
 p16 = Block.from_hex("cafe0042", 16)
 c16 = mid.encrypt_block(k16, p16)

@@ -13,6 +13,7 @@ Submodules:
 * :mod:`egc128.lpmodel`  LP-format model emission
 * :mod:`egc128.harness`  randomised statistical analyses
 * :mod:`egc128.nist`     statistical-suite input bitstream generation
+* :mod:`egc128.reporting` run manifests and ``report.json`` emission
 * :mod:`egc128.cli`      command-line interface
 """
 

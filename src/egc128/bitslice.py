@@ -188,10 +188,6 @@ def broadcast_columns(values, width: int) -> np.ndarray:
     return ((v >> np.arange(width, dtype=np.uint64)[:, None]) & _ONE) * _FULL
 
 
-def popcount_lanes(lanes: np.ndarray) -> int:
-    return int(np.bitwise_count(lanes).sum())
-
-
 def tail_mask(count: int, words: int) -> np.ndarray:
     """Per-word mask selecting the first `count` samples of a batch."""
     mask = np.full(words, _FULL, dtype=np.uint64)
@@ -339,6 +335,8 @@ class BitslicedCipher:
         if L.shape != R.shape or L.ndim != 2 or L.shape[0] != w:
             raise ValueError(f"L and R must both be ({w}, words) lane arrays")
         words = L.shape[1]
+        if not words:
+            raise ValueError("empty batch: L and R have no words")
         k = 1 if delta is None else 2
         if delta is not None:
             dR, dL = np.split(np.broadcast_to(delta, (2 * w, words)), 2)

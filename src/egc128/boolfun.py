@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cipher import f_core
-from .params import RULE_A_TRUTH_TABLE, CipherParams, scaled_offsets
+from .params import RULE_A_TRUTH_TABLE, CipherParams
 
 N_VARS = 4
 TT_SIZE = 1 << N_VARS
@@ -196,7 +196,7 @@ def degree_series(width: int, rounds: int,
         raise ValueError(f"width {width} too large for exhaustive transform")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    params = CipherParams.reduced(width, offsets)  # validates width and offsets
+    params = CipherParams(width, offsets)  # validates width and offsets
     vals = np.arange(1 << width, dtype=np.uint32)
     lut = f_core(vals, params)
     out = []
@@ -218,8 +218,7 @@ class DegreeGrowthReport:
 
 def degree_growth_report(width: int, rounds: int,
                          offsets: tuple[int, int, int] | None = None) -> DegreeGrowthReport:
-    if offsets is None:
-        offsets = scaled_offsets(width)
+    offsets = CipherParams(width, offsets).offsets
     degrees = tuple(degree_series(width, rounds, offsets))
     ref = REFERENCE_DEGREE_ROWS.get(width)
     match = None

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import Block, CipherParams, LfsrState, MasterKey, RoundKeySchedule
+from .params import Block, CipherParams, MasterKey
 
 
 def rule_a_eval(x0: int, x1: int, x2: int, x3: int) -> int:
@@ -81,7 +81,7 @@ def f_core(x, params: CipherParams):
                          x >> k3 | x << (w - k3), mask)
 
 
-def lfsr_init(k_high: int) -> LfsrState:
+def lfsr_init(k_high: int) -> int:
     """Initial LFSR state: the high key half, or 1 if that half is zero."""
     return k_high if k_high != 0 else 1
 
@@ -115,7 +115,7 @@ def lfsr_inverse_step(s, params: CipherParams | None = None):
     return ((s << 1) & p.branch_mask) | b0
 
 
-def derive_round_keys(key: MasterKey, params: CipherParams) -> RoundKeySchedule:
+def derive_round_keys(key: MasterKey, params: CipherParams) -> tuple[int, ...]:
     """Round keys RK_r = K_low xor S_r xor RC_r, advancing the LFSR once
     per round after each key is emitted."""
     if key.width != params.branch_width:
@@ -141,7 +141,7 @@ class Cipher:
         self.params = params or CipherParams.full()
         self._f_core = _int_layer(self.params)
 
-    def _round_keys(self, key: MasterKey, block: Block, rounds: int | None) -> RoundKeySchedule:
+    def _round_keys(self, key: MasterKey, block: Block, rounds: int | None) -> tuple[int, ...]:
         """The round keys of the first `rounds` rounds (all by default)."""
         p = self.params
         if key.width != p.branch_width or block.width != p.branch_width:

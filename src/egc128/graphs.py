@@ -154,18 +154,6 @@ def hop_distances(g: GraphTopology) -> np.ndarray:
     return dist
 
 
-def is_connected(g: GraphTopology) -> bool:
-    return bool((hop_distances(g) >= 0).all())
-
-
-def diameter(g: GraphTopology) -> int:
-    """Longest shortest path on the symmetrised graph."""
-    dist = hop_distances(g)
-    if (dist < 0).any():
-        raise ValueError("graph is disconnected")
-    return int(dist.max())
-
-
 @dataclass(frozen=True)
 class MixingBound:
     """Upper bound log(n)/gap on the random-walk mixing time."""

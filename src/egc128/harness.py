@@ -23,7 +23,6 @@ from .bitslice import (
     counter_lanes,
     lanes_to_bits,
     pack_words,
-    popcount_lanes,
     random_lanes,
     tail_mask,
     unpack_words,
@@ -135,7 +134,7 @@ def avalanche_profile(pairs: int, rounds: int = 20,
     weight = [0] * (rounds + 1)
     for _, r, D in _FULL_ENGINE.pair_differences(*base, _bit_lanes(bitpos), key,
                                                  range(rounds + 1)):
-        weight[r] += popcount_lanes(D)
+        weight[r] += int(np.bitwise_count(D).sum())
     means = [w / n for w in weight]
     return AvalancheReport(pairs, n, tuple(means),
                            tuple(m / block for m in means))
@@ -512,7 +511,7 @@ def _random_basis(words, k: int) -> list[int]:
 # Reduced-cipher zero-differential scan
 # ---------------------------------------------------------------------------
 
-REDUCED_SCAN_PARAMS = CipherParams.reduced(16, (-1, 1, 4))
+REDUCED_SCAN_PARAMS = CipherParams(16)
 
 #: Input differences of the standard scan: single bits at the branch
 #: boundaries and interior, plus adjacent pairs within and across the

@@ -42,14 +42,13 @@ RULE_A_TRUTH_TABLE = 0x036F
 LFSR_TAPS = (0, 1, 3, 4)
 
 FULL_BRANCH_WIDTH = 64
-FULL_OFFSETS = (-1, 1, 16)
 FULL_ROUNDS = 20
 
 
 def scaled_offsets(branch_width: int) -> tuple[int, int, int]:
-    """Default neighbour offsets for a reduced instance.
+    """Default neighbour offsets at a branch width.
 
-    The long-range offset scales as width/4, matching +16 at width 64
+    The long-range offset scales as width/4: +16 at the full width 64
     and +4 at width 16.  It is floored at +2 so the three offsets stay
     distinct at the narrowest supported widths.
     """
@@ -58,10 +57,11 @@ def scaled_offsets(branch_width: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class CipherParams:
-    """Width, topology, round count and round constants of one instance."""
+    """Width, topology, round count and round constants of one instance;
+    `offsets` defaults to :func:`scaled_offsets` of the width."""
 
     branch_width: int = FULL_BRANCH_WIDTH
-    offsets: tuple[int, int, int] = FULL_OFFSETS
+    offsets: tuple[int, int, int] | None = None
     rounds: int = FULL_ROUNDS
     # Constants derived from the fields above, computed once per instance.
     # Round constant r is RC_(r mod 20) truncated to the branch width.
@@ -78,9 +78,11 @@ class CipherParams:
             raise ValueError(f"branch width {w} outside supported range [4, 64]")
         if self.rounds < 1:
             raise ValueError("round count must be >= 1")
-        residues = [o % w for o in self.offsets]
+        offsets = scaled_offsets(w) if self.offsets is None else tuple(self.offsets)
+        object.__setattr__(self, "offsets", offsets)
+        residues = [o % w for o in offsets]
         if len(set(residues)) != 3 or 0 in residues:
-            raise ValueError(f"offsets {self.offsets} not distinct and nonzero mod {w}")
+            raise ValueError(f"offsets {offsets} not distinct and nonzero mod {w}")
         mask = (1 << w) - 1
         object.__setattr__(self, "round_constants", tuple(
             ROUND_CONSTANTS[r % len(ROUND_CONSTANTS)] & mask for r in range(self.rounds)))
@@ -105,15 +107,6 @@ class CipherParams:
     def full(cls) -> "CipherParams":
         """The production 128-bit instance."""
         return cls()
-
-    @classmethod
-    def reduced(cls, branch_width: int, offsets: tuple[int, int, int] | None = None,
-                rounds: int = FULL_ROUNDS) -> "CipherParams":
-        """A structurally identical instance at a smaller branch width,
-        with the scaled offsets unless `offsets` is given."""
-        if offsets is None:
-            offsets = scaled_offsets(branch_width)
-        return cls(branch_width=branch_width, offsets=offsets, rounds=rounds)
 
 
 class _Halves:
@@ -168,9 +161,6 @@ class Block(_Halves):
             raise ValueError("width mismatch")
         return Block(self.left ^ other.left, self.right ^ other.right, self.width)
 
-    def hamming_weight(self) -> int:
-        return (self.left.bit_count() + self.right.bit_count())
-
 
 @dataclass(frozen=True)
 class MasterKey(_Halves):
@@ -183,10 +173,3 @@ class MasterKey(_Halves):
 
     def _halves(self) -> tuple[int, int]:
         return self.high, self.low
-
-
-#: A round-key schedule is one word per round.
-RoundKeySchedule = tuple[int, ...]
-
-#: LFSR state is a plain branch-width word.
-LfsrState = int

@@ -224,7 +224,7 @@ def single_layer_min_weight(width: int,
         raise ValueError("single-layer search supports widths up to 32")
     if max_hamming < 1:
         raise ValueError("max_hamming must be >= 1")
-    offsets = CipherParams.reduced(width, offsets).offsets   # validates both
+    offsets = CipherParams(width, offsets).offsets   # validates both
     # base_cost[a]: cheapest output difference of a vertex with local input
     # difference a; flip_cost[a]: the extra cost of forcing output 1 (inf
     # where the DDT has no such transition).

@@ -20,7 +20,6 @@ from pathlib import Path
 from .cipher import Cipher
 from .params import Block, MasterKey
 
-BUNDLED_VECTOR_FILE = "reference_vectors.csv"
 _HEX32 = re.compile(r"[0-9a-f]{32}")
 
 
@@ -44,12 +43,11 @@ class VectorResult:
         return self.encrypt_ok and self.decrypt_ok
 
 
-def bundled_vector_path() -> Path:
-    return Path(str(resources.files("egc128") / "data" / BUNDLED_VECTOR_FILE))
-
-
 def load_vectors(path: str | Path | None = None) -> list[TestVector]:
-    src = Path(path) if path is not None else bundled_vector_path()
+    """The vectors of the CSV file at `path`, or of the bundled file when None."""
+    if path is None:
+        path = resources.files("egc128") / "data" / "reference_vectors.csv"
+    src = Path(str(path))
     out = []
     with open(src, newline="") as fh:
         rows = csv.reader(fh)

@@ -13,7 +13,6 @@ from egc128.bitslice import (
     broadcast_columns,
     counter_lanes,
     pack_words,
-    popcount_lanes,
     random_lanes,
     tail_mask,
     unpack_words,
@@ -134,7 +133,7 @@ def test_batch_matches_scalar_full_width():
 
 
 def test_batch_matches_scalar_reduced_and_rounds():
-    p = CipherParams.reduced(16, (-1, 1, 4))
+    p = CipherParams(16, (-1, 1, 4))
     scalar = Cipher(p)
     engine = BitslicedCipher(p)
     rng = np.random.default_rng(2)
@@ -159,7 +158,7 @@ def test_batch_matches_scalar_past_round_20(width):
     # per-sample keys read them directly, a fixed key through its schedule.
     # At widths 4 and 5 each of the 40 LFSR feedback rows reads the row
     # built just before it, and zero high key halves are common.
-    p = CipherParams.reduced(width, rounds=40)
+    p = CipherParams(width, rounds=40)
     scalar = Cipher(p)
     engine = BitslicedCipher(p)
     rng = np.random.default_rng(width)
@@ -219,12 +218,12 @@ def test_popcount_and_random_lanes_shapes():
     rng = np.random.default_rng(4)
     lanes = random_lanes(rng, 16, 8)
     assert lanes.shape == (16, 8)
-    ones = popcount_lanes(lanes)
+    ones = int(np.bitwise_count(lanes).sum())
     assert 0 <= ones <= 16 * 8 * 64
 
 
 def test_snapshot_rounds_outside_schedule_raise():
-    engine = BitslicedCipher(CipherParams.reduced(16))
+    engine = BitslicedCipher(CipherParams(16))
     L = np.zeros((16, 2), dtype=np.uint64)
     key = MasterKey(1, 2, 16)
     for rounds in ([21], [-1, 5], []):
@@ -232,8 +231,17 @@ def test_snapshot_rounds_outside_schedule_raise():
             next(engine.pair_differences(L, L, np.zeros((32, 1), np.uint64), key, rounds))
 
 
+def test_empty_batch_raises():
+    engine = BitslicedCipher()
+    z = np.zeros((64, 0), np.uint64)
+    with pytest.raises(ValueError, match="empty batch"):
+        engine.encrypt(z, z, MasterKey(1, 2))
+    with pytest.raises(ValueError, match="empty batch"):
+        next(engine.pair_differences(z, z, np.zeros((128, 1), np.uint64), MasterKey(1, 2)))
+
+
 def test_lane_shape_must_match_width():
-    engine = BitslicedCipher(CipherParams.reduced(16))
+    engine = BitslicedCipher(CipherParams(16))
     with pytest.raises(ValueError):
         engine.encrypt(np.zeros((8, 2), np.uint64), np.zeros((8, 2), np.uint64),
                        MasterKey(1, 2, 16))
@@ -271,7 +279,7 @@ def _instances(draw):
     # Any representative of a residue names the same neighbour.
     offsets = tuple(k - width if draw(st.booleans()) else k for k in residues)
     schedule = draw(st.integers(1, 24))
-    params = CipherParams.reduced(width, offsets, rounds=schedule)
+    params = CipherParams(width, offsets, rounds=schedule)
     rounds = draw(st.integers(0, schedule))
     tile = max(1, bitslice._TILE_BYTES // (8 * width))
     words = draw(st.sampled_from([1, 2, tile - 1, tile, tile + 1, 2 * tile + 5]) | st.integers(1, 40))
@@ -320,7 +328,7 @@ def test_bitsliced_matches_scalar_property(case):
 @settings(max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_instances())
-@example((CipherParams.reduced(12, (-5, 1, 3)), 2, 0, None, False, 5))
+@example((CipherParams(12, (-5, 1, 3)), 2, 0, None, False, 5))
 def test_f_core_matches_scalar(case):
     params, words, _, _, _, seed = case
     w = params.branch_width

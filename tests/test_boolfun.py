@@ -161,6 +161,8 @@ def test_degree_round1_is_cubic_any_width():
 
 def test_degree_width8_round1():
     assert degree_series(8, 1, (-1, 1, 2)) == [3]
+    # Offsets given as a list come back as the tuple CipherParams stores.
+    assert degree_growth_report(8, 1, [-1, 1, 2]).offsets == (-1, 1, 2)
 
 
 def test_degree_width12_matches_reference():
@@ -274,7 +276,7 @@ def test_search_matches_brute_force_selection():
 def test_word_degree_is_the_largest_coordinate_degree():
     # Width 8: each output coordinate of F_core^r gets its ANF from subset
     # parities over all 256 points.
-    params = CipherParams.reduced(8)
+    params = CipherParams(8)
     x = np.arange(256)
     within = (x[:, None] & ~x[None, :]) == 0              # [x, u]: x lies within u
     table, vals, want = _fcore_table(params), x, []

@@ -25,6 +25,7 @@ from egc128.params import (
     Block,
     CipherParams,
     MasterKey,
+    scaled_offsets,
 )
 from egc128.vectors import load_vectors, verify_vectors
 
@@ -77,7 +78,7 @@ def test_f_core_all_zero_all_one():
 
 def test_f_core_matches_naive_reference():
     rnd = random.Random(1)
-    for p in (CipherParams.full(), CipherParams.reduced(16), CipherParams.reduced(9)):
+    for p in (CipherParams.full(), CipherParams(16), CipherParams(9)):
         for _ in range(100):
             x = rnd.getrandbits(p.branch_width)
             assert f_core(x, p) == _f_core_naive(x, p)
@@ -99,7 +100,7 @@ def test_f_core_single_bit_fanout():
 
 def test_f_core_readset_dependency_width16():
     # Output bit i never changes when a bit outside its read-set flips.
-    p = CipherParams.reduced(16)
+    p = CipherParams(16)
     o1, o2, o3 = p.offsets
     rnd = random.Random(3)
     for i in range(16):
@@ -164,7 +165,7 @@ def test_lfsr_inverse_roundtrip():
 
 def test_lfsr_inverse_reduced_widths():
     for w in (4, 5, 16):
-        p = CipherParams.reduced(w)
+        p = CipherParams(w)
         rnd = random.Random(w)
         for _ in range(1000):
             s = rnd.getrandbits(w) or 1
@@ -191,7 +192,7 @@ def _lfsr_inverse_per_tap(s, p):
 
 @pytest.mark.parametrize("width", range(4, 65))
 def test_lfsr_tap_parity_matches_per_tap_loop(width):
-    p = CipherParams.reduced(width)
+    p = CipherParams(width)
     assert p.lfsr_taps == tuple(t for t in (0, 1, 3, 4) if t < width)
     rnd = random.Random(width)
     states = [0, 1, p.branch_mask, 1 << (width - 1)] + [rnd.getrandbits(width) for _ in range(200)]
@@ -207,7 +208,7 @@ def test_lfsr_tap_parity_matches_per_tap_loop(width):
 
 
 def test_lfsr_width4_drops_tap_4():
-    p = CipherParams.reduced(4)
+    p = CipherParams(4)
     assert p.lfsr_taps == (0, 1, 3) and p.lfsr_tap_mask == 0b1011
     # Bit 4 does not exist: the feedback of 0b1011 is the parity of three taps.
     assert lfsr_step(0b1011, p) == 0b1101
@@ -229,7 +230,7 @@ def _naive_schedule(key, p):
 def test_derive_round_keys_matches_naive_schedule(width):
     rnd = random.Random(100 + width)
     for rounds in (1, 7, 20, 24):
-        p = CipherParams.reduced(width, rounds=rounds)
+        p = CipherParams(width, rounds=rounds)
         keys = [MasterKey(0, 0, width), MasterKey(0, p.branch_mask, width)]
         keys += [MasterKey(rnd.getrandbits(width), rnd.getrandbits(width), width) for _ in range(50)]
         for key in keys:
@@ -244,7 +245,7 @@ def test_params_derive_their_own_constants(width):
     seen = set()
     while len(seen) < 4:
         offsets = tuple(k - width * rnd.randrange(2) for k in rnd.sample(range(1, width), 3))
-        p = CipherParams.reduced(width, offsets)
+        p = CipherParams(width, offsets)
         assert p.rotations == tuple(o % width for o in offsets)
         # Each shift is its offset modulo the width, taken in (-width/2, width/2].
         assert len(p.shifts) == 3
@@ -252,13 +253,34 @@ def test_params_derive_their_own_constants(width):
                    for s, o in zip(p.shifts, offsets))
         assert p.branch_mask == (1 << width) - 1
         assert p.lfsr_tap_mask == sum(1 << t for t in p.lfsr_taps)
-        assert p == CipherParams.reduced(width, offsets)
-        assert hash(p) == hash(CipherParams.reduced(width, offsets))
+        assert p == CipherParams(width, offsets)
+        assert hash(p) == hash(CipherParams(width, offsets))
         seen.add(p.rotations)
         values = [0, p.branch_mask] + [rnd.getrandbits(width) for _ in range(100)]
         got = f_core(np.array(values, dtype=np.uint64), p)
         assert [int(v) for v in got] == [f_core(v, p) for v in values] \
             == [_f_core_naive(v, p) for v in values]
+
+
+def test_params_offsets_default_to_scaled_offsets():
+    # One constructor names every width: without offsets it takes the
+    # scaled ones, which at width 64 are the full cipher's.
+    for width in range(4, 65):
+        assert CipherParams(width).offsets == scaled_offsets(width)
+        assert CipherParams(width, (1, 2, 3)).offsets == (1, 2, 3)
+    full = CipherParams()
+    assert full == CipherParams.full() == CipherParams(64, (-1, 1, 16))
+    assert hash(full) == hash((64, (-1, 1, 16), 20))
+    assert repr(full) == ("CipherParams(branch_width=64, offsets=(-1, 1, 16), rounds=20, "
+                          f"round_constants={ROUND_CONSTANTS})")
+
+
+def test_params_offsets_list_equals_tuple():
+    p = CipherParams(16, [-1, 1, 4])
+    assert p.offsets == (-1, 1, 4)
+    assert p == CipherParams(16, (-1, 1, 4)) == CipherParams(16)
+    assert hash(p) == hash(CipherParams(16, (-1, 1, 4)))
+
 
 def test_round_constants_are_pi_digits():
     # Rebuild the constant table from scratch with arbitrary-precision pi.
@@ -349,7 +371,7 @@ def test_roundtrip_random():
 
 
 def test_single_round_roundtrip_reduced():
-    p = CipherParams.reduced(16, rounds=1)
+    p = CipherParams(16, rounds=1)
     c = Cipher(p)
     key = MasterKey(0x1111, 0x2222, 16)
     pt = Block(0xAAAA, 0x5555, 16)
@@ -375,7 +397,7 @@ def _naive_decrypt(p, rks, block, rounds):
 
 @pytest.mark.parametrize("width", (4, 8, 16, 33, 64))
 def test_round_override_matches_naive_loop(width):
-    p = CipherParams.reduced(width)
+    p = CipherParams(width)
     c = Cipher(p)
     rnd = random.Random(width)
     for _ in range(3):
@@ -397,7 +419,7 @@ def _family_cases(draw):
     residues = draw(st.lists(st.integers(1, width - 1), min_size=3, max_size=3, unique=True))
     # Any representative of a residue names the same neighbour.
     offsets = tuple(k - width if draw(st.booleans()) else k for k in residues)
-    p = CipherParams.reduced(width, offsets, rounds=draw(st.integers(1, 24)))
+    p = CipherParams(width, offsets, rounds=draw(st.integers(1, 24)))
     rounds = draw(st.integers(0, p.rounds))
     key = MasterKey(draw(st.integers(0, p.branch_mask)), draw(st.integers(0, p.branch_mask)), width)
     block = Block(draw(st.integers(0, p.branch_mask)), draw(st.integers(0, p.branch_mask)), width)
@@ -421,7 +443,7 @@ def test_scalar_cipher_matches_naive_loop_across_family(case):
 
 @pytest.mark.parametrize("width", (4, 8, 16, 33, 64))
 def test_round_override_outside_schedule_raises(width):
-    p = CipherParams.reduced(width)
+    p = CipherParams(width)
     key, block = MasterKey(1, 2, width), Block(3, 4, width)
     lanes = np.zeros((width, 1), dtype=np.uint64)
     for r in (-1, p.rounds + 1):
@@ -443,7 +465,7 @@ def test_vector_file_format():
 # --- reduced family ---------------------------------------------------------
 
 def test_reduced_16_roundtrip():
-    c = Cipher(CipherParams.reduced(16, (-1, 1, 4)))
+    c = Cipher(CipherParams(16, (-1, 1, 4)))
     rnd = random.Random(8)
     for _ in range(10**4):
         key = MasterKey(rnd.getrandbits(16), rnd.getrandbits(16), 16)
@@ -452,13 +474,13 @@ def test_reduced_16_roundtrip():
 
 
 def test_reduced_width64_degenerates_to_full():
-    c = Cipher(CipherParams.reduced(64, (-1, 1, 16)))
+    c = Cipher(CipherParams(64, (-1, 1, 16)))
     assert c.encrypt_block(MasterKey(0, 0), Block(0, 0)).hex() == \
         "054e2db44cd3907d7c814c56070da703"
 
 
 def test_reduced_4bit_exhaustive_bijection():
-    c = Cipher(CipherParams.reduced(4))
+    c = Cipher(CipherParams(4))
     key = MasterKey(0x9, 0x3, 4)
     images = {c.encrypt_block(key, Block.from_int(x, 4)).to_int()
               for x in range(1 << 8)}
@@ -467,13 +489,13 @@ def test_reduced_4bit_exhaustive_bijection():
 
 def test_invalid_reduced_offsets():
     with pytest.raises(ValueError):
-        CipherParams.reduced(16, (-1, 1, 17))   # +17 collides with +1 mod 16
+        CipherParams(16, (-1, 1, 17))   # +17 collides with +1 mod 16
     with pytest.raises(ValueError):
-        CipherParams.reduced(3)
+        CipherParams(3)
 
 
 def test_round_constant_truncation():
-    p = CipherParams.reduced(16)
+    p = CipherParams(16)
     assert p.round_constants[0] == ROUND_CONSTANTS[0] & 0xFFFF
     assert len(p.round_constants) == p.rounds
     # RC_r is the (r mod 20)-th 16-digit word of pi's fraction, truncated
@@ -482,7 +504,7 @@ def test_round_constant_truncation():
         for rounds in range(1, 46):
             want = tuple(int(PI_FRACTIONAL_HEX[16 * (r % 20) : 16 * (r % 20) + 16], 16)
                          % (1 << width) for r in range(rounds))
-            assert CipherParams.reduced(width, rounds=rounds).round_constants == want
+            assert CipherParams(width, rounds=rounds).round_constants == want
     assert CipherParams(rounds=10).round_constants == ROUND_CONSTANTS[:10]
     with pytest.raises(TypeError):
         CipherParams(round_constants=ROUND_CONSTANTS)

@@ -9,9 +9,7 @@ from egc128.graphs import (
     VARIANTS,
     GraphTopology,
     build_topology,
-    diameter,
     hop_distances,
-    is_connected,
     mixing_time_bound,
     spectral_report,
     symmetrized_adjacency,
@@ -127,11 +125,11 @@ def test_symmetrized_matrix_is_symmetric():
 
 
 def test_diameters():
-    assert diameter(build_topology("baseline", 64)) == 9
-    assert diameter(build_topology("poor_expander", 64)) == 16
+    assert spectral_report(build_topology("baseline", 64)).diameter == 9
+    assert spectral_report(build_topology("poor_expander", 64)).diameter == 16
     # complete graph on 4 vertices
     k4 = GraphTopology.from_offsets(4, (1, 2, 3))
-    assert diameter(k4) == 1
+    assert spectral_report(k4).diameter == 1
 
 
 def test_diameter_matrix_power_oracle():
@@ -144,7 +142,7 @@ def test_diameter_matrix_power_oracle():
         while not (reach > 0).all():
             reach = reach @ A
             k += 1
-        assert k == diameter(g)
+        assert k == spectral_report(g).diameter == hop_distances(g).max()
 
 
 def _bfs_distances(g):
@@ -177,9 +175,8 @@ def test_hop_distances_match_bfs(n):
     d = hop_distances(g)
     assert np.array_equal(d, _bfs_distances(g))
     assert d[0, 5] == -1 and d[8, 0] == -1 and d[0, 2] == 2
-    assert not is_connected(g)
-    with pytest.raises(ValueError, match="disconnected"):
-        diameter(g)
+    rep = spectral_report(g)
+    assert not rep.connected and rep.diameter == -1
 
 
 def test_vertex_transitivity_of_baseline():
@@ -218,7 +215,7 @@ def test_disconnected_report():
     reads = tuple((tuple({(i + 1) % 4 + (i // 4) * 4, (i - 1) % 4 + (i // 4) * 4}))
                   for i in range(8))
     g = GraphTopology(8, reads, "two_cycles")
-    assert not is_connected(g)
+    assert (hop_distances(g) < 0).any()
     rep = spectral_report(g)
     assert rep.connected is False
     assert rep.spectral_gap == 0.0

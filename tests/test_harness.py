@@ -451,7 +451,7 @@ def test_subspace_search_matches_per_trial_loop():
 def test_zero_diff_standard_combos():
     combos = standard_zero_diff_combos()
     assert len(combos) == 36
-    assert all(d.hamming_weight() <= 2 for d, _ in combos)
+    assert all(d.to_int().bit_count() <= 2 for d, _ in combos)
     assert {r for _, r in combos} == {2, 3, 4}
 
 
@@ -524,7 +524,7 @@ def test_zero_diff_counts_match_per_sample_recount(delta, rounds, tile_bytes):
     want_hw1 = int((weight == 1).sum()) if rounds < 4 else None
     assert rep.single_bit_output_hits == want_hw1
     if rounds == 0:
-        assert rep.single_bit_output_hits == (n if d.hamming_weight() == 1 else 0)
+        assert rep.single_bit_output_hits == (n if d.to_int().bit_count() == 1 else 0)
 
 
 @pytest.mark.parametrize("width", (1, 3, 5, 16))
@@ -544,13 +544,13 @@ def test_saturating_count_matches_popcount(width):
 
 def test_zero_diff_witness_pair():
     # One explicit witness, checked with the scalar cipher.
-    p = CipherParams.reduced(16, (-1, 1, 4))
+    p = CipherParams(16, (-1, 1, 4))
     c = Cipher(p)
     key = MasterKey(0x1234, 0xABCD, 16)
     pt = Block.from_hex("17156075", 16)
     d = c.encrypt_block(key, pt, rounds=2) ^ \
         c.encrypt_block(key, pt ^ Block.from_int(1, 16), rounds=2)
-    assert d.hamming_weight() == 1
+    assert d.to_int().bit_count() == 1
 
 
 def test_zero_diff_validation():
@@ -568,20 +568,32 @@ def test_zero_diff_validation():
         reduced_zero_diff_scan(Block.from_int(1, 16), 2, samples=None, cfg=CFG)
 
 
-def test_exact_single_bit_count_matches_exhaustive_scalar():
-    # Second route: every one of the 2^16 plaintexts of the width-8
-    # instance, encrypted with the scalar cipher.
-    p = CipherParams.reduced(8)
+def _random_key(width):
+    high, low = np.random.default_rng(width).integers(0, 1 << width, 2)
+    return MasterKey(int(high), int(low), width)
+
+
+def _single_and_adjacent_bits(bits):
+    # Every single bit, and every pair of cyclically adjacent bits.
+    return [1 << i for i in range(bits)] + [1 << i | 1 << (i + 1) % bits for i in range(bits)]
+
+
+@pytest.mark.parametrize("width, key, deltas", [
+    (8, MasterKey(0x5A, 0xC3, 8), (0x0001, 0x0100, 0x0180)),    # right bit, left bit, both
+    *((w, _random_key(w), _single_and_adjacent_bits(2 * w)) for w in (4, 5, 6)),
+], ids=("w8", "w4", "w5", "w6"))
+def test_exact_single_bit_count_matches_exhaustive_scalar(width, key, deltas):
+    # Second route: every one of the 2^(2w) plaintexts, encrypted with
+    # the scalar cipher.
+    p = CipherParams(width)
     c = Cipher(p)
-    key = MasterKey(0x5A, 0xC3, 8)
-    deltas = (0x0001, 0x0100, 0x0180)        # right bit, left bit, both
+    n = 1 << 2 * width
     for rounds in (2, 3):
-        enc = [c.encrypt_block(key, Block.from_int(v, 8), rounds=rounds).to_int()
-               for v in range(1 << 16)]
+        enc = [c.encrypt_block(key, Block.from_int(v, width), rounds=rounds).to_int()
+               for v in range(n)]
         for d in deltas:
-            scalar = sum((enc[v] ^ enc[v ^ d]).bit_count() == 1
-                         for v in range(1 << 16))
-            exact = exact_single_bit_output_count(Block.from_int(d, 8), rounds, key, p)
+            scalar = sum((enc[v] ^ enc[v ^ d]).bit_count() == 1 for v in range(n))
+            exact = exact_single_bit_output_count(Block.from_int(d, width), rounds, key, p)
             assert exact == scalar, (rounds, hex(d))
 
 

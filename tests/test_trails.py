@@ -265,7 +265,7 @@ def _single_layer_loop(width, offsets, exhaustive_limit, max_hamming):
     # The per-difference loop that the array search replaced, kept as the
     # reference it must match bit for bit.
     table = ddt(RULE_A_TRUTH_TABLE)
-    offsets = CipherParams.reduced(width, offsets).offsets
+    offsets = CipherParams(width, offsets).offsets
     base_cost = [0.0] * 16
     one_cost = [None] * 16
     for a in range(16):
