@@ -17,6 +17,10 @@ no per-bit intermediate.  :func:`lanes_to_bits` builds the uint8 bit
 matrix for the analyses that need single bits.  :func:`counter_lanes`
 builds the lanes of a counter run straight from its word index; its
 callers start on a multiple of 64, so it takes no other start.
+:func:`random_lane_blocks` gives the lanes of :func:`random_lanes` a
+block of word columns at a time, each row drawn by a copy of the
+generator jumped ahead to that row's place, so a caller can stream a
+random batch through the engine without a full-size input array.
 
 Cache tiling: one round loop (``BitslicedCipher._tiles``) walks the
 word axis in column tiles of ``_TILE_BYTES`` per lane array (1,024
@@ -179,6 +183,42 @@ def random_lanes(rng: np.random.Generator, width: int, words: int) -> np.ndarray
     is left in the same state as after that call.
     """
     return rng.bit_generator.random_raw(width * words).reshape(width, words)
+
+
+def random_lane_blocks(rng: np.random.Generator, width: int, words: int, block: int):
+    """The lanes of ``random_lanes(rng, width, words)``, `block` columns at a time.
+
+    Yields (cols, lanes): `lanes` holds the word columns `cols` of that
+    array, in one reused (width, block) buffer valid until the next
+    step.  Row b is drawn by its own copy of the bit generator, advanced
+    once to word ``b * words`` (PCG64's O(log n) jump-ahead), so no
+    full-size array exists.  Before the first block the caller's
+    generator is advanced by ``width * words`` words, into the state
+    :func:`random_lanes` would leave.
+    """
+    bg = rng.bit_generator
+    rows = [_advanced(bg, b * words) for b in range(width)]
+    end = bg.state                            # keeps any buffered 32-bit half
+    end["state"] = _advanced(bg, width * words).state["state"]
+    bg.state = end
+    lanes = np.empty((width, min(block, words)), dtype=np.uint64)
+    for cs in column_slices(words, block):
+        n = cs.stop - cs.start
+        for gen, lane in zip(rows, lanes):
+            lane[:n] = gen.random_raw(n)
+        yield cs, lanes[:, :n]
+
+
+def _advanced(bg, steps: int):
+    """A copy of the bit generator `bg` moved `steps` raw outputs ahead."""
+    copy = type(bg)(0)                        # seeded only to skip OS entropy
+    copy.state = bg.state
+    return copy.advance(steps)
+
+
+def column_slices(words: int, size: int):
+    """Slices of at most `size` of the `words` word columns, in order."""
+    return (slice(c0, min(c0 + size, words)) for c0 in range(0, words, size))
 
 
 def broadcast_columns(values, width: int) -> np.ndarray:
@@ -367,9 +407,8 @@ class BitslicedCipher:
             lfsr_slice = w - p.lfsr_taps[-1]
             lfsr = np.empty((w + nr, k * tile), dtype=np.uint64)
             klow = np.empty((w, k * tile), dtype=np.uint64)
-        for c0 in range(0, words, tile):
-            cs = slice(c0, min(c0 + tile, words))
-            m = cs.stop - c0
+        for cs in column_slices(words, tile):
+            m = cs.stop - cs.start
             Lp, Rp = padded[:, :, : k * m]
             A, B = scratch[:, :, : k * m]
             np.copyto(pad.at(Lp)[:, :m], L[:, cs])

@@ -10,6 +10,7 @@ their summary line; every subcommand honours ``--seed``.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,19 @@ def _offsets(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected three comma-separated offsets")
     return tuple(parts)
+
+
+def _attach_offsets(argv: list[str]) -> list[str]:
+    """`argv` with ``--offsets -1,1,4`` joined into ``--offsets=-1,1,4``:
+    argparse reads a separate word that starts with "-" as an option,
+    unless it is one plain negative number."""
+    out = []
+    for word in argv:
+        if out and out[-1] == "--offsets" and re.match(r"-\d", word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -290,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_offsets(sys.argv[1:] if argv is None else argv))
     try:
         params, results, summary, status = COMMANDS[args.command].run(args)
         if params is not None:

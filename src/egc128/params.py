@@ -17,6 +17,7 @@ Bit conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 # First 320 fractional hexadecimal digits of pi.  Consecutive 16-digit
@@ -78,7 +79,13 @@ class CipherParams:
             raise ValueError(f"branch width {w} outside supported range [4, 64]")
         if self.rounds < 1:
             raise ValueError("round count must be >= 1")
-        offsets = scaled_offsets(w) if self.offsets is None else tuple(self.offsets)
+        if self.offsets is None:
+            offsets = scaled_offsets(w)
+        else:
+            try:                              # numpy integers become int
+                offsets = tuple(operator.index(o) for o in self.offsets)
+            except TypeError:
+                raise ValueError(f"offsets {self.offsets!r} are not all integers") from None
         object.__setattr__(self, "offsets", offsets)
         residues = [o % w for o in offsets]
         if len(set(residues)) != 3 or 0 in residues:

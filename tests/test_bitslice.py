@@ -13,6 +13,7 @@ from egc128.bitslice import (
     broadcast_columns,
     counter_lanes,
     pack_words,
+    random_lane_blocks,
     random_lanes,
     tail_mask,
     unpack_words,
@@ -268,6 +269,25 @@ def test_random_lanes_is_the_generator_byte_stream(width, words):
         assert states[0]["state"] == states[1]["state"] == states[2]["state"]
         assert [st["has_uint32"] for st in states] == [0, 0, 0]
         assert a.integers(0, 1 << 40, 8).tolist() == b.integers(0, 1 << 40, 8).tolist()
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(width=st.integers(1, 64), words=st.integers(1, 300), block=st.integers(1, 400),
+       seed=st.integers(0, 2**64 - 1), buffered=st.booleans())
+@example(width=32, words=300, block=300, seed=0, buffered=False)
+@example(width=1, words=1, block=1, seed=1, buffered=True)
+def test_random_lane_blocks_match_random_lanes(width, words, block, seed, buffered):
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:                               # leaves a buffered 32-bit half
+        assert a.integers(0, 1 << 32, dtype=np.uint32) == b.integers(0, 1 << 32, dtype=np.uint32)
+    want = random_lanes(a, width, words)
+    blocks = [(cs, lanes.copy()) for cs, lanes in random_lane_blocks(b, width, words, block)]
+    assert [cs.start for cs, _ in blocks] == list(range(0, words, block))
+    assert all(lanes.shape == (width, cs.stop - cs.start) for cs, lanes in blocks)
+    assert np.array_equal(np.concatenate([lanes for _, lanes in blocks], axis=1), want)
+    assert b.bit_generator.state == a.bit_generator.state
+    assert b.integers(0, 1 << 32, 8, dtype=np.uint32).tolist() == \
+        a.integers(0, 1 << 32, 8, dtype=np.uint32).tolist()
 
 
 # --- property test: scalar Cipher == BitslicedCipher -------------------------------

@@ -282,6 +282,22 @@ def test_params_offsets_list_equals_tuple():
     assert hash(p) == hash(CipherParams(16, (-1, 1, 4)))
 
 
+@pytest.mark.parametrize("offsets", [(-1, 1, 4.0), (-1.0, 1, 4), ("-1", 1, 4), (-1, 1, None)])
+def test_params_offsets_must_be_integers(offsets):
+    # A float offset used to build an instance equal to CipherParams(16)
+    # whose cipher then failed on its first shift.
+    with pytest.raises(ValueError, match=r"offsets .* not all integers"):
+        CipherParams(16, offsets)
+
+
+def test_params_numpy_integer_offsets_become_int():
+    p = CipherParams(16, np.array([-1, 1, 4], dtype=np.int64))
+    assert p.offsets == (-1, 1, 4) and all(type(o) is int for o in p.offsets)
+    assert p == CipherParams(16) and hash(p) == hash(CipherParams(16))
+    assert Cipher(p).encrypt_block(MasterKey(1, 2, 16), Block(3, 4, 16)) == \
+        Cipher(CipherParams(16)).encrypt_block(MasterKey(1, 2, 16), Block(3, 4, 16))
+
+
 def test_round_constants_are_pi_digits():
     # Rebuild the constant table from scratch with arbitrary-precision pi.
     mp = pytest.importorskip("mpmath").mp

@@ -100,6 +100,28 @@ def test_degree_subcommand(tmp_path, capsys):
     assert report["results"]["degrees"] == [3, 7, 10]
 
 
+@pytest.mark.parametrize("argv", [["degree", "--width", "12", "--rounds", "3"],
+                                  ["single-layer", "--width", "12", "--max-hamming", "2"]])
+def test_offsets_starting_with_minus_parse_in_both_forms(tmp_path, capsys, argv):
+    reports = []
+    for i, form in enumerate((["--offsets", "-1,1,5"], ["--offsets=-1,1,5"])):
+        assert main(argv + form + ["--out", str(tmp_path / str(i))]) == 0
+        reports.append(_find_report(tmp_path / str(i)))
+    spaced, attached = reports
+    assert spaced["manifest"]["parameters"]["offsets"] == [-1, 1, 5]
+    assert spaced["manifest"]["parameters"] == attached["manifest"]["parameters"]
+    assert spaced["results"] == attached["results"]
+
+
+@pytest.mark.parametrize("offsets", [["-1,1"], ["-1,x,5"], ["-1,1,5,7"], ["--width", "5"], []])
+def test_malformed_offsets_exit_2(tmp_path, capsys, offsets):
+    with pytest.raises(SystemExit) as exc:
+        main(["degree", "--out", str(tmp_path), "--offsets"] + offsets)
+    assert exc.value.code == 2
+    assert "--offsets" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("report.json"))
+
+
 @pytest.mark.parametrize("budget", ["2", "0", "-1"])
 def test_rule_search_empty_selection_names_budget(tmp_path, capsys, budget):
     # No balanced, nonlinearity-4, degree-3 function has at most 2 ANF terms.

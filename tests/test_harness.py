@@ -6,6 +6,7 @@ suite; these tests use smaller batches."""
 import dataclasses
 import functools
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -490,7 +491,7 @@ def test_zero_diff_single_bit_outputs_are_reachable():
 
 @pytest.mark.slow
 def test_exhaustive_zero_scan_matches_exact_count():
-    # All 2^32 plaintexts (43-48 s on a 2-core host): the single-bit
+    # All 2^32 plaintexts (about 30 s on a 2-core host): the single-bit
     # count is the exact count itself, 115 * 2^22, not a sample of it.
     delta = Block.from_int(1, 16)
     rep = reduced_zero_diff_scan(delta, 2, cfg=RngConfig(0), exhaustive=True)
@@ -500,31 +501,56 @@ def test_exhaustive_zero_scan_matches_exact_count():
         delta, 2, MasterKey.from_hex(rep.key, 16))
 
 
-@pytest.mark.parametrize("tile_bytes", (bitslice._TILE_BYTES, 8 * 16 * 5))
+@pytest.mark.parametrize("tile_bytes, chunk", [
+    pytest.param(bitslice._TILE_BYTES, harness.ZERO_SCAN_CHUNK, id=str(bitslice._TILE_BYTES)),
+    pytest.param(8 * 16 * 5, harness.ZERO_SCAN_CHUNK, id=str(8 * 16 * 5)),
+    pytest.param(8 * 16 * 3, 64 * 40, id=f"{8 * 16 * 3}-chunk{64 * 40}"),
+])
 @pytest.mark.parametrize("delta, rounds", [(0x00000001, 0), (0x00018000, 0), (0x00000001, 2),
                                            (0x00010000, 3), (0x80000001, 4)])
-def test_zero_diff_counts_match_per_sample_recount(delta, rounds, tile_bytes):
+def test_zero_diff_counts_match_per_sample_recount(delta, rounds, tile_bytes, chunk):
     # The in-tile tree counts against a recount from the two encryptions
-    # and a per-sample popcount; 5-word tiles leave a ragged last tile.
+    # of each chunk's two 16-row draws and a per-sample popcount.  5-word
+    # tiles make 40-word lane blocks and leave a ragged last tile; 3-word
+    # tiles and 40-word chunks give two chunks of 24-word blocks, each
+    # chunk ending on a short block and the last on a partial word.
     n = (1 << 12) + 77
     d = Block.from_int(delta, 16)
-    with mock.patch.object(bitslice, "_TILE_BYTES", tile_bytes):
+    with mock.patch.object(bitslice, "_TILE_BYTES", tile_bytes), \
+            mock.patch.object(harness, "ZERO_SCAN_CHUNK", chunk):
         rep = reduced_zero_diff_scan(d, rounds, samples=n, cfg=CFG)
-    rng = CFG.generator("zero_diff", delta, rounds, 0)
-    words = (n + 63) // 64
-    L, R = random_lanes(rng, 16, words), random_lanes(rng, 16, words)
     engine = BitslicedCipher(REDUCED_SCAN_PARAMS)
     key = MasterKey.from_hex(rep.key, 16)
     flip = broadcast_columns([d.left, d.right], 16)
-    bL, bR = engine.encrypt(L, R, key, rounds=rounds)
-    qL, qR = engine.encrypt(L ^ flip[0], R ^ flip[1], key, rounds=rounds)
-    weight = np.bitwise_count(unpack_words(bL ^ qL, n) << np.uint64(16) | unpack_words(bR ^ qR, n))
-    assert rep.samples == n
+    weights = []
+    for index, first in enumerate(range(0, n, chunk)):
+        m = min(chunk, n - first)
+        rng = CFG.generator("zero_diff", delta, rounds, index)
+        words = (m + 63) // 64
+        L, R = random_lanes(rng, 16, words), random_lanes(rng, 16, words)
+        bL, bR = engine.encrypt(L, R, key, rounds=rounds)
+        qL, qR = engine.encrypt(L ^ flip[0], R ^ flip[1], key, rounds=rounds)
+        weights.append(np.bitwise_count(
+            unpack_words(bL ^ qL, m) << np.uint64(16) | unpack_words(bR ^ qR, m)))
+    weight = np.concatenate(weights)
+    assert rep.samples == n == len(weight)
     assert rep.zero_output_hits == int((weight == 0).sum())
     want_hw1 = int((weight == 1).sum()) if rounds < 4 else None
     assert rep.single_bit_output_hits == want_hw1
     if rounds == 0:
         assert rep.single_bit_output_hits == (n if d.to_int().bit_count() == 1 else 0)
+
+
+def test_zero_diff_scan_streams_its_lanes():
+    # One 2^22-sample chunk drawn block by block: two full-size 16-lane
+    # arrays alone would take 16 MB.
+    tracemalloc.start()
+    try:
+        reduced_zero_diff_scan(Block.from_int(1, 16), 2, samples=1 << 22, cfg=CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 @pytest.mark.parametrize("width", (1, 3, 5, 16))
