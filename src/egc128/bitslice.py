@@ -18,9 +18,9 @@ matrix for the analyses that need single bits.  :func:`counter_lanes`
 builds the lanes of a counter run straight from its word index; its
 callers start on a multiple of 64, so it takes no other start.
 :func:`random_lane_blocks` gives the lanes of :func:`random_lanes` a
-block of word columns at a time, each row drawn by a copy of the
-generator jumped ahead to that row's place, so a caller can stream a
-random batch through the engine without a full-size input array.
+block of word columns at a time, the caller's one generator jumping
+from row to row, so a caller can stream a random batch through the
+engine without a full-size input array.
 
 Cache tiling: one round loop (``BitslicedCipher._tiles``) walks the
 word axis in column tiles of ``_TILE_BYTES`` per lane array (1,024
@@ -190,30 +190,31 @@ def random_lane_blocks(rng: np.random.Generator, width: int, words: int, block: 
 
     Yields (cols, lanes): `lanes` holds the word columns `cols` of that
     array, in one reused (width, block) buffer valid until the next
-    step.  Row b is drawn by its own copy of the bit generator, advanced
-    once to word ``b * words`` (PCG64's O(log n) jump-ahead), so no
-    full-size array exists.  Before the first block the caller's
-    generator is advanced by ``width * words`` words, into the state
-    :func:`random_lanes` would leave.
+    step, so no full-size array exists.  The caller's bit generator
+    walks the rows with PCG64's O(log n) jump-ahead: it skips from each
+    row's block to the next row's, and after a block it steps back,
+    modulo 2^128, to row 0 at the next column.  It ends where
+    :func:`random_lanes` leaves it, except that a jump drops a buffered
+    32-bit half; no generator the package passes here holds one.
     """
     bg = rng.bit_generator
-    rows = [_advanced(bg, b * words) for b in range(width)]
-    end = bg.state                            # keeps any buffered 32-bit half
-    end["state"] = _advanced(bg, width * words).state["state"]
-    bg.state = end
+    back = -(width - 1) * words % 2**128
     lanes = np.empty((width, min(block, words)), dtype=np.uint64)
     for cs in column_slices(words, block):
         n = cs.stop - cs.start
-        for gen, lane in zip(rows, lanes):
-            lane[:n] = gen.random_raw(n)
+        for b, lane in enumerate(lanes):
+            if b:
+                bg.advance(words - n)
+            lane[:n] = bg.random_raw(n)
+        if cs.stop < words:
+            bg.advance(back)
         yield cs, lanes[:, :n]
 
 
-def _advanced(bg, steps: int):
-    """A copy of the bit generator `bg` moved `steps` raw outputs ahead."""
-    copy = type(bg)(0)                        # seeded only to skip OS entropy
-    copy.state = bg.state
-    return copy.advance(steps)
+def tile_words(width: int) -> int:
+    """Words per lane array of an engine tile of `width` lanes: one
+    ``_TILE_BYTES`` array, or one word if that is narrower."""
+    return max(1, _TILE_BYTES // (8 * width))
 
 
 def column_slices(words: int, size: int):
@@ -395,7 +396,7 @@ class BitslicedCipher:
         # column about twice as fast as a broadcast uint64 one.
         col_bytes = cols.view(np.uint8)[:, :, :1]
 
-        tile = min(words, max(1, _TILE_BYTES // (8 * w)))
+        tile = min(words, tile_words(w))
         padded = np.empty((2, pad.rows, k * tile), dtype=np.uint64)
         scratch = np.empty((2, w, k * tile), dtype=np.uint64)
         if per_sample:

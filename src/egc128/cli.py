@@ -190,6 +190,8 @@ def _subspace(args):
 
 
 def _zero_scan(args):
+    if args.threads < 1:                      # one combination runs no worker pool
+        raise ValueError(f"threads must be >= 1, got {args.threads}")
     if args.all:
         if args.delta is not None or args.rounds is not None or args.exhaustive:
             raise ValueError("zero-scan --all runs the standard combinations; "

@@ -15,7 +15,6 @@ from math import log2
 
 import numpy as np
 
-from . import bitslice
 from .bitslice import (
     BitslicedCipher,
     broadcast_columns,
@@ -27,6 +26,7 @@ from .bitslice import (
     random_lane_blocks,
     random_lanes,
     tail_mask,
+    tile_words,
     unpack_words,
 )
 from .boolfun import _walsh_butterflies
@@ -162,11 +162,11 @@ class SacReport:
 
 def _sac_group(words: int) -> int:
     """Input bits per SAC unit: as many `words`-word batches as fill,
-    with both members of every pair, one engine tile of
-    `bitslice._TILE_BYTES` per width-64 lane array.  Units twice as wide
-    measured slower (8 against 4 bits at 2,000 samples, 2 against 1 at
-    8,000), so 8,000 samples (125 words) keep one bit per unit."""
-    return max(1, bitslice._TILE_BYTES // (8 * 64) // (2 * words))
+    with both members of every pair, one width-64 engine tile
+    (:func:`tile_words`).  Units twice as wide measured slower (8
+    against 4 bits at 2,000 samples, 2 against 1 at 8,000), so 8,000
+    samples (125 words) keep one bit per unit."""
+    return max(1, tile_words(64) // (2 * words))
 
 
 def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
@@ -561,7 +561,8 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
     drawn from `cfg`.
 
     Sampled mode draws `samples` random plaintexts; exhaustive mode
-    sweeps all 2^32 plaintexts in counter order.  `rounds=0` is a
+    sweeps all 2^32 plaintexts in counter order.  Either way L is lanes
+    0..15 of a 32-lane batch and R lanes 16..31.  `rounds=0` is a
     harness self-check: the output difference then equals the input
     difference on every pair."""
     p = REDUCED_SCAN_PARAMS
@@ -581,7 +582,7 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
     total = 1 << 32 if exhaustive else samples
     zero_hits = 0
     hw1_hits = 0
-    block = _ZERO_SCAN_BLOCK_TILES * (bitslice._TILE_BYTES // (8 * p.branch_width))
+    block = _ZERO_SCAN_BLOCK_TILES * tile_words(p.branch_width)
     for chunk_idx, done, m, words in _batches(total, ZERO_SCAN_CHUNK):
         if exhaustive:
             blocks = ((bs, counter_lanes(done + 64 * bs.start, bs.stop - bs.start, 32))
@@ -590,9 +591,7 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
             rng = cfg.generator("zero_diff", delta.to_int(), rounds, chunk_idx)
             blocks = random_lane_blocks(rng, 32, words, block)
         for bs, lanes in blocks:
-            # Exhaustive: plaintext `done + j` as a 32-bit block, high half L
-            # and low half R.  Sampled: L, then R, as two 16-row draws give.
-            L, R = (lanes[16:], lanes[:16]) if exhaustive else (lanes[:16], lanes[16:])
+            L, R = lanes[:16], lanes[16:]
             valid = tail_mask(m - 64 * bs.start, bs.stop - bs.start)
             for cs, _, D in engine.pair_differences(L, R, flip, key, rounds):
                 some, many = _saturating_count(D)
@@ -657,11 +656,11 @@ def _fcore_table(params: CipherParams) -> np.ndarray:
     return out
 
 
-def exact_single_bit_output_count(delta: Block, rounds: int, key: MasterKey,
-                                  params: CipherParams = REDUCED_SCAN_PARAMS) -> int:
+def exact_single_bit_output_count(delta: Block, rounds: int, key: MasterKey) -> int:
     """Number of the 2^(2w) plaintexts P whose output difference
     E(P) xor E(P xor delta) has Hamming weight 1 after 2 or 3 rounds
-    under `key`, computed exactly from 2^w-point F_core tables.
+    under `key`, computed exactly from 2^w-point F_core tables of the
+    cipher ``CipherParams(w)``, w = ``delta.width``.
 
     With (a, b) = delta, the map (L0, R0) -> (R0, R1) is a bijection for
     a fixed key, so R0 and R1 are independent and uniform.  The
@@ -673,15 +672,16 @@ def exact_single_bit_output_count(delta: Block, rounds: int, key: MasterKey,
     Divided by 2^(2w), the count is the Markov-cipher (uniform
     plaintext) probability of Lai, Massey and Murphy (EUROCRYPT 1991).
     """
-    w = params.branch_width
-    if delta.width != w or key.width != w:
-        raise ValueError("difference/key width does not match cipher parameters")
+    w = delta.width
+    if key.width != w:
+        raise ValueError(f"key width {key.width} does not match difference width {w}")
     if delta.to_int() == 0:
         raise ValueError("input difference must be nonzero")
     if rounds not in (2, 3):
         raise ValueError("exact counts are available at rounds 2 and 3")
     if w > 20:
         raise ValueError("exact counts need branch width <= 20")
+    params = CipherParams(w)
     n = 1 << w
     F = _fcore_table(params)
     x = np.arange(n, dtype=np.int64)

@@ -136,11 +136,13 @@ class _Halves:
 
     @classmethod
     def from_hex(cls, text: str, width: int = FULL_BRANCH_WIDTH):
-        text = text.strip().lower().removeprefix("0x")
+        body = text.strip().lower().removeprefix("0x")
+        if not set(body) <= set("0123456789abcdef"):
+            raise ValueError(f"{text!r} is not a string of hex digits")
         digits = (2 * width + 3) // 4
-        if len(text) != digits:
-            raise ValueError(f"expected {digits} hex digits, got {len(text)}")
-        return cls.from_int(int(text, 16), width)
+        if len(body) != digits:
+            raise ValueError(f"expected {digits} hex digits, got {len(body)}")
+        return cls.from_int(int(body, 16), width)
 
     def to_int(self) -> int:
         high, low = self._halves()

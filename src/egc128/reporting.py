@@ -84,23 +84,14 @@ def write_report(subcommand: str, parameters: dict, results, seed: int,
 
 
 def _write_csv(results, path: Path) -> None:
-    """Flatten tabular results; scalar results become key,value rows."""
-    rows = None
-    if isinstance(results, list) and results and isinstance(results[0], dict):
-        rows = results
-    elif isinstance(results, dict):
-        tabular = [(k, v) for k, v in results.items()
-                   if isinstance(v, list) and v and not isinstance(v[0], (list, dict))]
-        if tabular and len({len(v) for _, v in tabular}) == 1:
-            names = [k for k, _ in tabular]
-            rows = [dict(zip(names, vals)) for vals in zip(*(v for _, v in tabular))]
+    """A list of records becomes one row per record; any other result
+    becomes key,value rows, each value as JSON."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if rows is not None:
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow(row.values())
+        if isinstance(results, list) and results and isinstance(results[0], dict):
+            writer.writerow(results[0].keys())
+            writer.writerows(row.values() for row in results)
         else:
             writer.writerow(["key", "value"])
             for k, v in (results if isinstance(results, dict) else {"value": results}).items():
-                writer.writerow([k, json.dumps(_jsonable(v))])
+                writer.writerow([k, json.dumps(v)])

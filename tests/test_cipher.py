@@ -1,6 +1,7 @@
 """Cipher core: test vectors, key schedule, F_core structure, reductions."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -344,6 +345,17 @@ def test_block_hex_mapping():
     assert b.hex() == "054e2db44cd3907d7c814c56070da703"
     with pytest.raises(ValueError):
         Block.from_hex("00ff")  # wrong length for the full width
+    assert Block.from_hex(" 0X0000000A ", 16) == Block(0, 10, 16)
+
+
+@pytest.mark.parametrize("text", ["0000_001", "+0000001", "-0000001", "0000 001", "0000000g",
+                                  "0x+000001", "00000١٢"])
+def test_from_hex_takes_hex_digits_only(text):
+    # Python's int(text, 16) takes "_" separators, a sign, inner spaces
+    # and non-ASCII digits; a block or key is its hex digits alone.
+    for cls in (Block, MasterKey):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            cls.from_hex(text, 16)
 
 
 def test_block_width_checks():

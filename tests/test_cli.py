@@ -1,5 +1,6 @@
 """CLI: subcommand behaviour, exit codes, report schema."""
 
+import csv
 import hashlib
 import json
 from importlib import resources
@@ -333,6 +334,10 @@ def test_diff_empirical_subcommand(tmp_path):
     ["sac", "--samples", "128", "--threads", "0"],
     ["sac", "--samples", "128", "--threads=-2"],
     ["zero-scan", "--all", "--samples", "64", "--threads", "0"],
+    ["zero-scan", "--delta", "00000001", "--rounds", "2", "--samples", "64", "--threads", "0"],
+    # Hex that Python's int() would take: a digit separator, a sign.
+    ["zero-scan", "--delta", "0000_001", "--rounds", "2", "--samples", "64"],
+    ["encrypt", "--key", "+" + TV1_KEY[1:], "--pt", TV1_KEY],
     # Vector rows with 3 fields, 5 fields and a field that is not hex.
     ["vectors", "--file", "{tmp}/short.csv"],
     ["vectors", "--file", "{tmp}/long.csv"],
@@ -424,16 +429,45 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
-@pytest.mark.parametrize("name", GOLDEN_REPORTS)
-def test_golden_report(tmp_path, capsys, monkeypatch, name):
+def _run_golden(tmp_path, monkeypatch, name, *extra):
+    """Run the golden command `name` and check its report's directory and
+    digest; returns the report and its run directory."""
     argv, run_dir, digest = GOLDEN_REPORTS[name]
     monkeypatch.chdir(tmp_path)                # nist-gen writes its relative --out-file here
-    assert main(argv + ["--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    assert main(argv + [*extra, "--seed", "0", "--out", str(tmp_path / "out")]) == 0
     (path,) = (tmp_path / "out").rglob("report.json")
     assert path.parent.name == run_dir
-    report = json.loads(path.read_text(), parse_constant=_reject_constant)
-    del report["manifest"]["timestamp"], report["manifest"]["outputs"]
+    report, stable = (json.loads(path.read_text(), parse_constant=_reject_constant)
+                      for _ in range(2))
+    del stable["manifest"]["timestamp"], stable["manifest"]["outputs"]
     if name == "lp-emit":
-        del report["results"]["path"]
-    blob = json.dumps(report, sort_keys=True).encode()
+        del stable["results"]["path"]
+    blob = json.dumps(stable, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+    return report, path.parent
+
+
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_golden_report(tmp_path, capsys, monkeypatch, name):
+    _run_golden(tmp_path, monkeypatch, name)
+
+
+@pytest.mark.parametrize("name", GOLDEN_REPORTS)
+def test_csv_holds_every_result_field(tmp_path, capsys, monkeypatch, name):
+    # A list of records is one row per record; any other result is one
+    # key,value row per field, the value as JSON.
+    report, run_dir = _run_golden(tmp_path, monkeypatch, name, "--format", "csv")
+    results = report["results"]
+    # The SAC matrix is one field of about 160 KB, over the csv module's
+    # default limit of 128 KiB.
+    limit = csv.field_size_limit(1 << 22)
+    try:
+        with open(run_dir / "results.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+    finally:
+        csv.field_size_limit(limit)
+    if isinstance(results, list):
+        assert sorted(header) == sorted(results[0]) and len(rows) == len(results)
+    else:
+        assert header == ["key", "value"]
+        assert {k: json.loads(v) for k, v in rows} == results
