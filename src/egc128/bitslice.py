@@ -22,12 +22,14 @@ block of word columns at a time, the caller's one generator jumping
 from row to row, so a caller can stream a random batch through the
 engine without a full-size input array.
 
-Cache tiling: one round loop (``BitslicedCipher._tiles``) walks the
+Cache tiling: one round loop (:meth:`BitslicedCipher.tiles`) walks the
 word axis in column tiles of ``_TILE_BYTES`` per lane array (1,024
 words at width 16, 256 at width 64) and runs every round on one tile
 before moving to the next, so the working set stays in L2 instead of
-streaming each round's temporaries through memory.  It runs k stacked
-members per tile: :meth:`BitslicedCipher.encrypt` runs k = 1, and
+streaming each round's temporaries through memory.  A caller that can
+use the output a tile at a time (the NIST stream writer) reads the
+tiles themselves.  The loop runs k stacked members per tile:
+:meth:`BitslicedCipher.encrypt` runs k = 1 and collects the tiles, and
 :meth:`BitslicedCipher.pair_differences` runs k = 2, the tile of P in
 tile columns 0..m-1 and the tile of P XOR delta in columns m..2m-1 of
 the same buffers.  Every member's L and R tiles are copied into the
@@ -330,7 +332,7 @@ class BitslicedCipher:
         Returns the (L, R) lanes after `rounds` rounds (default: the
         full schedule; 0 gives a copy of the input).
         """
-        return collect_tiles(self._tiles(L, R, key, rounds), L.shape[1])
+        return collect_tiles(self.tiles(L, R, key, rounds), L.shape[1])
 
     def pair_differences(
         self,
@@ -353,7 +355,7 @@ class BitslicedCipher:
         caller may overwrite it.
         """
         D = None
-        for cs, r, Lt, Rt in self._tiles(L, R, key, rounds, delta):
+        for cs, r, Lt, Rt in self.tiles(L, R, key, rounds, delta):
             m, w = cs.stop - cs.start, len(Lt)
             if D is None:                      # the first tile is the widest
                 D = np.empty((2 * w, m), dtype=np.uint64)
@@ -361,11 +363,14 @@ class BitslicedCipher:
             np.bitwise_xor(Lt[:, :m], Lt[:, m:], out=D[w:, :m])
             yield cs, r, D[:, :m]
 
-    def _tiles(self, L, R, key, rounds, delta=None):
+    def tiles(self, L, R, key, rounds=None, delta=None):
         """The round loop: yield (cols, r, L, R) at each wanted round r of
         each column tile, in order; L and R are views valid until the next
-        step.  With `delta`, each tile stacks two members, P and then
-        P XOR delta, so L and R hold 2m words for a tile of m columns."""
+        step; the inputs are not modified.  `key` is as for
+        :meth:`encrypt`, and `rounds` is a round count (default: the full
+        schedule) or a collection of them.  With `delta`, each tile
+        stacks two members, P and then P XOR delta, so L and R hold 2m
+        words for a tile of m columns."""
         p, pad = self.params, self._pad
         w = p.branch_width
         wanted = {p.round_count(r) for r in ([rounds] if rounds is None or np.isscalar(rounds)

@@ -241,7 +241,9 @@ def bic_correlations(samples: int, cfg: RngConfig = RngConfig()) -> BicReport:
     bits = lanes_to_bits(D)[:, :n]
     Xc = bits.astype(np.float64).T                          # (samples, 128)
     Xc -= Xc.mean(axis=0)
-    sd = Xc.std(axis=0)
+    # One 16-column block at a time: a whole-matrix std allocates a
+    # second (samples, 128) float64 array, the peak of this function.
+    sd = np.concatenate([Xc[:, j : j + 16].std(axis=0) for j in range(0, 128, 16)])
     sd[sd == 0] = 1.0
     C = (Xc.T @ Xc) / (n * np.outer(sd, sd))
     off = C[np.triu_indices(128, 1)]

@@ -8,9 +8,19 @@ Three plaintext regimes feed the fixed-key cipher:
                     counter in the low half, X_i = E_K(nonce || i).
 
 Ciphertext bits are emitted most-significant-first (block bit 127 down
-to bit 0), either as ASCII '0'/'1' characters or packed binary.
-Generation is streamed in bitsliced batches, so arbitrarily long files
-use constant memory, and a run is a pure function of (mode, key, seed).
+to bit 0), either as ASCII '0'/'1' characters or packed binary.  A run
+is a pure function of (mode, key, seed).
+
+Plaintexts come in batches of ``NIST_BATCH_BLOCKS`` blocks: a
+random-plaintext batch draws its L lanes and then its R lanes from its
+own substream ``("nist_pt", batch)``, and a counter batch builds its
+lanes from the block index.  No batch-size ciphertext array exists:
+each final-round column tile of the bitsliced engine (256 words, 16,384
+blocks at width 64) is unpacked into big-endian (L, R) blocks, its ones
+are counted on those words, and it is written, expanded to ASCII first
+if asked.  The largest arrays are therefore one batch of input lanes
+(1 MB of random plaintext) and one tile's ASCII symbols (2 MB), so
+arbitrarily long files use a few megabytes.
 """
 
 from __future__ import annotations
@@ -72,17 +82,18 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
                 R = counter_lanes(done, words, 64)
                 high = 0 if mode == "counter" else nonce
                 L = np.broadcast_to(broadcast_columns([high], 64)[0], (64, words))
-            cL, cR = _FULL_ENGINE.encrypt(L, R, key)
-            # Big-endian (L, R) words: the bytes are the blocks bit 127 first.
-            blocks = np.empty((m, 2), dtype=">u8")
-            blocks[:, 0] = unpack_words(cL, m)
-            blocks[:, 1] = unpack_words(cR, m)
-            raw = blocks.view(np.uint8).reshape(-1)
-            ones += int(np.bitwise_count(raw).sum())
-            if fmt == "ascii":
-                raw = np.unpackbits(raw)
-                raw += ord("0")
-            fh.write(raw)
+            for cs, _, cL, cR in _FULL_ENGINE.tiles(L, R, key):
+                n = min(m, 64 * cs.stop) - 64 * cs.start      # blocks of this tile
+                # Big-endian (L, R) words: the bytes are the blocks bit 127 first.
+                blocks = np.empty((n, 2), dtype=">u8")
+                blocks[:, 0] = unpack_words(cL, n)
+                blocks[:, 1] = unpack_words(cR, n)
+                ones += int(np.bitwise_count(blocks.view(np.uint64)).sum())
+                raw = blocks.view(np.uint8).reshape(-1)
+                if fmt == "ascii":
+                    raw = np.unpackbits(raw)
+                    raw += ord("0")
+                fh.write(raw)
     sigma = (ones - n_bits / 2) / (n_bits / 4) ** 0.5
     return NistStreamReport(out, mode, fmt, n_bits, ones, sigma, nonce)
 

@@ -84,13 +84,14 @@ def write_report(subcommand: str, parameters: dict, results, seed: int,
 
 
 def _write_csv(results, path: Path) -> None:
-    """A list of records becomes one row per record; any other result
-    becomes key,value rows, each value as JSON."""
+    """A list of records becomes a header and one row per record; any
+    other result becomes key,value rows.  Every value is written as
+    JSON."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if isinstance(results, list) and results and isinstance(results[0], dict):
             writer.writerow(results[0].keys())
-            writer.writerows(row.values() for row in results)
+            writer.writerows(map(json.dumps, row.values()) for row in results)
         else:
             writer.writerow(["key", "value"])
             for k, v in (results if isinstance(results, dict) else {"value": results}).items():

@@ -205,6 +205,18 @@ def test_bic_deterministic():
     assert bic_correlations(1000, CFG) == bic_correlations(1000, CFG)
 
 
+def test_bic_holds_one_float_matrix():
+    # 5,000 samples: the centred (5000, 128) float64 matrix is 4.9 MB, and
+    # a second one for the column deviations would take the peak to 10.7 MB.
+    tracemalloc.start()
+    try:
+        bic_correlations(5000, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * 2**20
+
+
 # --- empirical DP ----------------------------------------------------------------
 
 def test_empirical_dp_zero_rounds_identity():

@@ -1,11 +1,14 @@
 """Bitstream generation: formats, bit order, determinism."""
 
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from egc128 import nist
+from egc128.bitslice import random_lanes, tile_words, unpack_words
 from egc128.cipher import Cipher
 from egc128.harness import RngConfig
 from egc128.nist import generate_nist_bitstream, monobit_sigma_bound
@@ -119,6 +122,48 @@ def test_counter_streams_across_batches_match_scalar(tmp_path, mode, fmt):
     bits = _file_bits(path, fmt)
     assert "".join(map(str, bits)) == want
     assert rep.ones_count == int(bits.sum())
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "binary"])
+@pytest.mark.parametrize("mode", nist.MODES)
+def test_streams_across_tiles_match_scalar(tmp_path, mode, fmt):
+    # Batches of 20,032 blocks (counter batches start on a multiple of 64):
+    # one full engine tile of 16,384 blocks and a partial one, which in the
+    # second batch ends inside a word.  Random plaintexts are redrawn from
+    # each batch's substream, L lanes then R lanes.
+    batch, tile = 20_032, 64 * tile_words(64)
+    counts = (batch, batch - 32)
+    path = tmp_path / "s"
+    with mock.patch.object(nist, "NIST_BATCH_BLOCKS", batch):
+        rep = generate_nist_bitstream(mode, 128 * sum(counts), KEY, path, CFG, fmt=fmt)
+    bits = _file_bits(path, fmt)
+    assert rep.ones_count == int(bits.sum())
+    blocks = bits.reshape(-1, 128)
+    c = Cipher()
+    for b, count in enumerate(counts):
+        if mode == "random_pt":
+            rng = CFG.generator("nist_pt", b)
+            L = unpack_words(random_lanes(rng, 64, -(-count // 64)))
+            R = unpack_words(random_lanes(rng, 64, -(-count // 64)))
+        for i in (*range(0, count, 997), tile - 1, tile, count - 1):
+            if mode == "random_pt":
+                pt = Block(int(L[i]), int(R[i]))
+            else:
+                pt = Block(rep.nonce if mode == "nonce_counter" else 0, b * batch + i)
+            want = f"{c.encrypt_block(KEY, pt).to_int():0128b}"
+            assert "".join(map(str, blocks[b * batch + i])) == want, (b, i)
+
+
+def test_stream_memory_is_one_tile():
+    # 2^17 random-plaintext blocks in ASCII, two batches: a batch-size
+    # ciphertext array and its 8 MB of symbols would take the peak to 13 MB.
+    tracemalloc.start()
+    try:
+        generate_nist_bitstream("random_pt", 128 << 17, KEY, os.devnull, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 def test_random_pt_binary_is_packed_ascii(tmp_path):

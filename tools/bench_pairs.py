@@ -1,7 +1,8 @@
 """Alternated parent/change benchmark pairs, written to one BENCH_*.json.
 
-    python3 tools/bench_pairs.py --out BENCH_19.json \
-        --pairs zero-scan=10 stat-suite=3 keystream=3 reference=3
+    python3 tools/bench_pairs.py --out BENCH_21.json \
+        --pairs zero-scan=4 stat-suite=6 keystream=10 reference=4 \
+        --control zero-scan=3 stat-suite=3 keystream=5 reference=3
 
 Run from the root of a source checkout.  The change is this checkout's
 working tree; the parent is `--base` (default HEAD), exported with
@@ -11,6 +12,12 @@ sides at the run length of BENCHMARK.json, one pair per fresh seed
 (`--first-seed`, `--first-seed` + 1, ...), alternating which side runs
 first.  It then runs each side once at seed 0 for one pass, where
 perfbench checks every result against its committed digest.
+
+`--control` adds a control set: the same alternated pairs with the
+parent on both sides, from two separate exports, on the seeds after
+the change's pairs.  Its summary reads as the change's does, with the
+second export in the change's place, so its medians, wins and gain
+flags show how far two runs of identical code move apart on this host.
 
 The output holds the host (processor count, Python and numpy
 versions), every run's JSON line, and per workload and end-to-end
@@ -37,6 +44,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path.cwd()
+#: The two sides of a pair; in the control set both run the parent.
+SIDES = ("parent", "change")
 
 
 def git(*args: str) -> str:
@@ -76,7 +85,7 @@ def spread(values: list[float]) -> dict:
 def summarise(pairs: list[dict], metric: dict) -> dict:
     name, lower = metric["name"], metric["better"] == "lower"
     got = {side: [p[side]["metrics"][name]["value"] for p in pairs
-                  if name in p[side]["metrics"]] for side in ("parent", "change")}
+                  if name in p[side]["metrics"]] for side in SIDES}
     if not got["parent"] or len(got["parent"]) != len(got["change"]):
         return {"unit": metric["unit"], "better": metric["better"], "missing": True}
     sign = 1 if lower else -1
@@ -94,6 +103,36 @@ def summarise(pairs: list[dict], metric: dict) -> dict:
     }
 
 
+def log(line: str) -> None:
+    print(line, file=sys.stderr, flush=True)
+
+
+def run_pairs(dirs: dict, name: str, n: int, seed: int, seconds: float) -> list[dict]:
+    """`n` alternated pairs of `name` runs on seeds `seed`, `seed` + 1, ...;
+    `dirs` maps each of SIDES to the tree it runs in."""
+    pairs = []
+    for i in range(n):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"seed": seed + i, "first": order[0]}
+        for side in order:
+            pair[side] = run(dirs[side], name, seed + i, seconds)
+            log(f"{name} seed {seed + i} {side}: " + ", ".join(
+                f"{k}={v['value']:.4g}" for k, v in pair[side]["metrics"].items()))
+        pairs.append(pair)
+    return pairs
+
+
+def parse_counts(parser, option: str, items: list[str], names: list[str]) -> dict:
+    counts = {}
+    for item in items:
+        name, _, n = item.partition("=")
+        if name not in names or not n.isdigit() or int(n) < 1:
+            parser.error(f"{option} {item!r}: expected WORKLOAD=N, N >= 1, "
+                         f"WORKLOAD one of {names}")
+        counts[name] = int(n)
+    return counts
+
+
 def host_info() -> dict:
     numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                            capture_output=True, text=True).stdout.strip()
@@ -108,6 +147,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", default="HEAD", help="parent revision (default HEAD)")
     parser.add_argument("--pairs", nargs="+", default=None, metavar="WORKLOAD=N",
                         help="pairs per workload (default: 10 for every workload)")
+    parser.add_argument("--control", nargs="+", default=[], metavar="WORKLOAD=N",
+                        help="parent-vs-parent control pairs per workload (default: none)")
     parser.add_argument("--first-seed", type=int, default=1000)
     args = parser.parse_args(argv)
 
@@ -115,18 +156,10 @@ def main(argv=None) -> int:
     names = [w["name"] for w in bench["workloads"]]
     counts = dict.fromkeys(names, 10)
     if args.pairs is not None:
-        counts = {}
-        for item in args.pairs:
-            name, _, n = item.partition("=")
-            if name not in names or not n.isdigit() or int(n) < 1:
-                parser.error(f"--pairs {item!r}: expected WORKLOAD=N, N >= 1, "
-                             f"WORKLOAD one of {names}")
-            counts[name] = int(n)
+        counts = parse_counts(parser, "--pairs", args.pairs, names)
+    control = parse_counts(parser, "--control", args.control, names)
     seconds = bench["run_seconds"]
     base_commit = git("rev-parse", args.base)
-
-    def log(line):
-        print(line, file=sys.stderr, flush=True)
 
     report = {
         "command": " ".join([Path(sys.argv[0]).name] + (sys.argv[1:] if argv is None else argv)),
@@ -137,21 +170,16 @@ def main(argv=None) -> int:
         "run_seconds": seconds,
         "workloads": {},
     }
+    if control:
+        report["control"] = {}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        sides = {"parent": Path(tmp), "change": ROOT}
-        export(base_commit, sides["parent"])
+        parent, again = Path(tmp) / "parent", Path(tmp) / "again"
+        sides = {"parent": parent, "change": ROOT}
+        export(base_commit, parent)
         seed = args.first_seed
         for name, n in counts.items():
-            pairs = []
-            for i in range(n):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = run(sides[side], name, seed, seconds)
-                    log(f"{name} seed {seed} {side}: " + ", ".join(
-                        f"{k}={v['value']:.4g}" for k, v in pair[side]["metrics"].items()))
-                pairs.append(pair)
-                seed += 1
+            pairs = run_pairs(sides, name, n, seed, seconds)
+            seed += n
             seed0 = {side: run(sides[side], name, 0, 0)["correct"] for side in sides}
             report["workloads"][name] = {
                 "pairs": pairs,
@@ -160,6 +188,16 @@ def main(argv=None) -> int:
                 "metrics": {m["name"]: summarise(pairs, m) for m in bench["end_to_end"]},
             }
             log(f"{name}: " + json.dumps(report["workloads"][name]["metrics"]))
+        if control:
+            export(base_commit, again)
+        for name, n in control.items():
+            pairs = run_pairs({"parent": parent, "change": again}, name, n, seed, seconds)
+            seed += n
+            report["control"][name] = {
+                "pairs": pairs,
+                "metrics": {m["name"]: summarise(pairs, m) for m in bench["end_to_end"]},
+            }
+            log(f"{name} control: " + json.dumps(report["control"][name]["metrics"]))
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
