@@ -22,11 +22,18 @@ from .params import RULE_A_TRUTH_TABLE, CipherParams
 N_VARS = 4
 TT_SIZE = 1 << N_VARS
 
+#: Entries per array pass of the exhaustive scans: truth tables in
+#: `search_rule_candidates`, input differences in
+#: `trails.single_layer_min_weight`.
+SCAN_BLOCK = 1 << 14
+
 
 def truth_table_bits(table) -> np.ndarray:
     """(16,) + shape uint8 points f(k) of int truth tables, bit k = f(k)."""
-    bit = 1 << np.arange(TT_SIZE, dtype=np.uint16)     # pairs with any integer dtype
-    return (np.bitwise_and.outer(bit, table) != 0).astype(np.uint8)
+    t = np.asarray(table).astype(np.uint16)    # the low 16 bits, of any integer dtype
+    bits = t >> np.arange(TT_SIZE, dtype=np.uint16).reshape((-1,) + (1,) * t.ndim)
+    bits &= 1
+    return bits.astype(np.uint8)
 
 
 def _per_table(values: np.ndarray):
@@ -144,19 +151,27 @@ def search_rule_candidates(max_anf_terms: int = 7) -> CandidateSearchReport:
     """Enumerate all 65,536 truth tables and filter on balance,
     nonlinearity 4, degree 3 and ANF size.
 
-    One call of each property helper over every table at once, and the
-    differential uniformity over the selection; the result is
-    deterministic and independent of any partitioning of the table space.
+    The property helpers run over `SCAN_BLOCK` tables at a time; the
+    counts are summed, the selected tables kept in order, and the
+    differential uniformity taken over the whole selection, so the
+    result does not depend on the block size.
     """
-    tables = np.arange(1 << TT_SIZE)
-    bits = truth_table_bits(tables)              # (point, table)
-    balanced = bits.sum(axis=0) == 8
-    nl = nonlinearity(tables)
-    n_terms = moebius_transform(bits).sum(axis=0)
-    base = balanced & (nl == 4) & (algebraic_degree(bits) == 3)
-    selected = base & (n_terms <= max_anf_terms)
+    count_satisfying = count_unrestricted = max_nl = 0
+    picks = []
+    for lo in range(0, 1 << TT_SIZE, SCAN_BLOCK):
+        tables = np.arange(lo, min(lo + SCAN_BLOCK, 1 << TT_SIZE))
+        bits = truth_table_bits(tables)          # (point, table)
+        balanced = bits.sum(axis=0) == 8
+        nl = nonlinearity(tables)
+        n_terms = moebius_transform(bits).sum(axis=0)
+        base = balanced & (nl == 4) & (algebraic_degree(bits) == 3)
+        selected = base & (n_terms <= max_anf_terms)
+        count_satisfying += int(selected.sum())
+        count_unrestricted += int(base.sum())
+        max_nl = max(max_nl, int(nl.max(initial=0, where=balanced)))
+        picks.append(tables[selected])
 
-    sel = tables[selected]
+    sel = np.concatenate(picks)
     if not len(sel):
         raise ValueError(f"no balanced, nonlinearity-4, degree-3 function has at most "
                          f"{max_anf_terms} ANF terms")
@@ -165,9 +180,9 @@ def search_rule_candidates(max_anf_terms: int = 7) -> CandidateSearchReport:
     minimizers = tuple(int(t) for t in sel[du == du_min])
 
     return CandidateSearchReport(
-        count_satisfying=int(selected.sum()),
-        count_unrestricted=int(base.sum()),
-        max_balanced_nonlinearity=int(nl[balanced].max()),
+        count_satisfying=count_satisfying,
+        count_unrestricted=count_unrestricted,
+        max_balanced_nonlinearity=max_nl,
         du_min=du_min,
         minimizers=minimizers,
         max_anf_terms=max_anf_terms,

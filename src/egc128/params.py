@@ -121,6 +121,7 @@ class _Halves:
     the first two fields of the dataclasses :class:`Block` and
     :class:`MasterKey` (``_noun`` names the value in error messages)."""
 
+    __slots__ = ()
     _noun: str
 
     def __post_init__(self):
@@ -153,7 +154,7 @@ class _Halves:
         return f"{self.to_int():0{digits}x}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block(_Halves):
     """A 2*width-bit cipher block split into left and right branches."""
 
@@ -171,7 +172,7 @@ class Block(_Halves):
         return Block(self.left ^ other.left, self.right ^ other.right, self.width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MasterKey(_Halves):
     """A 2*width-bit key split into high and low halves."""
 

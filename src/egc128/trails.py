@@ -39,7 +39,7 @@ from math import log2
 
 import numpy as np
 
-from .boolfun import TT_SIZE, differential_uniformity
+from .boolfun import SCAN_BLOCK, TT_SIZE, differential_uniformity
 from .graphs import GraphTopology
 from .params import RULE_A_TRUTH_TABLE, CipherParams
 
@@ -187,10 +187,6 @@ def extrapolate_full(value: float, mode: str) -> float:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-#: Differences scored per array pass in `single_layer_min_weight`.
-_CHUNK = 1 << 16
-
-
 @dataclass(frozen=True)
 class SingleLayerReport:
     width: int
@@ -215,7 +211,7 @@ def single_layer_min_weight(width: int,
     at most `max_hamming` (the optimum sits at single-bit differences,
     and the restriction is recorded in the report).
 
-    Differences are scored as `uint64` arrays of at most `_CHUNK`
+    Differences are scored as `uint64` arrays of at most `SCAN_BLOCK`
     entries.  Vertex costs are added in vertex order from 0.0, as a
     per-difference loop would, so the weights are the same floats; ties
     go to the first difference in enumeration order.
@@ -234,8 +230,8 @@ def single_layer_min_weight(width: int,
     flip_cost = cost[:, 1] - base_cost
 
     if (1 << width) - 1 <= exhaustive_limit:
-        chunks = (np.arange(lo, min(lo + _CHUNK, 1 << width), dtype=np.uint64)
-                  for lo in range(1, 1 << width, _CHUNK))
+        chunks = (np.arange(lo, min(lo + SCAN_BLOCK, 1 << width), dtype=np.uint64)
+                  for lo in range(1, 1 << width, SCAN_BLOCK))
         restricted = None
     else:
         chunks = _bounded_weight_chunks(width, max_hamming)
@@ -268,11 +264,11 @@ def single_layer_min_weight(width: int,
 def _bounded_weight_chunks(width: int, max_hamming: int):
     """The differences of Hamming weight 1..max_hamming, by weight and
     then in lexicographic order of their bit positions, as `uint64`
-    arrays of at most `_CHUNK` entries."""
+    arrays of at most `SCAN_BLOCK` entries."""
     for hw in range(1, max_hamming + 1):
         positions = combinations(range(width), hw)
         while True:
-            flat = np.fromiter(chain.from_iterable(islice(positions, _CHUNK)), dtype=np.uint64)
+            flat = np.fromiter(chain.from_iterable(islice(positions, SCAN_BLOCK)), dtype=np.uint64)
             if not len(flat):
                 break
             yield np.bitwise_or.reduce(np.uint64(1) << flat.reshape(-1, hw), axis=1)

@@ -3,10 +3,13 @@ and iterated-layer degrees."""
 
 import functools
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from egc128 import boolfun
 from egc128.boolfun import (
     REFERENCE_DEGREE_ROWS,
     _walsh_butterflies,
@@ -248,6 +251,12 @@ def test_array_properties_match_brute_force_definitions():
     assert np.array_equal(walsh_spectrum(grid)[:, 3, 7], walsh_spectrum(int(grid[3, 7])))
 
 
+def _outer_product_bits(table) -> np.ndarray:
+    """Truth-table bits as the AND of every point's bit with the tables."""
+    bit = 1 << np.arange(16, dtype=np.uint16)
+    return (np.bitwise_and.outer(bit, table) != 0).astype(np.uint8)
+
+
 def test_single_table_properties_are_python_ints():
     nl, degree, _, _, du = _brute_force_properties()
     for t in (0x0000, 0xFFFF, 0x00FF, RULE_A_TRUTH_TABLE, 0x6996, 0x1234):
@@ -256,21 +265,50 @@ def test_single_table_properties_are_python_ints():
         assert got == (nl[t], degree[t], du[t])
         assert all(type(v) is int for v in got)
         assert truth_table_bits(t).shape == (16,) and ddt(t).shape == (16, 2)
+        assert np.array_equal(truth_table_bits(t), _outer_product_bits(t))
+    rng = np.random.default_rng(22)
     for dtype in (np.uint16, np.int32, np.uint32, np.uint64):
         assert np.array_equal(nonlinearity(ALL_TABLES[:300].astype(dtype)), nl[:300])
+        # Bits above 15, and the sign, do not reach the 16 points.
+        info = np.iinfo(dtype)
+        tables = rng.integers(info.min, info.max, 300, dtype=dtype, endpoint=True)
+        got = truth_table_bits(tables)
+        assert got.dtype == np.uint8 and np.array_equal(got, _outer_product_bits(tables))
+    grid = ALL_TABLES[:600].reshape(20, 30)
+    assert truth_table_bits(grid).shape == (16, 20, 30)
+    assert np.array_equal(truth_table_bits(grid), _outer_product_bits(grid))
 
 
 def test_search_matches_brute_force_selection():
+    # One pass over all 65,536 tables, from the definitions, against the
+    # search in its own blocks, in blocks that leave a tail, and in one.
     nl, degree, terms, _, du = _brute_force_properties()
     balanced = np.bitwise_count(ALL_TABLES) == 8
     base = balanced & (nl == 4) & (degree == 3)
-    selected = base & (terms <= 7)
-    rep = search_rule_candidates()
-    assert (rep.count_satisfying, rep.count_unrestricted) == (4158, 10080)
-    assert (int(selected.sum()), int(base.sum())) == (4158, 10080)
-    assert rep.max_balanced_nonlinearity == nl[balanced].max()
-    assert rep.du_min == du[selected].min()
-    assert set(rep.minimizers) == set(np.flatnonzero(selected & (du == rep.du_min)).tolist())
+    for max_anf_terms in (5, 6, 7, 8):
+        selected = base & (terms <= max_anf_terms)
+        minimizers = tuple(np.flatnonzero(selected & (du == du[selected].min())).tolist())
+        for block in (boolfun.SCAN_BLOCK, 5000, 1 << 16):
+            with mock.patch.object(boolfun, "SCAN_BLOCK", block):
+                rep = search_rule_candidates(max_anf_terms)
+            assert rep.count_satisfying == selected.sum()
+            assert rep.count_unrestricted == base.sum() == 10080
+            assert rep.max_balanced_nonlinearity == nl[balanced].max()
+            assert rep.du_min == du[selected].min()
+            assert rep.minimizers == minimizers
+    assert search_rule_candidates().count_satisfying == 4158
+
+
+def test_search_memory_is_one_block():
+    # A one-pass search holds (16, 65536) point arrays, and an int64 one
+    # for the truth-table bits alone took its peak to 10.6 MB.
+    tracemalloc.start()
+    try:
+        search_rule_candidates()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20
 
 
 def test_word_degree_is_the_largest_coordinate_degree():

@@ -1,7 +1,12 @@
 """Cipher core: test vectors, key schedule, F_core structure, reductions."""
 
+import copy
+import dataclasses
+import itertools
+import pickle
 import random
 import re
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -336,6 +341,64 @@ def test_schedule_deterministic():
     assert derive_round_keys(key, p) == derive_round_keys(key, p)
 
 
+def _gf2_rank(vectors) -> int:
+    basis = {}                        # leading bit -> reduced vector
+    for v in vectors:
+        while v and v.bit_length() in basis:
+            v ^= basis[v.bit_length()]
+        if v:
+            basis[v.bit_length()] = v
+    return len(basis)
+
+
+@pytest.mark.parametrize("width", [4, 5])
+def test_equivalent_keys_exhaustive(width):
+    p = CipherParams(width)
+    classes = defaultdict(set)
+    for high, low in itertools.product(range(1 << width), repeat=2):
+        classes[derive_round_keys(MasterKey(high, low, width), p)].add((high, low))
+    # The LFSR step is linear, so two keys share every round key exactly
+    # when their start states differ by a fixed point d of the step and
+    # their low halves by the same d.
+    fixed = {d for d in range(1 << width) if lfsr_step(d, p) == d}
+    for members in classes.values():
+        for high, low in members:
+            partners = {(h, low ^ lfsr_init(h) ^ lfsr_init(high)) for h in range(1 << width)
+                        if lfsr_init(h) ^ lfsr_init(high) in fixed}
+            assert partners == members
+    shared = sorted(sorted(c) for c in classes.values() if len(c) > 1)
+    if width == 5:
+        # L ^ I has full rank: only the zero-to-one rule of lfsr_init joins
+        # keys, K_high = 0 and 1 under each K_low.
+        assert fixed == {0}
+        assert shared == [[(0, low), (1, low)] for low in range(1 << width)]
+    else:
+        # The taps left at width 4 (0, 1, 3) make 1111 a fixed point.
+        assert fixed == {0, 0b1111}
+        assert len(shared) == 112 and {len(c) for c in shared} == {2, 3}
+
+
+def test_lfsr_step_minus_identity_has_full_rank_from_width_5():
+    for width in range(4, 65):
+        p = CipherParams(width)
+        rank = _gf2_rank(lfsr_step(1 << j, p) ^ 1 << j for j in range(width))
+        assert rank == (width - 1 if width == 4 else width)
+
+
+def test_full_width_equivalent_key_pairs():
+    # K_high = 0 starts the LFSR at 1, as K_high = 1 does: 2^64 pairs of
+    # equivalent keys, and no others since L ^ I has full rank.
+    p = CipherParams.full()
+    rnd = random.Random(22)
+    for _ in range(20):
+        low = rnd.getrandbits(64)
+        pt = Block(rnd.getrandbits(64), rnd.getrandbits(64))
+        k0, k1 = MasterKey(0, low), MasterKey(1, low)
+        assert derive_round_keys(k0, p) == derive_round_keys(k1, p)
+        assert EGC128.encrypt_block(k0, pt) == EGC128.encrypt_block(k1, pt)
+        assert EGC128.encrypt_block(MasterKey(2, low), pt) != EGC128.encrypt_block(k0, pt)
+
+
 # --- block mapping ----------------------------------------------------------
 
 def test_block_hex_mapping():
@@ -363,6 +426,31 @@ def test_block_width_checks():
         Block(1 << 64, 0)
     with pytest.raises(ValueError):
         MasterKey(0, 1 << 16, width=16)
+
+
+@pytest.mark.parametrize("cls", [Block, MasterKey])
+def test_halves_are_slotted_frozen_values(cls):
+    value = cls(0x0123456789ABCDEF, 0xFEDCBA9876543210)
+    first = dataclasses.fields(cls)[0].name
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, first, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(value, first)
+    # A new attribute has no slot.  Python 3.11's generated __setattr__
+    # then raises TypeError, as its super() names the pre-slots class.
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = 1
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+    with pytest.raises(ValueError):
+        dataclasses.replace(value, **{first: 1 << 64})
+    assert dataclasses.replace(value, **{first: 5}) == cls(5, 0xFEDCBA9876543210)
+    # Equality and hashing stay those of the field tuple, per class.
+    assert hash(value) == hash(dataclasses.astuple(value))
+    assert value == cls(*dataclasses.astuple(value))
+    assert value != cls(0x0123456789ABCDEF, 0xFEDCBA9876543211)
+    assert Block(1, 2) != MasterKey(1, 2) and Block(1, 2, 16) != Block(1, 2)
 
 
 # --- encryption -------------------------------------------------------------

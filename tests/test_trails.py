@@ -1,6 +1,7 @@
 """Trail bounds: OR-propagation, minimisation, weights, single layer."""
 
 import random
+import tracemalloc
 from itertools import combinations
 from math import isclose, log2
 from unittest import mock
@@ -233,6 +234,19 @@ def test_single_layer_width_equivalence():
     assert isclose(w16, w32, abs_tol=1e-9)
 
 
+@pytest.mark.parametrize("width", [16, 32])
+def test_single_layer_memory_is_one_block(width):
+    # Width 16 scores all 65,535 differences and width 32 the 41,448 of
+    # weight at most 4; arrays of that length took the peak to 3.6 MB.
+    tracemalloc.start()
+    try:
+        single_layer_min_weight(width)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
+
+
 def test_single_layer_small_width_independent_check():
     # Width 8: recompute by brute force over every nonzero difference with
     # a directly-built DDT cost model.
@@ -314,13 +328,13 @@ def _layer_cases(draw):
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(_layer_cases())
-@example((17, (-1, 1, 4), 1 << 20, 4, None))      # exhaustive over two full chunks and a tail
+@example((17, (-1, 1, 4), 1 << 20, 4, None))      # exhaustive over 16 blocks, the last one short
 @example((16, (-1, 1, 4), 1 << 20, 4, None))      # the criterion-8 instance
 @example((12, (-1, 1, 3), 1, 3, 5))               # restricted, chunks straddle the weights
 @example((8, (1, 2, 3), 1 << 13, 1, None))        # summing in another vertex order moves an ulp
 def test_single_layer_matches_per_difference_loop(case):
     width, offsets, limit, max_hamming, chunk = case
-    with mock.patch.object(trails, "_CHUNK", chunk or trails._CHUNK):
+    with mock.patch.object(trails, "SCAN_BLOCK", chunk or trails.SCAN_BLOCK):
         got = single_layer_min_weight(width, offsets, limit, max_hamming)
     want = _single_layer_loop(width, offsets, limit, max_hamming)
     assert got == want
