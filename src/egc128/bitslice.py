@@ -40,7 +40,11 @@ copied into both halves.  At each wanted round the pair path XORs the
 two halves and hands that tile's difference, in block-bit order, to its
 caller, so no full-size output or flipped batch exists.  Each call
 allocates its tile buffers once, and a round is a fixed sequence of
-in-place ufuncs on them:
+in-place ufuncs on them.  Every row view a round touches (the four
+rows F_core reads, the output rows and their uint8 view, and the two
+wraparound copies) is bound once per tile width, for each of the two
+buffers a round can write, so a round makes no view of its own; only
+a narrower last tile binds them again.
 
 * the circulant reads of F_core are slice rotations: a tile of R
   carries copies of its wraparound lanes (``_Padding``), so the lanes
@@ -49,7 +53,9 @@ in-place ufuncs on them:
   (:func:`_xor_not_f_core`), XORed straight into the L tile that becomes
   the new R, so no complemented copy of R and no F_core output exist;
 * the round key enters as one XOR with a precomputed ``(width, 1)``
-  broadcast column, which also carries F_core's final NOT;
+  broadcast column, which also carries F_core's final NOT; with one key
+  per sample the column holds the round constant, and the engine builds
+  those columns once, when it is created;
 * with one key per sample, the key-schedule LFSR is unrolled into rows
   (state r is rows r..r+width-1).  Every feedback row is built before
   round 1, in slices of width - max(tap) rows that each read only rows
@@ -231,6 +237,17 @@ def broadcast_columns(values, width: int) -> np.ndarray:
     return ((v >> np.arange(width, dtype=np.uint64)[:, None]) & _ONE) * _FULL
 
 
+def _column_bytes(values, width: int) -> np.ndarray:
+    """:func:`broadcast_columns` as read-only (len(values), width, 1) uint8
+    columns for XORing into the uint8 view of lanes.  Every lane of a
+    column is all zeros or all ones, so its first byte serves as the
+    column: numpy XORs a broadcast uint8 column about twice as fast as a
+    broadcast uint64 one."""
+    cols = broadcast_columns(values, width).view(np.uint8)[:, :, :1]
+    cols.flags.writeable = False
+    return cols
+
+
 def tail_mask(count: int, words: int) -> np.ndarray:
     """Per-word mask selecting the first `count` samples of a batch."""
     mask = np.full(words, _FULL, dtype=np.uint64)
@@ -273,27 +290,36 @@ class _Padding:
     def at(self, P: np.ndarray, shift: int = 0) -> np.ndarray:
         return P[self.lo + shift : self.lo + shift + self.width]
 
-    def wrap(self, P: np.ndarray) -> None:
-        """Refresh the padding rows of P from its lanes (slice rotation)."""
+    def reads(self, P: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rows x0..x3 of P that Rule-A reads at vertex shifts 0, s1, s2, s3."""
+        return tuple(self.at(P, s) for s in (0,) + self.shifts)
+
+    def wraps(self, P: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(destination, source) row views whose copies refresh the padding
+        rows of P from its lanes (slice rotation).  The copies are item
+        assignments: on tile-sized rows they dispatch faster than
+        ``np.copyto``."""
         lo, w = self.lo, self.width
-        np.copyto(P[:lo], P[w : w + lo])
-        np.copyto(P[lo + w :], P[lo : lo + self.hi])
+        return (P[:lo], P[w : w + lo]), (P[lo + w :], P[lo : lo + self.hi])
+
+    def wrap(self, P: np.ndarray) -> None:
+        """Refresh the padding rows of P from its lanes."""
+        for dst, src in self.wraps(P):
+            dst[...] = src
 
 
-def _xor_not_f_core(pad: _Padding, Rp, out, A, B):
-    """out ^= NOT F_core(R) for R held in the padded rows Rp; A and B are
-    scratch of the shape of out.
+def _xor_not_f_core(x0, x1, x2, x3, out, A, B):
+    """out ^= NOT F_core(R), for x0..x3 the rows of R that Rule-A reads
+    (:meth:`_Padding.reads`); A and B are scratch of the shape of out.
 
     Rule-A at vertex i reads x0 = R[i], x1 = R[i+s1], x2 = R[i+s2] and
     x3 = R[i+s3]; its complement is x2 ^ ((x1 ^ (x0 & x2)) & (x2 ^ x3)),
     five gates on uncomplemented inputs.  The final NOT is left to the
     caller, which folds it into the round-key column.
     """
-    s1, s2, s3 = pad.shifts
-    x2 = pad.at(Rp, s2)
-    np.bitwise_and(pad.at(Rp), x2, out=A)                      # x0 & x2
-    A ^= pad.at(Rp, s1)                                        # x1 ^ (x0 & x2)
-    np.bitwise_xor(x2, pad.at(Rp, s3), out=B)                  # x2 ^ x3
+    np.bitwise_and(x0, x2, out=A)                              # x0 & x2
+    A ^= x1                                                    # x1 ^ (x0 & x2)
+    np.bitwise_xor(x2, x3, out=B)                              # x2 ^ x3
     A &= B
     out ^= A
     out ^= x2
@@ -303,8 +329,17 @@ class BitslicedCipher:
     """Batch encryption engine for one parameter set."""
 
     def __init__(self, params: CipherParams | None = None):
-        self.params = params or CipherParams.full()
-        self._pad = _Padding(self.params)
+        p = self.params = params or CipherParams.full()
+        self._pad = _Padding(p)
+        # With one key per sample, column r is NOT(RC_r) (the NOT is
+        # F_core's final one), as the uint8 view that the round loop XORs
+        # (see `tiles`); read-only, since threads may share the engine.
+        self._rc_bytes = _column_bytes([rc ^ p.branch_mask for rc in p.round_constants],
+                                       p.branch_width)
+        # The key-schedule LFSR's taps past tap 0, and the rows of one
+        # feedback slice (see `tiles`).
+        self._taps = p.lfsr_taps[1:]
+        self._lfsr_slice = p.branch_width - p.lfsr_taps[-1]
 
     def f_core(self, R: np.ndarray) -> np.ndarray:
         """F_core of every sample of lanes R (width along axis 0)."""
@@ -313,7 +348,7 @@ class BitslicedCipher:
         np.copyto(pad.at(Rp), R)
         pad.wrap(Rp)
         out = np.full_like(R, _FULL)           # all ones: out ^ NOT F_core is F_core
-        _xor_not_f_core(pad, Rp, out, np.empty_like(R), np.empty_like(R))
+        _xor_not_f_core(*pad.reads(Rp), out, np.empty_like(R), np.empty_like(R))
         return out
 
     def encrypt(
@@ -385,21 +420,16 @@ class BitslicedCipher:
             raise ValueError("empty batch: L and R have no words")
         k = 1 if delta is None else 2
         if delta is not None:
-            dR, dL = np.split(np.broadcast_to(delta, (2 * w, words)), 2)
+            delta = np.broadcast_to(delta, (2 * w, words))
+            dR, dL = delta[:w], delta[w:]
 
-        # Column r is NOT(RK_r), or NOT(RC_r) with one key per sample;
-        # the NOT is F_core's final one.
         per_sample = not isinstance(key, MasterKey)
         if per_sample:
             KH, KL = key
-            consts = p.round_constants
-        else:
-            consts = derive_round_keys(key, p)
-        cols = broadcast_columns([consts[r] ^ p.branch_mask for r in range(nr)], w)
-        # Every lane of a column is all zeros or all ones, so its first byte
-        # serves as the column of a uint8 view: numpy XORs a broadcast uint8
-        # column about twice as fast as a broadcast uint64 one.
-        col_bytes = cols.view(np.uint8)[:, :, :1]
+            col_bytes = self._rc_bytes
+        else:                                  # column r is NOT(RK_r)
+            rks = derive_round_keys(key, p)
+            col_bytes = _column_bytes([rks[r] ^ p.branch_mask for r in range(nr)], w)
 
         tile = min(words, tile_words(w))
         padded = np.empty((2, pad.rows, k * tile), dtype=np.uint64)
@@ -409,45 +439,54 @@ class BitslicedCipher:
             # each step appends the feedback as row w+r.  Feedback row j
             # reads rows j-w+t for the taps t, so a slice of w - max tap
             # rows reads only rows written before it.
-            taps = p.lfsr_taps[1:]
-            lfsr_slice = w - p.lfsr_taps[-1]
             lfsr = np.empty((w + nr, k * tile), dtype=np.uint64)
             klow = np.empty((w, k * tile), dtype=np.uint64)
+        bound = 0
         for cs in column_slices(words, tile):
             m = cs.stop - cs.start
-            Lp, Rp = padded[:, :, : k * m]
-            A, B = scratch[:, :, : k * m]
-            np.copyto(pad.at(Lp)[:, :m], L[:, cs])
-            np.copyto(pad.at(Rp)[:, :m], R[:, cs])
+            if k * m != bound:                 # the first tile, or a narrower last one
+                # Every view a round touches, bound once per tile width.
+                # Round r writes buffer r % 2 from the lanes of the other.
+                bound = k * m
+                Ps = padded[:, :, :bound]
+                lanes = [pad.at(P) for P in Ps]
+                steps = [(pad.reads(Ps[1 - q]), lanes[q], lanes[q].view(np.uint8),
+                          pad.wraps(Ps[q])) for q in (0, 1)]
+                A, B = scratch[:, :, :bound]
+                if per_sample:
+                    S, KLt = lfsr[:, :bound], klow[:, :bound]
+                    key_rows = [S[r : r + w] for r in range(nr)]
+            Lt, Rt = lanes
+            np.copyto(Lt[:, :m], L[:, cs])
+            np.copyto(Rt[:, :m], R[:, cs])
             if delta is not None:
-                np.bitwise_xor(L[:, cs], dL[:, cs], out=pad.at(Lp)[:, m:])
-                np.bitwise_xor(R[:, cs], dR[:, cs], out=pad.at(Rp)[:, m:])
-            pad.wrap(Rp)
+                np.bitwise_xor(L[:, cs], dL[:, cs], out=Lt[:, m:])
+                np.bitwise_xor(R[:, cs], dR[:, cs], out=Rt[:, m:])
+            pad.wrap(Ps[1])
             if per_sample:
-                S, KLt = lfsr[:, : k * m], klow[:, : k * m]
-                for j in range(0, k * m, m):   # every member has the key
+                for j in range(0, bound, m):   # every member has the key
                     np.copyto(S[:w, j : j + m], KH[:, cs])
                     np.copyto(KLt[:, j : j + m], KL[:, cs])
                 # A zero high key half starts the LFSR at 1 (A[0] is scratch).
                 np.bitwise_or.reduce(S[:w], axis=0, out=A[0])
                 np.invert(A[0], out=A[0])
                 S[0] |= A[0]
-                for a in range(0, nr, lfsr_slice):
-                    b = min(a + lfsr_slice, nr)
+                for a in range(0, nr, self._lfsr_slice):
+                    b = min(a + self._lfsr_slice, nr)
                     feedback = S[w + a : w + b]
                     np.copyto(feedback, S[a:b])          # tap 0
-                    for t in taps:
+                    for t in self._taps:
                         feedback ^= S[a + t : b + t]
             if 0 in wanted:
-                yield cs, 0, pad.at(Lp), pad.at(Rp)
+                yield cs, 0, Lt, Rt
             for r in range(nr):
-                newR = pad.at(Lp)
-                _xor_not_f_core(pad, Rp, newR, A, B)
-                np.bitwise_xor(newR.view(np.uint8), col_bytes[r], out=newR.view(np.uint8))
+                x, out, out8, ((d0, s0), (d1, s1)) = steps[r & 1]
+                _xor_not_f_core(*x, out, A, B)
+                np.bitwise_xor(out8, col_bytes[r], out=out8)
                 if per_sample:
-                    newR ^= KLt
-                    newR ^= S[r : r + w]
-                pad.wrap(Lp)
-                Lp, Rp = Rp, Lp
+                    out ^= KLt
+                    out ^= key_rows[r]
+                d0[...] = s0
+                d1[...] = s1
                 if r + 1 in wanted:
-                    yield cs, r + 1, pad.at(Lp), pad.at(Rp)
+                    yield cs, r + 1, lanes[(r + 1) & 1], out

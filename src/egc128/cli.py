@@ -204,8 +204,9 @@ def _zero_scan(args):
         reps = [harness.reduced_zero_diff_scan(
             Block.from_hex(args.delta, 16), args.rounds, args.samples, _cfg(args),
             exhaustive=args.exhaustive)]
-        params = {"delta": args.delta, "rounds": args.rounds,
-                  "samples": args.samples, "exhaustive": args.exhaustive}
+        params = {"delta": args.delta, "rounds": args.rounds, "exhaustive": args.exhaustive}
+        if not args.exhaustive:               # an exhaustive scan ignores --samples
+            params["samples"] = args.samples
     zero = sum(r.zero_output_hits for r in reps)
     hw1 = sum(r.single_bit_output_hits or 0 for r in reps)
     return (params, reps, f"{len(reps)} combinations: {zero} zero-output hits, "

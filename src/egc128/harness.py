@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log2
 
 import numpy as np
@@ -86,8 +87,13 @@ def _run_units(worker, units, threads: int):
 
 def _random_pairs(rng: np.random.Generator, n: int, repeat: int = 1):
     """(L, R) plaintext and (KH, KL) key lanes of `n` random samples, each
-    repeated `repeat` times; drawn key high, key low, left, right."""
-    kh, kl, lw, rw = (pack_words(np.repeat(w, repeat), 64) for w in random_lanes(rng, 4, n))
+    repeated `repeat` times; drawn key high, key low, left, right.
+
+    The four arrays are packed side by side with one :func:`pack_words`
+    call, so each is a column block of one (64, 4 * words) array."""
+    lanes = pack_words(np.repeat(random_lanes(rng, 4, n), repeat, axis=1).reshape(-1), 64)
+    q = lanes.shape[1] // 4
+    kh, kl, lw, rw = (lanes[:, i * q : (i + 1) * q] for i in range(4))
     return (lw, rw), (kh, kl)
 
 
@@ -185,11 +191,12 @@ def sac_matrix(samples_per_bit: int, cfg: RngConfig = RngConfig(),
 
     def unit(first: int) -> None:
         bits = range(first, min(first + group, 128))
-        # Bit i draws (KH, KL, L, R) from its own substream, and the j-th
-        # bit of the unit takes words j*words.. of each lane array.
-        draws = [[random_lanes(rng, 64, words) for _ in range(4)]
-                 for rng in (cfg.generator("sac", samples_per_bit, i) for i in bits)]
-        KH, KL, L, R = (np.concatenate(lanes, axis=1) for lanes in zip(*draws))
+        # Bit i draws (KH, KL, L, R) from its own substream, as the row
+        # blocks of one 256-lane draw, and the j-th bit of the unit takes
+        # words j*words.. of each lane array.
+        lanes = np.concatenate([random_lanes(cfg.generator("sac", samples_per_bit, i), 256, words)
+                                for i in bits], axis=1)
+        KH, KL, L, R = (lanes[b : b + 64] for b in range(0, 256, 64))
         # Lane i of the difference flips bit i in the first n samples of
         # bit i's columns; the padding pairs differ nowhere, so flip nothing.
         delta = np.zeros((128, len(bits) * words), dtype=np.uint64)
@@ -282,14 +289,11 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
     n = samples
     (L, R), key = _random_pairs(rng, _pad64(n))
     flip = broadcast_columns([delta.right, delta.left], 64).reshape(-1, 1)
-    D, = collect_tiles(_FULL_ENGINE.pair_differences(L, R, flip, key, rounds), L.shape[1])
-    halves = np.array([unpack_words(half, n) for half in np.split(D, 2)])
-    # Sorted by (dL, dR), equal differences form runs; only the longest
-    # run and the number of runs are reported.
-    halves = halves[:, np.lexsort(halves)]
-    starts = np.flatnonzero(np.concatenate([[True], (halves[:, 1:] != halves[:, :-1]).any(axis=0)]))
-    counts = np.diff(starts, append=n)
-    max_count = int(counts.max())
+    words = L.shape[1]
+    D, = collect_tiles(_FULL_ENGINE.pair_differences(L, R, flip, key, rounds), words)
+    # One unpack of the dR lanes and the dL lanes side by side.
+    diffs = unpack_words(np.concatenate((D[:64], D[64:]), axis=1))
+    max_count, distinct = _difference_runs(diffs[64 * words : 64 * words + n], diffs[:n])
     return DpReport(
         delta=delta.hex(),
         rounds=rounds,
@@ -297,8 +301,29 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
         max_count=max_count,
         max_probability=max_count / n,
         weight_bits=0.0 - log2(max_count / n),   # -x, but 0.0 (not -0.0) at x = 0
-        distinct_output_diffs=int(len(counts)),
+        distinct_output_diffs=distinct,
     )
+
+
+def _difference_runs(dL: np.ndarray, dR: np.ndarray) -> tuple[int, int]:
+    """(largest count, number of distinct pairs) of the pairs (dL[j], dR[j]).
+
+    Sorting dL settles every sample whose dL occurs once: its pair does
+    too.  Only the samples whose dL repeats are ordered by (dL, dR), where
+    equal pairs form runs."""
+    order = np.argsort(dL)
+    same = dL[order[1:]] == dL[order[:-1]]
+    repeated = np.zeros(len(dL), dtype=bool)
+    repeated[1:] = same
+    repeated[:-1] |= same
+    sub = order[repeated]
+    if not len(sub):
+        return 1, len(dL)
+    sub = sub[np.lexsort((dR[sub], dL[sub]))]
+    l, r = dL[sub], dR[sub]
+    starts = np.flatnonzero(np.concatenate([[True], (l[1:] != l[:-1]) | (r[1:] != r[:-1])]))
+    runs = np.diff(starts, append=len(sub))
+    return int(runs.max()), len(dL) - len(sub) + len(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +670,13 @@ def zero_diff_scan_all(samples: int = 1 << 24, cfg: RngConfig = RngConfig(),
 # Exact single-bit output counts (second route for the zero-differential scan)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4)
 def _fcore_table(params: CipherParams) -> np.ndarray:
     """F_core of every branch value, evaluated vertex by vertex from
-    RULE_A_TRUTH_TABLE (independent of the word-level Rule-A formula)."""
+    RULE_A_TRUTH_TABLE (independent of the word-level Rule-A formula).
+
+    Built once per parameter set and shared, so the array is read-only;
+    a few widths stay cached (a width-20 table is 8 MB)."""
     w = params.branch_width
     x = np.arange(1 << w, dtype=np.int64)
     out = np.zeros_like(x)
@@ -655,6 +684,7 @@ def _fcore_table(params: CipherParams) -> np.ndarray:
     for i in range(w):
         idx = sum(((x >> ((i + o) % w)) & 1) << j for j, o in enumerate(reads))
         out |= ((RULE_A_TRUTH_TABLE >> idx) & 1) << i
+    out.flags.writeable = False
     return out
 
 

@@ -406,6 +406,11 @@ def _two_call_pair(engine, L, R, delta, key, snapshots):
 @settings(max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_instances(), st.integers(1, 30), st.integers(1, 4), st.booleans(), st.booleans())
+# Ragged last tiles whose rounds end in each buffer: round 1 writes one,
+# round 2 the other.
+@example((CipherParams(16, rounds=4), 1, 3, {1, 2}, True, 3), 5, 2, False, False)
+@example((CipherParams(8), 1, 2, None, False, 4), 7, 3, True, False)
+@example((CipherParams(64, rounds=3), 1, 1, None, True, 5), 3, 2, True, False)
 def test_pair_differences_match_two_encryptions(case, words, tile, lane_delta, full_schedule):
     params, _, rounds, snapshots, per_sample, seed = case
     w = params.branch_width
@@ -446,6 +451,51 @@ def test_pair_differences_match_two_encryptions(case, words, tile, lane_delta, f
     for cs, _, D in final:
         assert np.array_equal(D, want[rounds][:, cs])
     assert all(np.array_equal(a, b) for a, b in zip((L, R, KH, KL), given_inputs))
+
+
+def _piecewise(engine, L, R, key, rounds, cut):
+    """encrypt of the columns before `cut` and of those from it, each one
+    call of at most one tile, joined again; `key` as for encrypt."""
+    parts = []
+    for cs in (slice(0, cut), slice(cut, L.shape[1])):
+        k = key if isinstance(key, MasterKey) else tuple(K[:, cs] for K in key)
+        parts.append(engine.encrypt(L[:, cs], R[:, cs], k, rounds=rounds))
+    return tuple(np.concatenate(halves, axis=1) for halves in zip(*parts))
+
+
+@pytest.mark.parametrize("tile", (None, 3))
+@pytest.mark.parametrize("per_sample", (False, True))
+@pytest.mark.parametrize("params", (CipherParams.full(), CipherParams(16, rounds=4)),
+                         ids=("w64", "w16"))
+def test_narrow_last_tile_rebinds_round_views(params, per_sample, tile):
+    # tile_words(w) + 1 words: one full tile, then a tile of one word whose
+    # round views must be bound again, in both buffers.  The reference
+    # runs the two pieces as separate calls of one tile each.
+    w = params.branch_width
+    with mock.patch.object(bitslice, "_TILE_BYTES", 8 * w * (tile or tile_words(w))):
+        T = tile_words(w)
+        rng = np.random.default_rng(T + w)
+        L, R, KH, KL = (random_lanes(rng, w, T + 1) for _ in range(4))
+        KH[:, T] = 0                              # the last word takes the zero escape
+        key = (KH, KL) if per_sample else MasterKey(0x1234 & params.branch_mask, 0x77, w)
+        delta = random_lanes(rng, 2 * w, T + 1)
+        engine = BitslicedCipher(params)
+        for rounds in (1, 2, 3, 4, {1, 2, 3}):
+            snapshots = {rounds} if isinstance(rounds, int) else rounds
+            want = {}
+            for r in snapshots:
+                b = _piecewise(engine, L, R, key, r, T)
+                q = _piecewise(engine, L ^ delta[w:], R ^ delta[:w], key, r, T)
+                want[r] = np.concatenate([b[1] ^ q[1], b[0] ^ q[0]])
+                assert all(np.array_equal(g, x)
+                           for g, x in zip(engine.encrypt(L, R, key, rounds=r), b)), r
+            got = {}
+            for cs, r, D in engine.pair_differences(L, R, delta, key, rounds):
+                got.setdefault(r, []).append((cs, D.copy()))
+            assert set(got) == snapshots
+            for r, tiles in got.items():
+                assert [cs.stop - cs.start for cs, _ in tiles] == [T, 1]
+                assert np.array_equal(np.concatenate([D for _, D in tiles], axis=1), want[r])
 
 
 @pytest.mark.parametrize("b", (0, 63, 64, 100, 127))

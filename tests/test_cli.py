@@ -9,6 +9,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from egc128 import harness
 from egc128.cli import main
 from egc128.vectors import load_vectors
 
@@ -207,6 +208,26 @@ def test_zero_scan_single_combo(tmp_path, capsys):
                  "--samples", str(1 << 14), "--out", str(tmp_path)]) == 0
     report = _find_report(tmp_path)
     assert report["results"][0]["zero_output_hits"] == 0
+
+
+def test_exhaustive_zero_scan_leaves_samples_out_of_manifest(tmp_path, capsys, monkeypatch):
+    # An exhaustive scan sweeps all 2^32 plaintexts whatever --samples
+    # says, so two scans that differ only in --samples share one report
+    # directory.  The scan is stubbed: a real one takes about 40 s.
+    calls = []
+
+    def scan(delta, rounds, samples, cfg, exhaustive=False):
+        calls.append((delta.hex(), rounds, exhaustive))
+        return harness.ZeroDiffReport(delta.hex(), rounds, 1 << 32, "exhaustive", 0, 3, "00010002")
+
+    monkeypatch.setattr(harness, "reduced_zero_diff_scan", scan)
+    for samples in ("64", "4096"):
+        assert main(["zero-scan", "--delta", "00000001", "--rounds", "3", "--exhaustive",
+                     "--samples", samples, "--out", str(tmp_path)]) == 0
+    assert calls == [("00000001", 3, True)] * 2
+    (path,) = tmp_path.rglob("report.json")
+    assert json.loads(path.read_text())["manifest"]["parameters"] == {
+        "delta": "00000001", "rounds": 3, "exhaustive": True}
 
 
 def test_zero_scan_requires_args(tmp_path):

@@ -18,6 +18,7 @@ from egc128.bitslice import (
     BitslicedCipher,
     broadcast_columns,
     lanes_to_bits,
+    pack_words,
     random_lanes,
     unpack_words,
 )
@@ -95,6 +96,21 @@ def test_avalanche_matches_snapshot_sums(pairs, rounds):
     means = tuple(int(np.bitwise_count(snaps[r]).sum()) / n for r in range(rounds + 1))
     want = harness.AvalancheReport(pairs, n, means, tuple(m / 128 for m in means))
     assert avalanche_profile(pairs, rounds, CFG) == want
+
+
+@pytest.mark.parametrize("repeat", (1, 128))
+@pytest.mark.parametrize("n", (64, 5056, 8000))
+def test_random_pairs_pack_once(n, repeat):
+    # One pack_words call over the four drawn rows side by side gives what
+    # one call per row gave: pack_words(np.repeat(row, repeat), 64) for
+    # the rows (key high, key low, left, right) of random_lanes(rng, 4, n).
+    a, b = (CFG.generator("pairs", n, repeat) for _ in range(2))
+    (L, R), (KH, KL) = harness._random_pairs(a, n, repeat)
+    want = [pack_words(np.repeat(row, repeat), 64) for row in random_lanes(b, 4, n)]
+    for got, ref in zip((KH, KL, L, R), want):
+        assert got.shape == ref.shape == (64, n * repeat // 64)
+        assert np.array_equal(got, ref)
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_bit_lanes_are_one_hot_block_bits():
@@ -187,6 +203,18 @@ def test_sac_units_split_across_tiles(n):
     _assert_same_sac(got, _sac_reference(n))
 
 
+@pytest.mark.parametrize("words", (1, 32, 125))
+def test_sac_draw_is_four_lane_draws(words):
+    # Each SAC input bit draws (KH, KL, L, R) with one 256-lane call: the
+    # same raw words, in the same order, as four 64-lane calls, and the
+    # generator ends in the same state.
+    a, b = (CFG.generator("sac", 64 * words, 3) for _ in range(2))
+    one = random_lanes(a, 256, words)
+    four = [random_lanes(b, 64, words) for _ in range(4)]
+    assert np.array_equal(one, np.concatenate(four))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_sac_validates_args():
     with pytest.raises(ValueError):
         sac_matrix(50, CFG)
@@ -245,6 +273,28 @@ def test_empirical_dp_matches_counter(samples, rounds):
     if rounds == 0:
         assert rep.max_count == samples and rep.distinct_output_diffs == 1
         assert rep.weight_bits == 0.0 and math.copysign(1.0, rep.weight_bits) == 1.0
+
+
+def _difference_cases():
+    rng = np.random.default_rng(17)
+    words = rng.integers(0, 1 << 64, 600, dtype=np.uint64)
+    u64 = lambda *v: np.array(v, dtype=np.uint64)
+    return {
+        "all distinct": (words[:300], words[300:]),
+        "dL repeated, dR distinct": (np.repeat(words[:30], 10), words[300:]),
+        "duplicated pairs": (np.tile(words[:40], 5), np.tile(words[40:80], 5)),
+        "one sample": (u64(5), u64(9)),
+        "all equal": (np.full(257, 1 << 63, dtype=np.uint64), np.full(257, 7, dtype=np.uint64)),
+        "mixed": (rng.integers(0, 6, 2000, dtype=np.uint64),
+                  rng.integers(0, 6, 2000, dtype=np.uint64) << np.uint64(60)),
+    }
+
+
+@pytest.mark.parametrize("case", _difference_cases())
+def test_difference_runs_match_counter(case):
+    dL, dR = _difference_cases()[case]
+    pairs = Counter(zip(dL.tolist(), dR.tolist()))
+    assert harness._difference_runs(dL, dR) == (max(pairs.values()), len(pairs))
 
 
 def test_empirical_dp_rejects_zero_delta():
@@ -633,6 +683,16 @@ def test_exact_single_bit_count_matches_exhaustive_scalar(width, key, deltas):
             scalar = sum((enc[v] ^ enc[v ^ d]).bit_count() == 1 for v in range(n))
             exact = exact_single_bit_output_count(Block.from_int(d, width), rounds, key)
             assert exact == scalar, (rounds, hex(d))
+
+
+def test_fcore_table_is_built_once_and_read_only():
+    # The exact counts of one width share one table; a caller that wrote
+    # to it would change every later count.
+    table = harness._fcore_table(CipherParams(8))
+    assert harness._fcore_table(CipherParams(8)) is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1
 
 
 def test_exact_single_bit_count_validation():
