@@ -328,8 +328,8 @@ def _xor_not_f_core(x0, x1, x2, x3, out, A, B):
 class BitslicedCipher:
     """Batch encryption engine for one parameter set."""
 
-    def __init__(self, params: CipherParams | None = None):
-        p = self.params = params or CipherParams.full()
+    def __init__(self, params: CipherParams):
+        p = self.params = params
         self._pad = _Padding(p)
         # With one key per sample, column r is NOT(RC_r) (the NOT is
         # F_core's final one), as the uint8 view that the round loop XORs

@@ -17,6 +17,9 @@ Feistel update for round r (branches L, R; round key RK_r):
 Round keys come from a width-wide LFSR seeded with the high key half
 (with 0 mapped to 1 to avoid the degenerate all-zero state), XORed with
 the low key half and a per-round constant.
+
+A :class:`CipherParams` (width, offsets, rounds) names every instance;
+a reduced-round scalar cipher is ``Cipher(CipherParams(64, rounds=3))``.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ def _parity(x):
     return np.bitwise_count(x).astype(x.dtype) & 1
 
 
-def lfsr_step(s, params: CipherParams | None = None):
+def lfsr_step(s, params: CipherParams):
     """One LFSR update: shift right, feedback bit enters at the top.
 
     The feedback is the XOR of tap bits {0, 1, 3, 4} of the input state
@@ -102,17 +105,15 @@ def lfsr_step(s, params: CipherParams | None = None):
     Python int, or an array of states of an unsigned numpy dtype at
     least `branch_width` bits wide.
     """
-    p = params or _FULL
-    return (s >> 1) | (_parity(s & p.lfsr_tap_mask) << (p.branch_width - 1))
+    return (s >> 1) | (_parity(s & params.lfsr_tap_mask) << (params.branch_width - 1))
 
 
-def lfsr_inverse_step(s, params: CipherParams | None = None):
+def lfsr_inverse_step(s, params: CipherParams):
     """Exact inverse of :func:`lfsr_step`."""
-    p = params or _FULL
     # Output bit w-1 is the old feedback; the old bit 0 is recovered by
     # cancelling the taps t >= 1, which now sit at bits t - 1.
-    b0 = _parity(s & (p.lfsr_tap_mask >> 1 | 1 << (p.branch_width - 1)))
-    return ((s << 1) & p.branch_mask) | b0
+    b0 = _parity(s & (params.lfsr_tap_mask >> 1 | 1 << (params.branch_width - 1)))
+    return ((s << 1) & params.branch_mask) | b0
 
 
 def derive_round_keys(key: MasterKey, params: CipherParams) -> tuple[int, ...]:
@@ -131,23 +132,21 @@ def derive_round_keys(key: MasterKey, params: CipherParams) -> tuple[int, ...]:
 
 
 class Cipher:
-    """An encrypt/decrypt pair for one parameter set.
+    """An encrypt/decrypt pair for one parameter set; each call runs its whole schedule.
 
     Instances are immutable after construction and safe to share across
     threads; all methods are pure functions of their arguments.
     """
 
-    def __init__(self, params: CipherParams | None = None):
-        self.params = params or CipherParams.full()
-        self._f_core = _int_layer(self.params)
+    def __init__(self, params: CipherParams):
+        self.params = params
+        self._f_core = _int_layer(params)
 
-    def _round_keys(self, key: MasterKey, block: Block, rounds: int | None) -> tuple[int, ...]:
-        """The round keys of the first `rounds` rounds (all by default)."""
+    def _round_keys(self, key: MasterKey, block: Block) -> tuple[int, ...]:
         p = self.params
         if key.width != p.branch_width or block.width != p.branch_width:
             raise ValueError("key/block width does not match cipher parameters")
-        nr = p.round_count(rounds)
-        return derive_round_keys(key, p)[:nr]
+        return derive_round_keys(key, p)
 
     def _feistel(self, L: int, R: int, rks) -> tuple[int, int]:
         f = self._f_core
@@ -155,16 +154,15 @@ class Cipher:
             L, R = R, L ^ f(R) ^ rk
         return L, R
 
-    def encrypt_block(self, key: MasterKey, pt: Block, rounds: int | None = None) -> Block:
-        L, R = self._feistel(pt.left, pt.right, self._round_keys(key, pt, rounds))
+    def encrypt_block(self, key: MasterKey, pt: Block) -> Block:
+        L, R = self._feistel(pt.left, pt.right, self._round_keys(key, pt))
         return Block(L, R, self.params.branch_width)
 
-    def decrypt_block(self, key: MasterKey, ct: Block, rounds: int | None = None) -> Block:
+    def decrypt_block(self, key: MasterKey, ct: Block) -> Block:
         # The rounds in reverse order on the swapped block (R, L) undo
         # encryption; swapping the result back gives the plaintext.
-        R, L = self._feistel(ct.right, ct.left, reversed(self._round_keys(key, ct, rounds)))
+        R, L = self._feistel(ct.right, ct.left, reversed(self._round_keys(key, ct)))
         return Block(L, R, self.params.branch_width)
 
 
-_FULL = CipherParams.full()
-EGC128 = Cipher(_FULL)
+EGC128 = Cipher(CipherParams())

@@ -172,7 +172,7 @@ def _bic(args):
 def _diff_empirical(args):
     rep = harness.empirical_max_dp(Block.from_hex(args.delta), args.rounds, args.samples,
                                    _cfg(args))
-    return ({"delta": args.delta, "rounds": args.rounds, "samples": args.samples}, rep,
+    return ({"delta": rep.delta, "rounds": args.rounds, "samples": args.samples}, rep,
             f"max DP {rep.max_probability:.2e} (weight {rep.weight_bits:.2f} bits)", 0)
 
 
@@ -204,7 +204,7 @@ def _zero_scan(args):
         reps = [harness.reduced_zero_diff_scan(
             Block.from_hex(args.delta, 16), args.rounds, args.samples, _cfg(args),
             exhaustive=args.exhaustive)]
-        params = {"delta": args.delta, "rounds": args.rounds, "exhaustive": args.exhaustive}
+        params = {"delta": reps[0].delta, "rounds": args.rounds, "exhaustive": args.exhaustive}
         if not args.exhaustive:               # an exhaustive scan ignores --samples
             params["samples"] = args.samples
     zero = sum(r.zero_output_hits for r in reps)
@@ -221,10 +221,10 @@ def _coverage(args):
 
 
 def _nist_gen(args):
-    rep = nist.generate_nist_bitstream(
-        args.mode, args.bits, MasterKey.from_hex(args.key), args.out_file, _cfg(args),
-        fmt="binary" if args.binary else "ascii")
-    return ({"mode": args.mode, "bits": args.bits, "key": args.key, "format": rep.format,
+    key = MasterKey.from_hex(args.key)
+    rep = nist.generate_nist_bitstream(args.mode, args.bits, key, args.out_file, _cfg(args),
+                                       fmt="binary" if args.binary else "ascii")
+    return ({"mode": args.mode, "bits": args.bits, "key": key.hex(), "format": rep.format,
              "out_file": args.out_file}, rep,
             f"wrote {rep.n_bits} bits to {rep.path}; "
             f"ones {rep.ones_count} ({rep.monobit_sigma:+.2f} sigma)", 0)

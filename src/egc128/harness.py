@@ -281,6 +281,9 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
                      cfg: RngConfig = RngConfig()) -> DpReport:
     """Most frequent output difference over random plaintext pairs with
     fixed input difference, fresh random key per sample."""
+    w = _FULL_PARAMS.branch_width
+    if delta.width != w:
+        raise ValueError(f"difference has {delta.width}-bit branches, the cipher {w}-bit ones")
     if delta.to_int() == 0:
         raise ValueError("input difference must be nonzero")
     if samples < 1:

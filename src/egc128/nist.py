@@ -75,9 +75,8 @@ def generate_nist_bitstream(mode: str, n_bits: int, key: MasterKey,
     with open(out, "wb") as fh:
         for batch_idx, done, m, words in _batches(n_blocks, NIST_BATCH_BLOCKS):
             if mode == "random_pt":
-                rng = cfg.generator("nist_pt", batch_idx)
-                L = random_lanes(rng, 64, words)
-                R = random_lanes(rng, 64, words)
+                lanes = random_lanes(cfg.generator("nist_pt", batch_idx), 128, words)
+                L, R = lanes[:64], lanes[64:]
             else:
                 R = counter_lanes(done, words, 64)
                 high = 0 if mode == "counter" else nonce

@@ -69,7 +69,7 @@ def write_report(subcommand: str, parameters: dict, results, seed: int,
                  out_root: str | Path = "reports", fmt: str = "json") -> Path:
     """Write the report and return the path of its run directory."""
     manifest = build_manifest(subcommand, parameters, seed)
-    run_dir = run_directory(subcommand, parameters, seed, out_root)
+    run_dir = Path(out_root) / manifest_hash(manifest)
     run_dir.mkdir(parents=True, exist_ok=True)
     payload = {"manifest": manifest, "results": _jsonable(results)}
     report_path = run_dir / "report.json"

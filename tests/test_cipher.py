@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import itertools
 import pickle
 import random
@@ -145,8 +146,9 @@ def test_lfsr_init():
 
 
 def test_lfsr_step_examples():
-    assert lfsr_step(0x0000000000000001) == 0x8000000000000000
-    assert lfsr_step(0x8000000000000000) == 0x4000000000000000
+    p = CipherParams.full()
+    assert lfsr_step(0x0000000000000001, p) == 0x8000000000000000
+    assert lfsr_step(0x8000000000000000, p) == 0x4000000000000000
 
 
 def test_lfsr_long_run_never_zero():
@@ -494,7 +496,7 @@ def test_single_round_roundtrip_reduced():
     assert c.decrypt_block(key, c.encrypt_block(key, pt)) == pt
 
 
-# --- round overrides --------------------------------------------------------
+# --- reduced-round instances ------------------------------------------------
 
 def _naive_encrypt(p, rks, block, rounds):
     L, R = block.left, block.right
@@ -513,20 +515,23 @@ def _naive_decrypt(p, rks, block, rounds):
 
 @pytest.mark.parametrize("width", (4, 8, 16, 33, 64))
 def test_round_override_matches_naive_loop(width):
+    # The cipher of CipherParams(width, rounds=r) runs the first r rounds
+    # of the full schedule.  Round 0 is the plaintext itself; the
+    # engine's round-0 snapshot checks that.
     p = CipherParams(width)
-    c = Cipher(p)
     rnd = random.Random(width)
     for _ in range(3):
         key = MasterKey(rnd.getrandbits(width), rnd.getrandbits(width), width)
         block = Block(rnd.getrandbits(width), rnd.getrandbits(width), width)
         rks = derive_round_keys(key, p)
-        for r in range(p.rounds + 1):
-            ct = c.encrypt_block(key, block, rounds=r)
-            pt = c.decrypt_block(key, block, rounds=r)
+        for r in range(1, p.rounds + 1):
+            c = Cipher(CipherParams(width, rounds=r))
+            ct = c.encrypt_block(key, block)
+            pt = c.decrypt_block(key, block)
             assert ct == _naive_encrypt(p, rks, block, r), r
             assert pt == _naive_decrypt(p, rks, block, r), r
-            assert c.decrypt_block(key, ct, rounds=r) == block, r
-            assert c.encrypt_block(key, pt, rounds=r) == block, r
+            assert c.decrypt_block(key, ct) == block, r
+            assert c.encrypt_block(key, pt) == block, r
 
 
 @st.composite
@@ -536,38 +541,53 @@ def _family_cases(draw):
     # Any representative of a residue names the same neighbour.
     offsets = tuple(k - width if draw(st.booleans()) else k for k in residues)
     p = CipherParams(width, offsets, rounds=draw(st.integers(1, 24)))
-    rounds = draw(st.integers(0, p.rounds))
     key = MasterKey(draw(st.integers(0, p.branch_mask)), draw(st.integers(0, p.branch_mask)), width)
     block = Block(draw(st.integers(0, p.branch_mask)), draw(st.integers(0, p.branch_mask)), width)
-    return p, rounds, key, block
+    return p, key, block
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(_family_cases())
 def test_scalar_cipher_matches_naive_loop_across_family(case):
     # The doubled-word rotation depends on the width and the offsets, so
-    # the whole family is drawn, against the per-vertex F_core and the
-    # per-tap key schedule.
-    p, rounds, key, block = case
+    # the whole family is drawn, schedules of 1 to 24 rounds included,
+    # against the per-vertex F_core and the per-tap key schedule.
+    p, key, block = case
     c = Cipher(p)
     rks = _naive_schedule(key, p)
-    ct = c.encrypt_block(key, block, rounds=rounds)
-    assert ct == _naive_encrypt(p, rks, block, rounds)
-    assert c.decrypt_block(key, block, rounds=rounds) == _naive_decrypt(p, rks, block, rounds)
-    assert c.decrypt_block(key, ct, rounds=rounds) == block
+    ct = c.encrypt_block(key, block)
+    assert ct == _naive_encrypt(p, rks, block, p.rounds)
+    assert c.decrypt_block(key, block) == _naive_decrypt(p, rks, block, p.rounds)
+    assert c.decrypt_block(key, ct) == block
 
 
 @pytest.mark.parametrize("width", (4, 8, 16, 33, 64))
 def test_round_override_outside_schedule_raises(width):
+    # Only the engine selects rounds per call; a scalar cipher runs its
+    # instance's whole schedule, and an instance has at least one round.
     p = CipherParams(width)
-    key, block = MasterKey(1, 2, width), Block(3, 4, width)
+    key = MasterKey(1, 2, width)
     lanes = np.zeros((width, 1), dtype=np.uint64)
+    delta = np.zeros((2 * width, 1), dtype=np.uint64)
+    engine = BitslicedCipher(p)
     for r in (-1, p.rounds + 1):
-        for call in (lambda: Cipher(p).encrypt_block(key, block, rounds=r),
-                     lambda: Cipher(p).decrypt_block(key, block, rounds=r),
-                     lambda: BitslicedCipher(p).encrypt(lanes, lanes, key, rounds=r)):
+        for call in (lambda: engine.encrypt(lanes, lanes, key, rounds=r),
+                     lambda: next(engine.pair_differences(lanes, lanes, delta, key, r))):
             with pytest.raises(ValueError, match=rf"rounds {r} outside 0\.\.{p.rounds}"):
                 call()
+    assert list(inspect.signature(Cipher.encrypt_block).parameters) == ["self", "key", "pt"]
+    assert list(inspect.signature(Cipher.decrypt_block).parameters) == ["self", "key", "ct"]
+    for r in (-1, 0):
+        with pytest.raises(ValueError, match="round count must be >= 1"):
+            CipherParams(width, rounds=r)
+
+
+def test_every_instance_is_named_by_its_params():
+    # No constructor or LFSR step falls back to the full-width instance.
+    for call in (Cipher, BitslicedCipher, lambda: lfsr_step(1), lambda: lfsr_inverse_step(1)):
+        with pytest.raises(TypeError):
+            call()
+    assert EGC128.params == CipherParams.full()
 
 
 def test_vector_file_format():

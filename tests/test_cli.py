@@ -473,6 +473,19 @@ def test_golden_report(tmp_path, capsys, monkeypatch, name):
     _run_golden(tmp_path, monkeypatch, name)
 
 
+@pytest.mark.parametrize("name, option, spelling", [
+    ("diff-empirical", "--delta", "0x" + "0" * 31 + "1"),
+    ("zero-scan", "--delta", "0X00000001"),
+    ("nist-gen", "--key", "0x" + TV1_KEY),
+])
+def test_hex_spellings_share_one_run_directory(tmp_path, capsys, monkeypatch, name, option,
+                                               spelling):
+    # The manifest records the parsed value's canonical hex, so another
+    # spelling of the golden input (the later option wins) lands in the
+    # golden run directory with the golden report.
+    _run_golden(tmp_path, monkeypatch, name, option, spelling)
+
+
 @pytest.mark.parametrize("name", GOLDEN_REPORTS)
 def test_csv_holds_every_result_field(tmp_path, capsys, monkeypatch, name):
     # A list of records is one row per record; any other result is one

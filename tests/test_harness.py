@@ -50,7 +50,7 @@ from egc128.params import Block, CipherParams, MasterKey
 from test_bitslice import _sample, _two_call_pair
 
 CFG = RngConfig(12345)
-FULL_ENGINE = BitslicedCipher()
+FULL_ENGINE = BitslicedCipher(CipherParams.full())
 ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -300,6 +300,14 @@ def test_difference_runs_match_counter(case):
 def test_empirical_dp_rejects_zero_delta():
     with pytest.raises(ValueError):
         empirical_max_dp(Block.from_int(0), 6, 100, CFG)
+
+
+@pytest.mark.parametrize("width", [4, 16, 32])
+def test_empirical_dp_rejects_difference_of_another_width(width):
+    # The 128-bit cipher would run it in its low bits and report the
+    # result under the narrow difference's label.
+    with pytest.raises(ValueError, match=f"{width}-bit branches, the cipher 64-bit ones"):
+        empirical_max_dp(Block(0, 1, width), 3, 200, CFG)
 
 
 @pytest.mark.parametrize("samples", [0, -64])
@@ -632,12 +640,10 @@ def test_saturating_count_matches_popcount(width):
 
 def test_zero_diff_witness_pair():
     # One explicit witness, checked with the scalar cipher.
-    p = CipherParams(16, (-1, 1, 4))
-    c = Cipher(p)
+    c = Cipher(CipherParams(16, (-1, 1, 4), rounds=2))
     key = MasterKey(0x1234, 0xABCD, 16)
     pt = Block.from_hex("17156075", 16)
-    d = c.encrypt_block(key, pt, rounds=2) ^ \
-        c.encrypt_block(key, pt ^ Block.from_int(1, 16), rounds=2)
+    d = c.encrypt_block(key, pt) ^ c.encrypt_block(key, pt ^ Block.from_int(1, 16))
     assert d.to_int().bit_count() == 1
 
 
@@ -673,12 +679,10 @@ def _single_and_adjacent_bits(bits):
 def test_exact_single_bit_count_matches_exhaustive_scalar(width, key, deltas):
     # Second route: every one of the 2^(2w) plaintexts, encrypted with
     # the scalar cipher.
-    p = CipherParams(width)
-    c = Cipher(p)
     n = 1 << 2 * width
     for rounds in (2, 3):
-        enc = [c.encrypt_block(key, Block.from_int(v, width), rounds=rounds).to_int()
-               for v in range(n)]
+        c = Cipher(CipherParams(width, rounds=rounds))
+        enc = [c.encrypt_block(key, Block.from_int(v, width)).to_int() for v in range(n)]
         for d in deltas:
             scalar = sum((enc[v] ^ enc[v ^ d]).bit_count() == 1 for v in range(n))
             exact = exact_single_bit_output_count(Block.from_int(d, width), rounds, key)

@@ -9,7 +9,7 @@ import pytest
 
 from egc128 import nist
 from egc128.bitslice import random_lanes, tile_words, unpack_words
-from egc128.cipher import Cipher
+from egc128.cipher import EGC128
 from egc128.harness import RngConfig
 from egc128.nist import generate_nist_bitstream, monobit_sigma_bound
 from egc128.params import Block, MasterKey
@@ -19,7 +19,7 @@ CFG = RngConfig(99)
 
 
 def _expected_counter_bits(key, n_blocks, start=0):
-    c = Cipher()
+    c = EGC128
     out = []
     for i in range(start, start + n_blocks):
         ct = c.encrypt_block(key, Block.from_int(i))
@@ -78,7 +78,7 @@ def test_nonce_counter_mode(tmp_path):
     path = tmp_path / "n.txt"
     rep = generate_nist_bitstream("nonce_counter", 128 * 4, KEY, path, CFG)
     assert rep.nonce is not None
-    c = Cipher()
+    c = EGC128
     expected = ""
     for i in range(4):
         ct = c.encrypt_block(KEY, Block(rep.nonce, i))
@@ -115,7 +115,7 @@ def test_counter_streams_across_batches_match_scalar(tmp_path, mode, fmt):
     path = tmp_path / "s"
     with mock.patch.object(nist, "NIST_BATCH_BLOCKS", 64):
         rep = generate_nist_bitstream(mode, 128 * 130, KEY, path, CFG, fmt=fmt)
-    c = Cipher()
+    c = EGC128
     high = rep.nonce if mode == "nonce_counter" else 0
     want = "".join(f"{c.encrypt_block(KEY, Block(high, i)).to_int():0128b}"
                    for i in range(130))
@@ -139,7 +139,7 @@ def test_streams_across_tiles_match_scalar(tmp_path, mode, fmt):
     bits = _file_bits(path, fmt)
     assert rep.ones_count == int(bits.sum())
     blocks = bits.reshape(-1, 128)
-    c = Cipher()
+    c = EGC128
     for b, count in enumerate(counts):
         if mode == "random_pt":
             rng = CFG.generator("nist_pt", b)
