@@ -47,8 +47,9 @@ buffers a round can write, so a round makes no view of its own; only
 a narrower last tile binds them again.
 
 * the circulant reads of F_core are slice rotations: a tile of R
-  carries copies of its wraparound lanes (``_Padding``), so the lanes
-  read at each neighbour offset form one contiguous row range;
+  carries copies of its wraparound lanes (a row layout each engine
+  computes once, when it is created), so the lanes read at each
+  neighbour offset form one contiguous row range;
 * NOT Rule-A is five gates on those rows with no complemented input
   (:func:`_xor_not_f_core`), XORed straight into the L tile that becomes
   the new R, so no complemented copy of R and no F_core output exist;
@@ -270,47 +271,10 @@ def collect_tiles(tiles, words: int):
     return out
 
 
-class _Padding:
-    """Row layout of a tile padded with copies of its wraparound lanes.
-
-    Lane i of a width-w state sits in row ``lo + i``; rows ``0..lo-1``
-    repeat lanes ``w-lo..w-1`` and the last ``hi`` rows repeat lanes
-    ``0..hi-1``, so the lanes read at neighbour shift s form the
-    contiguous rows ``lo+s .. lo+s+w-1`` for every shift in [-lo, hi].
-    """
-
-    def __init__(self, params: CipherParams):
-        w = params.branch_width
-        self.width = w
-        self.shifts = params.shifts
-        self.lo = max(0, -min(self.shifts))
-        self.hi = max(0, *self.shifts)
-        self.rows = self.lo + w + self.hi
-
-    def at(self, P: np.ndarray, shift: int = 0) -> np.ndarray:
-        return P[self.lo + shift : self.lo + shift + self.width]
-
-    def reads(self, P: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The rows x0..x3 of P that Rule-A reads at vertex shifts 0, s1, s2, s3."""
-        return tuple(self.at(P, s) for s in (0,) + self.shifts)
-
-    def wraps(self, P: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(destination, source) row views whose copies refresh the padding
-        rows of P from its lanes (slice rotation).  The copies are item
-        assignments: on tile-sized rows they dispatch faster than
-        ``np.copyto``."""
-        lo, w = self.lo, self.width
-        return (P[:lo], P[w : w + lo]), (P[lo + w :], P[lo : lo + self.hi])
-
-    def wrap(self, P: np.ndarray) -> None:
-        """Refresh the padding rows of P from its lanes."""
-        for dst, src in self.wraps(P):
-            dst[...] = src
-
-
 def _xor_not_f_core(x0, x1, x2, x3, out, A, B):
-    """out ^= NOT F_core(R), for x0..x3 the rows of R that Rule-A reads
-    (:meth:`_Padding.reads`); A and B are scratch of the shape of out.
+    """out ^= NOT F_core(R), for x0..x3 the rows of padded R that Rule-A
+    reads (the engine's read slices, see :class:`BitslicedCipher`); A and
+    B are scratch of the shape of out.
 
     Rule-A at vertex i reads x0 = R[i], x1 = R[i+s1], x2 = R[i+s2] and
     x3 = R[i+s3]; its complement is x2 ^ ((x1 ^ (x0 & x2)) & (x2 ^ x3)),
@@ -330,7 +294,20 @@ class BitslicedCipher:
 
     def __init__(self, params: CipherParams):
         p = self.params = params
-        self._pad = _Padding(p)
+        w, shifts = p.branch_width, p.shifts
+        # Padded row layout of R: lane i sits in row lo + i; rows 0..lo-1
+        # repeat lanes w-lo..w-1 and the last hi rows repeat lanes 0..hi-1,
+        # so the lanes read at neighbour shift s form the contiguous rows
+        # lo+s .. lo+s+w-1 for every shift in [-lo, hi].  Rule-A reads
+        # rows x0..x3 at vertex shifts 0, s1, s2, s3, and copying each
+        # (destination, source) wrap pair refreshes the padding rows from
+        # the lanes (slice rotation).
+        lo, hi = max(0, -min(shifts)), max(0, *shifts)
+        self._rows = lo + w + hi
+        self._lanes = slice(lo, lo + w)
+        self._reads = tuple(slice(lo + s, lo + s + w) for s in (0,) + shifts)
+        self._wraps = ((slice(0, lo), slice(w, w + lo)),
+                       (slice(lo + w, self._rows), slice(lo, lo + hi)))
         # With one key per sample, column r is NOT(RC_r) (the NOT is
         # F_core's final one), as the uint8 view that the round loop XORs
         # (see `tiles`); read-only, since threads may share the engine.
@@ -343,12 +320,13 @@ class BitslicedCipher:
 
     def f_core(self, R: np.ndarray) -> np.ndarray:
         """F_core of every sample of lanes R (width along axis 0)."""
-        pad = self._pad
-        Rp = np.empty((pad.rows,) + R.shape[1:], dtype=np.uint64)
-        np.copyto(pad.at(Rp), R)
-        pad.wrap(Rp)
+        Rp = np.empty((self._rows,) + R.shape[1:], dtype=np.uint64)
+        np.copyto(Rp[self._lanes], R)
+        for dst, src in self._wraps:
+            Rp[dst] = Rp[src]
         out = np.full_like(R, _FULL)           # all ones: out ^ NOT F_core is F_core
-        _xor_not_f_core(*pad.reads(Rp), out, np.empty_like(R), np.empty_like(R))
+        _xor_not_f_core(*(Rp[x] for x in self._reads), out, np.empty_like(R),
+                        np.empty_like(R))
         return out
 
     def encrypt(
@@ -406,7 +384,7 @@ class BitslicedCipher:
         schedule) or a collection of them.  With `delta`, each tile
         stacks two members, P and then P XOR delta, so L and R hold 2m
         words for a tile of m columns."""
-        p, pad = self.params, self._pad
+        p = self.params
         w = p.branch_width
         wanted = {p.round_count(r) for r in ([rounds] if rounds is None or np.isscalar(rounds)
                                               else rounds)}
@@ -432,7 +410,7 @@ class BitslicedCipher:
             col_bytes = _column_bytes([rks[r] ^ p.branch_mask for r in range(nr)], w)
 
         tile = min(words, tile_words(w))
-        padded = np.empty((2, pad.rows, k * tile), dtype=np.uint64)
+        padded = np.empty((2, self._rows, k * tile), dtype=np.uint64)
         scratch = np.empty((2, w, k * tile), dtype=np.uint64)
         if per_sample:
             # Unrolled key-schedule LFSR: state S_r is rows r..r+w-1, and
@@ -449,9 +427,11 @@ class BitslicedCipher:
                 # Round r writes buffer r % 2 from the lanes of the other.
                 bound = k * m
                 Ps = padded[:, :, :bound]
-                lanes = [pad.at(P) for P in Ps]
-                steps = [(pad.reads(Ps[1 - q]), lanes[q], lanes[q].view(np.uint8),
-                          pad.wraps(Ps[q])) for q in (0, 1)]
+                lanes = [P[self._lanes] for P in Ps]
+                steps = [(tuple(Ps[1 - q][x] for x in self._reads), lanes[q],
+                          lanes[q].view(np.uint8),
+                          tuple((Ps[q][d], Ps[q][s]) for d, s in self._wraps))
+                         for q in (0, 1)]
                 A, B = scratch[:, :, :bound]
                 if per_sample:
                     S, KLt = lfsr[:, :bound], klow[:, :bound]
@@ -462,7 +442,8 @@ class BitslicedCipher:
             if delta is not None:
                 np.bitwise_xor(L[:, cs], dL[:, cs], out=Lt[:, m:])
                 np.bitwise_xor(R[:, cs], dR[:, cs], out=Rt[:, m:])
-            pad.wrap(Ps[1])
+            for dst, src in steps[1][3]:       # pad R, buffer 1, for round 1
+                dst[...] = src
             if per_sample:
                 for j in range(0, bound, m):   # every member has the key
                     np.copyto(S[:w, j : j + m], KH[:, cs])
@@ -486,7 +467,7 @@ class BitslicedCipher:
                 if per_sample:
                     out ^= KLt
                     out ^= key_rows[r]
-                d0[...] = s0
-                d1[...] = s1
+                d0[...] = s0                   # item assignments dispatch faster
+                d1[...] = s1                   # than np.copyto on tile-sized rows
                 if r + 1 in wanted:
                     yield cs, r + 1, lanes[(r + 1) & 1], out

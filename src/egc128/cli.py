@@ -67,7 +67,9 @@ def _cfg(args) -> harness.RngConfig:
 
 
 def _graph_params(args) -> dict:
-    return {"variant": args.variant, "n": args.n, "graph_seed": args.graph_seed}
+    # Only the random variant reads a seed; the others record none.
+    seed = args.graph_seed if args.variant == "random3regular" else None
+    return {"variant": args.variant, "n": args.n, "graph_seed": seed}
 
 
 def _graph(args) -> graphs.GraphTopology:
@@ -184,7 +186,7 @@ def _related_key(args):
 
 def _subspace(args):
     rep = harness.invariant_subspace_search(args.dims, args.trials, _cfg(args))
-    return ({"dims": args.dims, "trials": args.trials}, rep,
+    return ({"dims": rep.dims, "trials": args.trials}, rep,
             f"{len(args.dims) * args.trials} trials, invariants found: {rep.invariants_found}",
             0)
 
@@ -214,8 +216,11 @@ def _zero_scan(args):
 
 
 def _coverage(args):
+    # The scan reports a repeated checkpoint once per entry; a run asks for each once.
+    if len(set(args.checkpoints)) < len(args.checkpoints):
+        raise ValueError(f"checkpoints must not repeat a round, got {args.checkpoints}")
     rep = harness.truncated_coverage_scan(args.pairs, args.checkpoints, _cfg(args))
-    return ({"pairs": args.pairs, "checkpoints": args.checkpoints}, rep,
+    return ({"pairs": args.pairs, "checkpoints": rep.checkpoints}, rep,
             f"never-active counts at {list(rep.checkpoints)}: "
             f"{list(rep.never_active_counts)}", 0)
 

@@ -454,15 +454,18 @@ def invariant_subspace_search(dims, trials_per_dim: int,
         points = min(1 << k, SUBSPACE_MAX_POINTS)
         per_batch = max(1, _SUBSPACE_BATCH_POINTS // points)
         for first in range(0, trials_per_dim, per_batch):
-            bases, offsets, picks = [], [], []
+            pivots, bases, offsets, picks = [], [], [], []
             for trial in range(first, min(first + per_batch, trials_per_dim)):
                 rng = cfg.generator("subspace", k, trial)
                 words = _u64_stream(rng, k + 1)
-                bases.append(_random_basis(words, k))
+                basis = _random_basis(words, k)
+                pivots.append(list(basis))
+                bases.append(list(basis.values()))
                 offsets.append(next(words))
                 if points < 1 << k:
                     picks.append(rng.integers(0, 1 << k, points))
-            passed = _coset_check(np.array(bases, dtype=np.uint64),
+            passed = _coset_check(np.array(pivots, dtype=np.uint64),
+                                  np.array(bases, dtype=np.uint64),
                                   np.array(offsets, dtype=np.uint64), fn,
                                   np.array(picks) if picks else None)
             evals += len(bases) * points
@@ -471,14 +474,16 @@ def invariant_subspace_search(dims, trials_per_dim: int,
     return SubspaceTestReport(dims, trials_per_dim, found, tuple(examples), evals)
 
 
-def _coset_check(bases: np.ndarray, offsets: np.ndarray, fn, picks=None) -> np.ndarray:
+def _coset_check(pivots: np.ndarray, bases: np.ndarray, offsets: np.ndarray, fn,
+                 picks=None) -> np.ndarray:
     """For each trial t, whether `fn` maps the coset offsets[t] + span(bases[t])
     into a single coset of that span.
 
-    `bases` is (trials, k) in row-echelon form, ascending, as
-    `_random_basis` returns it.  Point i of a coset is its offset XOR the
-    basis vectors at the set bits of i; all 2^k points are checked, or
-    only those at the (trials, points) indices `picks`."""
+    `bases` is (trials, k) in row-echelon form, ascending, and `pivots`
+    holds each vector's leading bit, as `_random_basis` keys them.  Point
+    i of a coset is its offset XOR the basis vectors at the set bits of
+    i; all 2^k points are checked, or only those at the (trials, points)
+    indices `picks`."""
     trials, k = bases.shape
     # Doubling: points m..2m-1 are points 0..m-1 XOR the next vector.
     pts = np.empty((trials, 1 << k), dtype=np.uint64)
@@ -489,11 +494,6 @@ def _coset_check(bases: np.ndarray, offsets: np.ndarray, fn, picks=None) -> np.n
         pts = np.take_along_axis(pts, picks, 1)
     images = fn(pts.reshape(-1)).reshape(pts.shape)
     diffs = images ^ images[:, :1]
-    # A vector's pivot is its leading bit: smear it down and count the ones.
-    smear = bases.copy()
-    for s in (1, 2, 4, 8, 16, 32):
-        smear |= smear >> np.uint64(s)
-    pivots = np.bitwise_count(smear).astype(np.uint64) - _U1
     # A trial that fails nearly always fails within its first points, so
     # every trial reduces its first 64 and only the ones left reduce the rest.
     passed = np.ones(trials, dtype=bool)
@@ -519,11 +519,11 @@ def _u64_stream(rng: np.random.Generator, n: int):
         yield int(_draw_u64s(rng, 1)[0])
 
 
-def _random_basis(words, k: int) -> list[int]:
+def _random_basis(words, k: int) -> dict[int, int]:
     """The first k linearly independent 64-bit words of the iterator
     `words` (dependent ones are skipped), kept in row-echelon form (each
     has a unique leading bit), which makes coset-membership reduction
-    cheap; ascending."""
+    cheap; keyed by that leading bit, ascending."""
     echelon: dict[int, int] = {}
     for w in words:
         while w:
@@ -536,7 +536,7 @@ def _random_basis(words, k: int) -> list[int]:
             echelon[w.bit_length() - 1] = w
             if len(echelon) == k:
                 break
-    return sorted(echelon.values())
+    return dict(sorted(echelon.items()))
 
 
 # ---------------------------------------------------------------------------

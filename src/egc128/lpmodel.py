@@ -34,16 +34,9 @@ class LpModel:
     n_constraints: int
 
 
-def _lvar(r: int, i: int) -> str:
-    return f"L_{r}_{i}"
-
-
-def _rvar(r: int, i: int) -> str:
-    return f"R_{r}_{i}"
-
-
-def _svar(r: int, i: int) -> str:
-    return f"sF_{r}_{i}"
+def _var(kind: str, r: int, i: int) -> str:
+    """Name of variable `kind` (L, R or sF) of round r at vertex i."""
+    return f"{kind}_{r}_{i}"
 
 
 def emit_lp_model(mode: str, rounds: int, g: GraphTopology, out: str | Path) -> LpModel:
@@ -62,7 +55,7 @@ def emit_lp_model(mode: str, rounds: int, g: GraphTopology, out: str | Path) -> 
     lines.append(f"\\ truncated {mode} trail bound model")
     lines.append(f"\\ interaction graph: {g.variant}, n={n}, rounds={rounds}")
     lines.append("Minimize")
-    obj_terms = " + ".join(_svar(r, i) for r in range(rounds) for i in range(n))
+    obj_terms = " + ".join(_var("sF", r, i) for r in range(rounds) for i in range(n))
     lines.append(" obj: " + obj_terms)
     lines.append("Subject To")
 
@@ -75,35 +68,28 @@ def emit_lp_model(mode: str, rounds: int, g: GraphTopology, out: str | Path) -> 
 
     for r in range(rounds):
         for i in range(n):
-            reads = (i, *g.read_sets[i])
-            for j in reads:
-                con(f"{_svar(r, i)} - {_rvar(r, j)} >= 0")
-            rhs = " - ".join(_rvar(r, j) for j in reads)
-            con(f"{_svar(r, i)} - {rhs} <= 0")
-            con(f"{_lvar(r + 1, i)} - {_rvar(r, i)} = 0")
-            con(f"{_rvar(r + 1, i)} - {_lvar(r, i)} >= 0")
-            con(f"{_rvar(r + 1, i)} - {_svar(r, i)} >= 0")
-            con(f"{_rvar(r + 1, i)} - {_lvar(r, i)} - {_svar(r, i)} <= 0")
+            s = _var("sF", r, i)
+            reads = [_var("R", r, j) for j in (i, *g.read_sets[i])]
+            for x in reads:
+                con(f"{s} - {x} >= 0")
+            con(f"{s} - {' - '.join(reads)} <= 0")
+            l0, r0, l1, r1 = (_var(kind, q, i) for q in (r, r + 1) for kind in "LR")
+            con(f"{l1} - {r0} = 0")
+            con(f"{r1} - {l0} >= 0")
+            con(f"{r1} - {s} >= 0")
+            con(f"{r1} - {l0} - {s} <= 0")
 
-    l0_sum = " + ".join(_lvar(0, i) for i in range(n))
-    r0_sum = " + ".join(_rvar(0, i) for i in range(n))
+    l0_sum, r0_sum = (" + ".join(_var(kind, 0, i) for i in range(n)) for kind in "LR")
     if mode == "differential":
         con(f"{l0_sum} >= 1")
         con(f"{r0_sum} >= 1")
     else:
         con(f"{l0_sum} + {r0_sum} >= 1")
-    out_sum = " + ".join(
-        f"{_lvar(rounds, i)} + {_rvar(rounds, i)}" for i in range(n)
-    )
-    con(f"{out_sum} >= 1")
+    con(" + ".join(_var(kind, rounds, i) for i in range(n) for kind in "LR") + " >= 1")
 
     lines.append("Binary")
-    names = []
-    for r in range(rounds + 1):
-        names.extend(_lvar(r, i) for i in range(n))
-        names.extend(_rvar(r, i) for i in range(n))
-    for r in range(rounds):
-        names.extend(_svar(r, i) for i in range(n))
+    names = [_var(kind, r, i) for r in range(rounds + 1) for kind in "LR" for i in range(n)]
+    names += [_var("sF", r, i) for r in range(rounds) for i in range(n)]
     for k in range(0, len(names), 8):
         lines.append(" " + " ".join(names[k : k + 8]))
     lines.append("End")

@@ -73,6 +73,15 @@ def test_missing_when_one_side_lacks_the_metric():
     assert bench_pairs.summarise(_pairs([1.0], [1.0], "other"), LOWER)["missing"]
 
 
+def test_missing_when_each_side_lacks_the_metric_in_another_pair():
+    # Parent (1.0, -, 1.0) against change (-, 5.0, 0.9): both lists have two
+    # values, but only the third pair has both sides, so no value of one
+    # seed is paired with a value of another.
+    pairs = _pairs([1.0, 1.0, 1.0], [1.0, 5.0, 0.9])
+    del pairs[1]["parent"]["metrics"]["wall_s"], pairs[0]["change"]["metrics"]["wall_s"]
+    assert bench_pairs.summarise(pairs, LOWER)["missing"]
+
+
 def test_spread_of_one_value_is_that_value():
     assert bench_pairs.spread([0.6]) == {"median": 0.6, "q1": 0.6, "q3": 0.6}
 

@@ -325,6 +325,12 @@ def _instances(draw):
     return params, words, rounds, snapshots, per_sample, seed
 
 
+#: Shifts of one sign: all positive leave the padded tile no rows below the
+#: lanes, all negative none above them, so one wrap copy is empty.
+_NO_LOW_PADDING = (CipherParams(16, (1, 2, 3)), 3, 20, {0, 1, 20}, True, 7)
+_NO_HIGH_PADDING = (CipherParams(16, (-1, -2, -3)), 3, 20, {2, 19}, False, 8)
+
+
 def _sample(lanes: np.ndarray, j: int) -> int:
     bits = (lanes[:, j // 64] >> np.uint64(j % 64)) & np.uint64(1)
     return sum(int(b) << i for i, b in enumerate(bits))
@@ -333,6 +339,8 @@ def _sample(lanes: np.ndarray, j: int) -> int:
 @settings(max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_instances())
+@example(_NO_LOW_PADDING)
+@example(_NO_HIGH_PADDING)
 def test_bitsliced_matches_scalar_property(case):
     params, words, rounds, snapshots, per_sample, seed = case
     w = params.branch_width
@@ -364,6 +372,8 @@ def test_bitsliced_matches_scalar_property(case):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_instances())
 @example((CipherParams(12, (-5, 1, 3)), 2, 0, None, False, 5))
+@example(_NO_LOW_PADDING)
+@example(_NO_HIGH_PADDING)
 def test_f_core_matches_scalar(case):
     params, words, _, _, _, seed = case
     w = params.branch_width

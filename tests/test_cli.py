@@ -257,7 +257,7 @@ def test_coverage_subcommand(tmp_path):
     assert report["results"]["never_active_counts"][-1] == 0
 
 
-@pytest.mark.parametrize("checkpoints", ["25", "10,21", "-1"])
+@pytest.mark.parametrize("checkpoints", ["25", "10,21", "-1", "5,5"])
 def test_coverage_rejects_checkpoints_outside_schedule(tmp_path, capsys, checkpoints):
     assert main(["coverage", "--pairs", "500", "--checkpoints", checkpoints,
                  "--out", str(tmp_path)]) == 2
@@ -484,6 +484,29 @@ def test_hex_spellings_share_one_run_directory(tmp_path, capsys, monkeypatch, na
     # spelling of the golden input (the later option wins) lands in the
     # golden run directory with the golden report.
     _run_golden(tmp_path, monkeypatch, name, option, spelling)
+
+
+@pytest.mark.parametrize("name, option, value", [
+    ("subspace", "--dims", "4,2"),
+    ("coverage", "--checkpoints", "10,5"),
+    ("bounds", "--graph-seed", "5"),
+    ("lp-emit", "--graph-seed", "5"),
+])
+def test_list_order_and_unread_seed_share_one_run_directory(tmp_path, capsys, monkeypatch,
+                                                            name, option, value):
+    # The manifest records a list input in the order the analysis reads it
+    # (sorted), and a graph seed only for the random variant, so another
+    # order, or a seed for a seedless variant, lands in the golden run
+    # directory with the golden report.
+    _run_golden(tmp_path, monkeypatch, name, option, value)
+
+
+def test_graph_seed_of_seedless_variant_shares_one_run_directory(tmp_path, capsys):
+    for seed in ([], ["--graph-seed", "5"]):
+        assert main(["graph", "--n", "16", "--out", str(tmp_path), *seed]) == 0
+    # The baseline variant ignores the seed, so both runs share one directory;
+    # the golden graph report keeps the random variant's seed.
+    assert len(list(tmp_path.rglob("report.json"))) == 1
 
 
 @pytest.mark.parametrize("name", GOLDEN_REPORTS)

@@ -445,10 +445,13 @@ def test_draw_u64s_matches_two_scalar_draws_per_word(spent):
 def test_random_basis_skips_dependent_words():
     # 0b110 = 0b011 ^ 0b101 and 0 add nothing; the word after the basis is left.
     words = iter([0, 0b011, 0b101, 0b110, 0b1000, 7])
-    assert harness._random_basis(words, 3) == [0b011, 0b101, 0b1000]
+    basis = harness._random_basis(words, 3)
+    assert list(basis.items()) == [(1, 0b011), (2, 0b101), (3, 0b1000)]
     assert next(words) == 7
-    # Each word is stored reduced by the ones before it: one leading bit each.
-    assert harness._random_basis(iter([0b110, 0b101]), 2) == [0b011, 0b110]
+    # Each word is stored reduced by the ones before it, keyed by its one
+    # leading bit, ascending.
+    basis = harness._random_basis(iter([0b110, 0b101]), 2)
+    assert list(basis.items()) == [(1, 0b011), (2, 0b110)]
 
 
 def _period_basis(p: int) -> list[int]:
@@ -465,12 +468,14 @@ def test_coset_check_accepts_period_subspaces(p):
     bases = [_period_basis(p)]
     if p >= 2:
         bases.append(bases[0][:-1] + [bases[0][-1] ^ 1])
+    pivots = np.array([[64 - p + j for j in range(p)]] * len(bases), dtype=np.uint64)
     bases = np.array(bases, dtype=np.uint64)
     offsets = np.zeros(len(bases), dtype=np.uint64)
     picks = None
     if 1 << p > SUBSPACE_MAX_POINTS:
         picks = np.random.default_rng(p).integers(0, 1 << p, (len(bases), SUBSPACE_MAX_POINTS))
-    passed = harness._coset_check(bases, offsets, lambda x: f_core(x, CipherParams.full()), picks)
+    passed = harness._coset_check(pivots, bases, offsets,
+                                  lambda x: f_core(x, CipherParams.full()), picks)
     assert passed.tolist() == [True, False][:len(bases)]
 
 

@@ -84,13 +84,15 @@ def spread(values: list[float]) -> dict:
 
 def summarise(pairs: list[dict], metric: dict) -> dict:
     name, lower = metric["name"], metric["better"] == "lower"
-    got = {side: [p[side]["metrics"][name]["value"] for p in pairs
-                  if name in p[side]["metrics"]] for side in SIDES}
-    if not got["parent"] or len(got["parent"]) != len(got["change"]):
+    # Values pair up only within a pair (one seed); a pair where either
+    # side lacks the metric leaves it missing.
+    both = [tuple(p[side]["metrics"][name]["value"] for side in SIDES) for p in pairs
+            if all(name in p[side]["metrics"] for side in SIDES)]
+    if not both or len(both) < len(pairs):
         return {"unit": metric["unit"], "better": metric["better"], "missing": True}
     sign = 1 if lower else -1
-    wins = sum(sign * (c - p) < 0 for p, c in zip(got["parent"], got["change"]))
-    parent, change = spread(got["parent"]), spread(got["change"])
+    wins = sum(sign * (c - p) < 0 for p, c in both)
+    parent, change = map(spread, zip(*both))
     gap = sign * (parent["median"] - change["median"])
     bound = metric["bound"] * parent["median"]
     return {
