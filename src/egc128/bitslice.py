@@ -34,17 +34,21 @@ tiles themselves.  The loop runs k stacked members per tile:
 tile columns 0..m-1 and the tile of P XOR delta in columns m..2m-1 of
 the same buffers.  Every member's L and R tiles are copied into the
 padded buffers before round 1, so every round reads and writes only
-those buffers.  A round is then one ufunc sequence over 2m words, a
-round key broadcasts over both members, and a per-sample key tile is
-copied into both halves.  At each wanted round the pair path XORs the
-two halves and hands that tile's difference, in block-bit order, to its
-caller, so no full-size output or flipped batch exists.  Each call
-allocates its tile buffers once, and a round is a fixed sequence of
-in-place ufuncs on them.  Every row view a round touches (the four
-rows F_core reads, the output rows and their uint8 view, and the two
-wraparound copies) is bound once per tile width, for each of the two
-buffers a round can write, so a round makes no view of its own; only
-a narrower last tile binds them again.
+those buffers.  A difference comes the way a key does: a
+:class:`~egc128.params.Block` that every pair shares, or (2w, words)
+lanes with one difference per sample.  A shared one enters member 2 as
+one XOR of member 1's copied tile with a read-only byte column, built
+as the round-key columns are.  A round is then one ufunc sequence over
+2m words, a round key broadcasts over both members, and a per-sample
+key tile is copied into both halves.  At each wanted round the pair
+path XORs the two halves and hands that tile's difference, in
+block-bit order, to its caller, so no full-size output or flipped
+batch exists.  Each call allocates its tile buffers once, and a round
+is a fixed sequence of in-place ufuncs on them.  Every row view a
+round touches (the four rows F_core reads, the output rows and their
+uint8 view, and the two wraparound copies) is bound once per tile
+width, for each of the two buffers a round can write, so a round makes
+no view of its own; only a narrower last tile binds them again.
 
 * the circulant reads of F_core are slice rotations: a tile of R
   carries copies of its wraparound lanes (a row layout each engine
@@ -77,7 +81,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cipher import derive_round_keys
-from .params import CipherParams, MasterKey
+from .params import Block, CipherParams, MasterKey
 
 _ONE = np.uint64(1)
 _FULL = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -351,7 +355,7 @@ class BitslicedCipher:
         self,
         L: np.ndarray,
         R: np.ndarray,
-        delta: np.ndarray,
+        delta: Block | np.ndarray,
         key: MasterKey | tuple[np.ndarray, np.ndarray],
         rounds=None,
     ):
@@ -359,9 +363,10 @@ class BitslicedCipher:
         from the (L, R) lanes, tile by tile.
 
         Differences are (2w, .) lanes in block-bit order (bit b of
-        :meth:`Block.to_int` in row b: R, then L).  `delta` is such a lane
-        array or a (2w, 1) broadcast column; `key` is as for
-        :meth:`encrypt`.  `rounds` is a round count (default: the full
+        :meth:`Block.to_int` in row b: R, then L).  Like `key`, `delta` is
+        either a :class:`Block` that every pair shares or such a
+        (2w, words) lane array with one difference per sample (any other
+        shape raises ValueError); `key` is as for :meth:`encrypt`.  `rounds` is a round count (default: the full
         schedule) or a collection of them.  Yields (cols, r, D): the
         difference at each listed round r of the word columns `cols`.  D
         is scratch of the generator, valid until the next step; the
@@ -383,7 +388,8 @@ class BitslicedCipher:
         :meth:`encrypt`, and `rounds` is a round count (default: the full
         schedule) or a collection of them.  With `delta`, each tile
         stacks two members, P and then P XOR delta, so L and R hold 2m
-        words for a tile of m columns."""
+        words for a tile of m columns; `delta` is a :class:`Block` or
+        (2w, words) lanes, as for :meth:`pair_differences`."""
         p = self.params
         w = p.branch_width
         wanted = {p.round_count(r) for r in ([rounds] if rounds is None or np.isscalar(rounds)
@@ -397,8 +403,15 @@ class BitslicedCipher:
         if not words:
             raise ValueError("empty batch: L and R have no words")
         k = 1 if delta is None else 2
-        if delta is not None:
-            delta = np.broadcast_to(delta, (2 * w, words))
+        if isinstance(delta, Block):           # R's byte column, then L's
+            if delta.width != w:
+                raise ValueError(f"difference has {delta.width}-bit branches, "
+                                 f"the cipher {w}-bit ones")
+            dR, dL = _column_bytes([delta.right, delta.left], w)
+        elif delta is not None:
+            if np.shape(delta) != (2 * w, words):
+                raise ValueError(f"delta must be a Block or ({2 * w}, {words}) lanes, "
+                                 f"got shape {np.shape(delta)}")
             dR, dL = delta[:w], delta[w:]
 
         per_sample = not isinstance(key, MasterKey)
@@ -439,7 +452,10 @@ class BitslicedCipher:
             Lt, Rt = lanes
             np.copyto(Lt[:, :m], L[:, cs])
             np.copyto(Rt[:, :m], R[:, cs])
-            if delta is not None:
+            if isinstance(delta, Block):       # member 2 is member 1 XOR its column
+                for (_, _, t8, _), d in zip(steps, (dL, dR)):
+                    np.bitwise_xor(t8[:, : 8 * m], d, out=t8[:, 8 * m :])
+            elif delta is not None:
                 np.bitwise_xor(L[:, cs], dL[:, cs], out=Lt[:, m:])
                 np.bitwise_xor(R[:, cs], dR[:, cs], out=Rt[:, m:])
             for dst, src in steps[1][3]:       # pad R, buffer 1, for round 1

@@ -13,12 +13,13 @@ import argparse
 import re
 import sys
 from dataclasses import dataclass
+from math import gcd
 from pathlib import Path
 from typing import Callable
 
 from . import boolfun, graphs, harness, lpmodel, nist, trails, vectors
 from .cipher import EGC128
-from .params import Block, MasterKey
+from .params import Block, CipherParams, MasterKey
 from .reporting import run_directory, write_report
 
 USAGE_ERROR = 2
@@ -101,8 +102,20 @@ def _rule_search(args):
             f"min DU {rep.du_min}, rule-A selected: {rep.rule_a_selected}", 0)
 
 
+def _connected_offsets(args) -> tuple[int, int, int]:
+    """The offsets of `--width` and `--offsets`, which must make one
+    connected interaction graph: with g = gcd(o1, o2, o3, width) above 1
+    it splits into g independent layers of width/g vertices."""
+    offsets = CipherParams(args.width, args.offsets).offsets
+    g = gcd(args.width, *offsets)
+    if g > 1:
+        raise ValueError(f"offsets {offsets} at width {args.width}: gcd{(*offsets, args.width)}"
+                         f" = {g}, so the interaction graph splits into {g} disconnected layers")
+    return offsets
+
+
 def _degree(args):
-    rep = boolfun.degree_growth_report(args.width, args.rounds, args.offsets)
+    rep = boolfun.degree_growth_report(args.width, args.rounds, _connected_offsets(args))
     return ({"width": args.width, "rounds": args.rounds, "offsets": rep.offsets}, rep,
             f"width {args.width} degrees: {list(rep.degrees)} "
             f"(reference match: {rep.matches_reference})", 0)
@@ -143,8 +156,8 @@ def _lp_emit(args):
 
 def _single_layer(args):
     rep = trails.single_layer_min_weight(
-        args.width, args.offsets, exhaustive_limit=(1 << 62) if args.full else (1 << 20),
-        max_hamming=args.max_hamming)
+        args.width, _connected_offsets(args),
+        exhaustive_limit=(1 << 62) if args.full else (1 << 20), max_hamming=args.max_hamming)
     return ({"width": args.width, "offsets": rep.offsets, "max_hamming": args.max_hamming,
              "full": args.full},
             rep, f"width {args.width}: min weight {rep.min_weight_bits:.3f} bits", 0)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .bitslice import (
     BitslicedCipher,
-    broadcast_columns,
     collect_tiles,
     column_slices,
     counter_lanes,
@@ -38,6 +37,7 @@ _FULL_PARAMS = CipherParams.full()
 # The engine keeps no per-call state, so threads may share it.
 _FULL_ENGINE = BitslicedCipher(_FULL_PARAMS)
 _U1 = np.uint64(1)
+_U32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,18 @@ class RngConfig:
 
 def _draw_u64s(rng: np.random.Generator, n: int) -> np.ndarray:
     """`n` uniform 64-bit words from 2n 32-bit draws, high half first: the
-    words that n pairs of scalar `rng.integers(0, 2**32)` draws give."""
-    halves = rng.integers(0, 1 << 32, 2 * n, dtype=np.uint64)
-    return halves[0::2] << np.uint64(32) | halves[1::2]
+    words that n pairs of scalar `rng.integers(0, 2**32)` draws give.
+
+    A 32-bit draw is the low half of a raw 64-bit output and the next one
+    its buffered high half, so with no half buffered the words are the
+    next `n` raw outputs with their halves swapped, and the generator
+    ends in the same state; that skips the fixed cost of `integers`."""
+    bg = rng.bit_generator
+    if bg.state["has_uint32"]:               # the buffered half comes first
+        halves = rng.integers(0, 1 << 32, 2 * n, dtype=np.uint64)
+        return halves[0::2] << _U32 | halves[1::2]
+    raw = bg.random_raw(n)
+    return raw << _U32 | raw >> _U32
 
 
 def _pad64(n: int) -> int:
@@ -281,9 +290,6 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
                      cfg: RngConfig = RngConfig()) -> DpReport:
     """Most frequent output difference over random plaintext pairs with
     fixed input difference, fresh random key per sample."""
-    w = _FULL_PARAMS.branch_width
-    if delta.width != w:
-        raise ValueError(f"difference has {delta.width}-bit branches, the cipher {w}-bit ones")
     if delta.to_int() == 0:
         raise ValueError("input difference must be nonzero")
     if samples < 1:
@@ -291,9 +297,8 @@ def empirical_max_dp(delta: Block, rounds: int, samples: int,
     rng = cfg.generator("empirical_dp", delta.to_int(), rounds, samples)
     n = samples
     (L, R), key = _random_pairs(rng, _pad64(n))
-    flip = broadcast_columns([delta.right, delta.left], 64).reshape(-1, 1)
     words = L.shape[1]
-    D, = collect_tiles(_FULL_ENGINE.pair_differences(L, R, flip, key, rounds), words)
+    D, = collect_tiles(_FULL_ENGINE.pair_differences(L, R, delta, key, rounds), words)
     # One unpack of the dR lanes and the dL lanes side by side.
     diffs = unpack_words(np.concatenate((D[:64], D[64:]), axis=1))
     max_count, distinct = _difference_runs(diffs[64 * words : 64 * words + n], diffs[:n])
@@ -586,9 +591,11 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
                            samples: int = 1 << 24,
                            cfg: RngConfig = RngConfig(),
                            exhaustive: bool = False) -> ZeroDiffReport:
-    """Count plaintext pairs with zero (and, at rounds 2-3, single-bit)
-    output difference on the reduced 32-bit cipher under a fixed key
-    drawn from `cfg`.
+    """Count plaintext pairs with zero (and, at rounds 0, 2 and 3,
+    single-bit) output difference on the reduced 32-bit cipher under a
+    fixed key drawn from `cfg`.  A rounds-4 scan counts only zero
+    outputs, so it reduces each tile to the OR of its difference lanes
+    instead of counting to two.
 
     Sampled mode draws `samples` random plaintexts; exhaustive mode
     sweeps all 2^32 plaintexts in counter order.  Either way L is lanes
@@ -607,7 +614,6 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
     krng = cfg.generator("zero_diff_key")
     key = MasterKey(int(krng.integers(1, 1 << 16)), int(krng.integers(0, 1 << 16)), 16)
     engine = BitslicedCipher(p)
-    flip = broadcast_columns([delta.right, delta.left], p.branch_width).reshape(-1, 1)
     check_hw1 = rounds in (0, 2, 3)
     total = 1 << 32 if exhaustive else samples
     zero_hits = 0
@@ -623,12 +629,14 @@ def reduced_zero_diff_scan(delta: Block, rounds: int,
         for bs, lanes in blocks:
             L, R = lanes[:16], lanes[16:]
             valid = tail_mask(m - 64 * bs.start, bs.stop - bs.start)
-            for cs, _, D in engine.pair_differences(L, R, flip, key, rounds):
-                some, many = _saturating_count(D)
+            for cs, _, D in engine.pair_differences(L, R, delta, key, rounds):
                 v = valid[cs]
-                zero_hits += int(np.bitwise_count(~some & v).sum())
                 if check_hw1:
+                    some, many = _saturating_count(D)
                     hw1_hits += int(np.bitwise_count(some & ~many & v).sum())
+                else:                          # only zero outputs count
+                    some = np.bitwise_or.reduce(D, axis=0)
+                zero_hits += int(np.bitwise_count(~some & v).sum())
     return ZeroDiffReport(
         delta=delta.hex(),
         rounds=rounds,

@@ -65,6 +65,29 @@ def test_within_bound_is_relative_to_the_parent_median():
     assert bench_pairs.summarise(_pairs(parent, [0.5] * 4), LOWER)["within_bound"]
 
 
+def test_gain_must_also_exceed_the_control_gap():
+    # A 0.2 MB drop in all 10 pairs with no spread is a gain on its own,
+    # but not beside a control set whose two exports of one tree sit
+    # 0.3 MB apart; a 0.1 MB control gap lets it stand.
+    rss = dict(LOWER, name="peak_rss_mb", unit="MB")
+    pairs = _pairs([42.7] * 10, [42.5] * 10, "peak_rss_mb")
+    alone = bench_pairs.summarise(pairs, rss)
+    assert alone["gain"] and "control_gap" not in alone
+    for noise, gain in ((0.3, False), (0.1, True)):
+        control = bench_pairs.summarise(_pairs([42.6] * 3, [42.6 + noise] * 3, "peak_rss_mb"),
+                                        rss)
+        rep = bench_pairs.summarise(pairs, rss, control)
+        assert rep["control_gap"] == pytest.approx(noise) and rep["gain"] is gain
+        assert {k: v for k, v in rep.items() if k not in ("control_gap", "gain")} == \
+            {k: v for k, v in alone.items() if k != "gain"}
+    # The control gap counts in either direction, and a control set that
+    # lacks the metric cannot confirm a gain.
+    control = bench_pairs.summarise(_pairs([42.9] * 3, [42.6] * 3, "peak_rss_mb"), rss)
+    assert bench_pairs.summarise(pairs, rss, control)["gain"] is False
+    rep = bench_pairs.summarise(pairs, rss, {"unit": "MB", "better": "lower", "missing": True})
+    assert rep["control_gap"] is None and rep["gain"] is False
+
+
 def test_missing_when_one_side_lacks_the_metric():
     pairs = _pairs([1.0, 1.0], [1.0, 1.0])
     del pairs[1]["change"]["metrics"]["wall_s"]

@@ -235,7 +235,7 @@ def test_snapshot_rounds_outside_schedule_raise():
     key = MasterKey(1, 2, 16)
     for rounds in ([21], [-1, 5], []):
         with pytest.raises(ValueError):
-            next(engine.pair_differences(L, L, np.zeros((32, 1), np.uint64), key, rounds))
+            next(engine.pair_differences(L, L, Block(0, 0, 16), key, rounds))
 
 
 def test_empty_batch_raises():
@@ -244,7 +244,7 @@ def test_empty_batch_raises():
     with pytest.raises(ValueError, match="empty batch"):
         engine.encrypt(z, z, MasterKey(1, 2))
     with pytest.raises(ValueError, match="empty batch"):
-        next(engine.pair_differences(z, z, np.zeros((128, 1), np.uint64), MasterKey(1, 2)))
+        next(engine.pair_differences(z, z, Block(0, 0), MasterKey(1, 2)))
 
 
 def test_lane_shape_must_match_width():
@@ -439,12 +439,13 @@ def test_pair_differences_match_two_encryptions(case, words, tile, lane_delta, f
     else:
         key = MasterKey(*(int(v) for v in rng.integers(0, 1 << w, 2, dtype=np.uint64)), w)
     if lane_delta:
-        delta = random_lanes(rng, 2 * w, words)
+        delta = lanes = random_lanes(rng, 2 * w, words)
     else:
         d = int(rng.integers(1, 1 << w, dtype=np.uint64)) if w < 64 else 1 << 63
-        delta = broadcast_columns([d, d >> 1], w).reshape(2 * w, 1)
+        delta = Block(d >> 1, d, w)
+        lanes = broadcast_columns([d, d >> 1], w).reshape(2 * w, 1)
     engine = BitslicedCipher(params)
-    want = _two_call_pair(engine, L, R, delta, key, snapshots)
+    want = _two_call_pair(engine, L, R, lanes, key, snapshots)
     given_inputs = [a.copy() for a in (L, R, KH, KL)]
 
     # A tile of `tile` words per lane array, so most batches span several
@@ -521,14 +522,85 @@ def test_pair_differences_are_in_block_bit_order(b):
     rng = np.random.default_rng(b)
     L, R = random_lanes(rng, 64, 2), random_lanes(rng, 64, 2)
     key = MasterKey(0x0123456789ABCDEF, 0xFEDCBA9876543210)
-    delta = np.zeros((128, 1), dtype=np.uint64)
-    delta[b] = ~np.uint64(0)
-    pairs = BitslicedCipher(p).pair_differences(L, R, delta, key, (0, 3))
+    flip = Block.from_int(1 << b)
+    pairs = BitslicedCipher(p).pair_differences(L, R, flip, key, (0, 3))
     got = {r: D.copy() for _, r, D in pairs}
     assert np.flatnonzero(got[0].any(axis=1)).tolist() == [b]
     assert (got[0][b] == ~np.uint64(0)).all()
-    flip = Block.from_int(1 << b)
     for j in (0, 77, 127):
         pt = Block(_sample(L, j), _sample(R, j))
         want = _encrypt_rounds(p, key, pt, 3) ^ _encrypt_rounds(p, key, pt ^ flip, 3)
         assert _sample(got[3], j) == want.to_int()
+
+
+# --- a difference is a Block or lanes, like the key ------------------------------
+
+@pytest.mark.parametrize("width", (4, 16, 64))
+def test_one_word_difference_lanes_are_per_sample(width):
+    # (2w, 1) lanes on a one-word batch are one difference per sample, not
+    # a column shared by the pairs: round 0 gives them back.
+    engine = BitslicedCipher(CipherParams(width, rounds=3))
+    rng = np.random.default_rng(width)
+    L, R = random_lanes(rng, width, 1), random_lanes(rng, width, 1)
+    delta = random_lanes(rng, 2 * width, 1)
+    (_, r, D), = engine.pair_differences(L, R, delta, MasterKey(1, 2, width), 0)
+    assert r == 0 and np.array_equal(D, delta)
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_instances(), st.integers(1, 4))
+@example((CipherParams(64, rounds=3), 1, 2, None, True, 5), 2)
+@example((CipherParams(4, rounds=5), 9, 5, {0, 1}, False, 6), 4)
+def test_block_difference_matches_its_lanes(case, tile):
+    # A shared Block against the same difference as (2w, words) lanes, with
+    # `tile`-word tiles so most batches end on a ragged one.
+    params, words, rounds, snapshots, per_sample, seed = case
+    w = params.branch_width
+    rng = np.random.default_rng(seed)
+    L, R, KH, KL = (random_lanes(rng, w, words) for _ in range(4))
+    key = (KH, KL) if per_sample else MasterKey(3, 5, w)
+    d = Block(*(int(v) for v in rng.integers(0, 1 << w, 2, dtype=np.uint64)), w)
+    lanes = np.broadcast_to(broadcast_columns([d.right, d.left], w).reshape(2 * w, 1),
+                            (2 * w, words))
+    wanted = snapshots or rounds
+    engine = BitslicedCipher(params)
+    with mock.patch.object(bitslice, "_TILE_BYTES", 8 * w * tile):
+        got, want = ([(cs, r, D.copy())
+                      for cs, r, D in engine.pair_differences(L, R, delta, key, wanted)]
+                     for delta in (d, lanes))
+    assert len(got) == len(want)
+    for (cs, r, D), (cs2, r2, D2) in zip(got, want):
+        assert (cs, r) == (cs2, r2) and np.array_equal(D, D2)
+
+
+@pytest.mark.parametrize("per_sample", (False, True))
+def test_block_difference_reads_strided_lanes(per_sample):
+    # L is every other column of a wider array and R a transposed one, so
+    # neither has contiguous rows; the result is that of contiguous copies.
+    params = CipherParams(16, rounds=4)
+    rng = np.random.default_rng(11)
+    words = 2 * tile_words(16) + 3
+    wide = random_lanes(rng, 16, 2 * words)
+    L, R = wide[:, ::2], np.asfortranarray(random_lanes(rng, 16, words))
+    KH, KL = random_lanes(rng, 16, words), random_lanes(rng, 16, words)
+    key = (KH, KL) if per_sample else MasterKey(0x1234, 0x5678, 16)
+    assert not L.flags.c_contiguous and not R.flags.c_contiguous
+    engine = BitslicedCipher(params)
+    d = Block.from_int(0x80010003, 16)
+    got = [D.copy() for _, _, D in engine.pair_differences(L, R, d, key, (0, 4))]
+    want = [D.copy() for _, _, D in engine.pair_differences(
+        np.ascontiguousarray(L), np.ascontiguousarray(R), d, key, (0, 4))]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_difference_is_a_block_or_lanes_of_the_batch():
+    engine = BitslicedCipher(CipherParams(16))
+    L = np.zeros((16, 3), np.uint64)
+    key = MasterKey(1, 2, 16)
+    for delta in (np.zeros((32, 1), np.uint64), np.zeros((32, 4), np.uint64),
+                  np.zeros((16, 3), np.uint64), np.zeros(32, np.uint64)):
+        with pytest.raises(ValueError, match=r"delta must be a Block or \(32, 3\) lanes"):
+            next(engine.pair_differences(L, L, delta, key))
+    with pytest.raises(ValueError, match="8-bit branches, the cipher 16-bit ones"):
+        next(engine.pair_differences(L, L, Block(0, 1, 8), key))

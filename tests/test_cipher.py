@@ -568,7 +568,7 @@ def test_round_override_outside_schedule_raises(width):
     p = CipherParams(width)
     key = MasterKey(1, 2, width)
     lanes = np.zeros((width, 1), dtype=np.uint64)
-    delta = np.zeros((2 * width, 1), dtype=np.uint64)
+    delta = Block(0, 0, width)
     engine = BitslicedCipher(p)
     for r in (-1, p.rounds + 1):
         for call in (lambda: engine.encrypt(lanes, lanes, key, rounds=r),

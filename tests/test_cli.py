@@ -124,6 +124,20 @@ def test_malformed_offsets_exit_2(tmp_path, capsys, offsets):
     assert not list(tmp_path.rglob("report.json"))
 
 
+@pytest.mark.parametrize("command", ["degree", "single-layer"])
+@pytest.mark.parametrize("width, offsets, g", [(16, "2,4,6", 2), (64, "-28,-12,18", 2),
+                                               (12, "3,6,-3", 3)])
+def test_disconnected_offsets_exit_2_naming_the_gcd(tmp_path, capsys, command, width,
+                                                    offsets, g):
+    # A common divisor of the offsets and the width splits the interaction
+    # graph into g independent layers, which no one-layer report describes.
+    assert main([command, "--width", str(width), f"--offsets={offsets}",
+                 "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.rglob("report.json"))
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"gcd({offsets.replace(',', ', ')}, {width}) = {g}" in err
+
+
 @pytest.mark.parametrize("budget", ["2", "0", "-1"])
 def test_rule_search_empty_selection_names_budget(tmp_path, capsys, budget):
     # No balanced, nonlinearity-4, degree-3 function has at most 2 ANF terms.

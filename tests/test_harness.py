@@ -442,6 +442,21 @@ def test_draw_u64s_matches_two_scalar_draws_per_word(spent):
     assert a.integers(0, 2**32) == b.integers(0, 2**32)
 
 
+@pytest.mark.parametrize("n", [1, 2, 13, 1000])
+def test_draw_u64s_is_raw_words_with_halves_swapped(n):
+    # With no buffered half, the words are the next n raw outputs with
+    # their halves swapped, and every later draw of either generator
+    # agrees with one that drew the words as 2n 32-bit integers.
+    for seed in range(300):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = harness._draw_u64s(a, n)
+        halves = b.integers(0, 2**32, 2 * n, dtype=np.uint64)
+        assert np.array_equal(got, halves[0::2] << np.uint64(32) | halves[1::2]), seed
+        assert a.integers(0, 2**32, 3).tolist() == b.integers(0, 2**32, 3).tolist()
+        assert np.array_equal(harness._draw_u64s(a, n), harness._draw_u64s(b, n))
+        assert np.array_equal(a.bit_generator.random_raw(n), b.bit_generator.random_raw(n))
+
+
 def test_random_basis_skips_dependent_words():
     # 0b110 = 0b011 ^ 0b101 and 0 add nothing; the word after the basis is left.
     words = iter([0, 0b011, 0b101, 0b110, 0b1000, 7])
@@ -641,6 +656,8 @@ def test_saturating_count_matches_popcount(width):
     some, many = _saturating_count(D.copy())
     assert np.array_equal(lanes_to_bits(some[None])[0], count >= 1)
     assert np.array_equal(lanes_to_bits(many[None])[0], count >= 2)
+    # A rounds-4 scan reads only the OR plane, which is the tree's `some`.
+    assert np.array_equal(np.bitwise_or.reduce(D, axis=0), some)
 
 
 def test_zero_diff_witness_pair():

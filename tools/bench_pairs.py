@@ -18,13 +18,16 @@ parent on both sides, from two separate exports, on the seeds after
 the change's pairs.  Its summary reads as the change's does, with the
 second export in the change's place, so its medians, wins and gain
 flags show how far two runs of identical code move apart on this host.
+A workload with a control set records, per metric, the distance between
+the control set's two medians as `control_gap`.
 
 The output holds the host (processor count, Python and numpy
 versions), every run's JSON line, and per workload and end-to-end
 metric each side's median and quartiles, the change's wins (ties count
 for neither side), whether the change is within the benchmark's bound,
 and whether it meets the gain rule: wins in at least nine tenths of the
-pairs and a median better by more than the parent's quartile spread.
+pairs and a median better by more than the parent's quartile spread
+and, where the workload has a control set, by more than `control_gap`.
 Standard library only; the sides run under the interpreter that runs
 this script.
 """
@@ -82,7 +85,10 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q[0], "q3": q[2]}
 
 
-def summarise(pairs: list[dict], metric: dict) -> dict:
+def summarise(pairs: list[dict], metric: dict, control: dict | None = None) -> dict:
+    """The pair summary of one metric.  `control` is this metric's summary
+    over the workload's control set, if it has one; a gain must then also
+    beat the gap between that set's two medians."""
     name, lower = metric["name"], metric["better"] == "lower"
     # Values pair up only within a pair (one seed); a pair where either
     # side lacks the metric leaves it missing.
@@ -95,7 +101,7 @@ def summarise(pairs: list[dict], metric: dict) -> dict:
     parent, change = map(spread, zip(*both))
     gap = sign * (parent["median"] - change["median"])
     bound = metric["bound"] * parent["median"]
-    return {
+    out = {
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         "parent": parent, "change": change,
         "change_wins": wins, "pairs": len(pairs),
@@ -103,6 +109,13 @@ def summarise(pairs: list[dict], metric: dict) -> dict:
         "within_bound": gap >= -bound,
         "gain": wins >= 0.9 * len(pairs) and gap > parent["q3"] - parent["q1"],
     }
+    if control is not None:
+        # A control set without the metric cannot show the gap is real.
+        noise = (None if control.get("missing")
+                 else abs(control["change"]["median"] - control["parent"]["median"]))
+        out["control_gap"] = noise
+        out["gain"] = out["gain"] and noise is not None and gap > noise
+    return out
 
 
 def log(line: str) -> None:
@@ -200,6 +213,12 @@ def main(argv=None) -> int:
                 "metrics": {m["name"]: summarise(pairs, m) for m in bench["end_to_end"]},
             }
             log(f"{name} control: " + json.dumps(report["control"][name]["metrics"]))
+            if name in report["workloads"]:   # its gain flags now weigh the control gap
+                entry = report["workloads"][name]
+                entry["metrics"] = {
+                    m["name"]: summarise(entry["pairs"], m,
+                                         report["control"][name]["metrics"][m["name"]])
+                    for m in bench["end_to_end"]}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
