@@ -43,8 +43,6 @@ class GraphTopology:
     n: int
     read_sets: tuple[tuple[int, ...], ...]
     variant: str = "custom"
-    # Set for circulant variants; enables orbit reductions in searches.
-    circulant_offsets: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if len(self.read_sets) != self.n:
@@ -56,7 +54,7 @@ class GraphTopology:
     @classmethod
     def from_offsets(cls, n: int, offsets, variant: str = "custom") -> "GraphTopology":
         reads = tuple(tuple((i + o) % n for o in offsets) for i in range(n))
-        return cls(n, reads, variant, tuple(o % n for o in offsets))
+        return cls(n, reads, variant)
 
     def transposed(self) -> "GraphTopology":
         """Reverse every read edge (vertex i is read by its readers)."""
@@ -64,11 +62,14 @@ class GraphTopology:
         for i, reads in enumerate(self.read_sets):
             for j in reads:
                 rev[j].append(i)
-        offs = None
-        if self.circulant_offsets is not None:
-            offs = tuple((-o) % self.n for o in self.circulant_offsets)
-        return GraphTopology(self.n, tuple(tuple(r) for r in rev),
-                             self.variant + "_transposed", offs)
+        return GraphTopology(self.n, tuple(tuple(r) for r in rev), self.variant + "_transposed")
+
+    @cached_property
+    def circulant(self) -> bool:
+        """Whether vertex i reads vertex 0's read set rotated by i, for
+        every i: then rotation is a symmetry, which searches exploit."""
+        return all(set(reads) == {(j + i) % self.n for j in self.read_sets[0]}
+                   for i, reads in enumerate(self.read_sets))
 
     @cached_property
     def reader_masks(self) -> tuple[int, ...]:
@@ -122,7 +123,7 @@ def build_topology(variant: str, n: int = 64, seed: int | None = None) -> GraphT
             tuple(sorted({(i - 1) % n, (i + 1) % n, (i + base) % n, (i + half) % n}))
             for i in range(n)
         )
-        return GraphTopology(n, reads, variant, (n - 1, 1, base, half))
+        return GraphTopology(n, reads, variant)
     raise ValueError(f"unknown variant {variant!r}")
 
 

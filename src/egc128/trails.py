@@ -103,13 +103,12 @@ def _candidate_starts(mode: str, g: GraphTopology) -> list[tuple[int, int]]:
     # Monotonicity reduces the search to single-bit-per-branch starts;
     # vertex transitivity of circulant graphs then fixes one bit at
     # position 0.
-    circulant = g.circulant_offsets is not None
     if mode == "differential":
-        if circulant:
+        if g.circulant:
             return [(1, 1 << b) for b in range(g.n)]
         return [(1 << a, 1 << b) for a in range(g.n) for b in range(g.n)]
     if mode == "linear":
-        if circulant:
+        if g.circulant:
             return [(1, 0), (0, 1)]
         return [(1 << a, 0) for a in range(g.n)] + [(0, 1 << b) for b in range(g.n)]
     raise ValueError(f"unknown mode {mode!r}")

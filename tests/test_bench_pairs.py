@@ -2,6 +2,9 @@
 
 import argparse
 import importlib.util
+import json
+import subprocess
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,108 @@ def test_parse_counts_rejects_malformed_items(capsys, item):
         bench_pairs.parse_counts(argparse.ArgumentParser(), "--pairs", [item], ["reference"])
     assert exc.value.code == 2
     assert "expected WORKLOAD=N" in capsys.readouterr().err
+
+
+def test_gain_needs_ten_pairs():
+    # 4 of 4 wins with no spread is what identical code reaches about one
+    # time in 16; 9 of 9 is no gain either, 10 of 10 is.
+    for n, gain in ((4, False), (9, False), (10, True)):
+        rep = bench_pairs.summarise(_pairs([1.0] * n, [0.9] * n), LOWER)
+        assert rep["change_wins"] == n and rep["gain"] is gain
+
+
+def test_resolved_when_the_parent_spread_fits_the_bound_or_every_run_beats_it():
+    # Parent quartiles 1.0 and 1.6 around a median of 1.3: a spread of 0.6
+    # against a bound of 0.325 cannot tell an unchanged median from a
+    # regression of the bound's size.
+    parent = [1.0, 1.6] * 5
+    rep = bench_pairs.summarise(_pairs(parent, parent), LOWER)
+    assert rep["within_bound"] and not rep["resolved"]
+    # Every change run below every parent run settles it; one that is not
+    # leaves it unresolved.
+    assert bench_pairs.summarise(_pairs(parent, [0.9] * 10), LOWER)["resolved"]
+    assert not bench_pairs.summarise(_pairs(parent, [0.9] * 9 + [1.0]), LOWER)["resolved"]
+    # A spread inside the bound resolves the metric, a regression included.
+    rep = bench_pairs.summarise(_pairs([1.0, 1.1] * 5, [1.5] * 10), LOWER)
+    assert rep["resolved"] and not rep["within_bound"]
+    # Higher is better: every change run above every parent run.
+    assert bench_pairs.summarise(_pairs(parent, [1.7] * 10, "rate"), HIGHER)["resolved"]
+    assert not bench_pairs.summarise(_pairs(parent, [0.9] * 10, "rate"), HIGHER)["resolved"]
+
+
+def _git(cwd, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd,
+                          check=True, capture_output=True).stdout
+
+
+def test_main_runs_both_sides_from_exports_and_summarises_each_metric_once(
+        tmp_path, monkeypatch):
+    repo, scratch = tmp_path / "repo", tmp_path / "tmp"
+    repo.mkdir()
+    scratch.mkdir()
+    bench = {"run_seconds": 1, "workloads": [{"name": "a"}, {"name": "b"}],
+             "end_to_end": [LOWER, dict(LOWER, name="peak_rss_mb", unit="MB", bound=0.1)]}
+    (repo / "BENCHMARK.json").write_text(json.dumps(bench))
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "tracked.txt").write_text("old")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "parent")
+    (repo / "tracked.txt").write_text("new")
+    (repo / "untracked.txt").write_text("fresh")
+    (repo / "ignored.txt").write_text("left out")
+    status, index = _git(repo, "status", "--porcelain"), (repo / ".git" / "index").read_bytes()
+
+    seen = []
+
+    def fake_run(side, workload, seed, seconds):
+        seen.append((side, {f.name: f.read_text() for f in side.iterdir() if f.is_file()}))
+        value = 0.9 if side.name == "change" else 1.0
+        return {"correct": True, "metrics": {m["name"]: {"value": value}
+                                             for m in bench["end_to_end"]}}
+
+    calls = []
+    summarise = bench_pairs.summarise
+
+    def counted(pairs, metric, control=None):
+        calls.append((tuple(p["seed"] for p in pairs), metric["name"]))
+        return summarise(pairs, metric, control)
+
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "summarise", counted)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--out", str(out), "--pairs", "a=2", "b=1",
+                             "--control", "a=1"]) == 0
+    report = json.loads(out.read_text())
+
+    # Every side ran in an export under the tool's temporary directory.
+    assert {side.name for side, _ in seen} == {"parent", "change", "again"}
+    for side, _ in seen:
+        assert scratch in side.parents and repo not in side.parents and side != repo
+    files = {side.name: got for side, got in seen}
+    assert files["change"] == {"BENCHMARK.json": json.dumps(bench), ".gitignore": "ignored.txt\n",
+                               "tracked.txt": "new", "untracked.txt": "fresh"}
+    parent_files = dict(files["change"], **{"tracked.txt": "old"})
+    del parent_files["untracked.txt"]
+    assert files["parent"] == files["again"] == parent_files
+    # The checkout and its index are as they were.
+    assert _git(repo, "status", "--porcelain") == status
+    assert (repo / ".git" / "index").read_bytes() == index
+    assert report["change"]["head"] == _git(repo, "rev-parse", "HEAD").decode().strip()
+    assert _git(repo, "ls-tree", "--name-only", report["change"]["tree"]).decode().split() == \
+        [".gitignore", "BENCHMARK.json", "tracked.txt", "untracked.txt"]
+
+    # One summarise call per (workload, metric) for the change pairs; the
+    # control workload's stored metrics carry its gap.
+    for name, entry in report["workloads"].items():
+        seeds = tuple(p["seed"] for p in entry["pairs"])
+        for m in bench["end_to_end"]:
+            assert calls.count((seeds, m["name"])) == 1
+            assert ("control_gap" in entry["metrics"][m["name"]]) is (name == "a")
+    assert report["workloads"]["a"]["metrics"]["wall_s"]["control_gap"] == 0
+    assert [p["seed"] for p in report["workloads"]["a"]["pairs"]] == [1000, 1001]
+    assert [p["seed"] for p in report["control"]["a"]["pairs"]] == [1002]
+    assert [p["seed"] for p in report["workloads"]["b"]["pairs"]] == [1003]
+    assert list(report["control"]) == ["a"]

@@ -428,6 +428,22 @@ def test_block_width_checks():
         Block(1 << 64, 0)
     with pytest.raises(ValueError):
         MasterKey(0, 1 << 16, width=16)
+    for value in (1 << 32, -1):
+        with pytest.raises(ValueError, match="block value does not fit in 32 bits"):
+            Block.from_int(value, 16)
+    with pytest.raises(ValueError, match="width mismatch"):
+        Block(1, 2, 16) ^ Block(1, 2, 8)
+
+
+def test_key_and_block_widths_must_match_the_cipher():
+    cipher = Cipher(CipherParams(16))
+    key, block = MasterKey(1, 2, 16), Block(3, 4, 16)
+    with pytest.raises(ValueError, match="key width does not match"):
+        derive_round_keys(MasterKey(1, 2, 8), cipher.params)
+    for k, b in ((MasterKey(1, 2, 8), block), (key, Block(3, 4, 8))):
+        for op in (cipher.encrypt_block, cipher.decrypt_block):
+            with pytest.raises(ValueError, match="key/block width does not match"):
+                op(k, b)
 
 
 @pytest.mark.parametrize("cls", [Block, MasterKey])

@@ -373,6 +373,14 @@ def test_diff_empirical_subcommand(tmp_path):
     # Hex that Python's int() would take: a digit separator, a sign.
     ["zero-scan", "--delta", "0000_001", "--rounds", "2", "--samples", "64"],
     ["encrypt", "--key", "+" + TV1_KEY[1:], "--pt", TV1_KEY],
+    # Library checks that reach the command line: too few samples or key
+    # differences, a graph too large for the dense spectrum, an odd
+    # vertex count for irregular34 and for a 3-regular graph.
+    ["bic", "--samples", "999"],
+    ["related-key", "--diffs", "0"],
+    ["graph", "--n", "300"],
+    ["graph", "--variant", "irregular34", "--n", "9"],
+    ["graph", "--variant", "random3regular", "--n", "9", "--graph-seed", "1"],
     # Vector rows with 3 fields, 5 fields and a field that is not hex.
     ["vectors", "--file", "{tmp}/short.csv"],
     ["vectors", "--file", "{tmp}/long.csv"],

@@ -55,12 +55,12 @@ def test_long_range_offset_follows_scaled_offsets():
         long = max(2, round(n / 4))
         assert scaled_offsets(n) == (-1, 1, long)
         g = build_topology("baseline", n)
-        assert g.circulant_offsets == (n - 1, 1, long)
+        assert g.circulant
         assert g.read_sets == tuple(((i - 1) % n, (i + 1) % n, (i + long) % n)
                                     for i in range(n))
         if n % 2 == 0:
             g = build_topology("irregular34", n)
-            assert g.circulant_offsets == (n - 1, 1, long, n // 2)
+            assert g.circulant
             assert g.read_sets == tuple(
                 tuple(sorted({(i - 1) % n, (i + 1) % n, (i + long) % n, (i + n // 2) % n}))
                 for i in range(n))
@@ -81,6 +81,15 @@ def test_reader_masks_are_the_read_relation(variant, n):
     for h in (g, g.transposed()):
         assert h.reader_masks == _reader_masks_loop(h)
         assert h.reader_masks is h.reader_masks      # computed once per graph
+
+
+def test_read_sets_name_every_vertex_within_range():
+    reads = build_topology("baseline", 8).read_sets
+    with pytest.raises(ValueError, match="length must equal vertex count"):
+        GraphTopology(8, reads[:7])
+    for bad in (8, -1):
+        with pytest.raises(ValueError, match="vertex 3 reads out-of-range"):
+            GraphTopology(8, reads[:3] + ((2, 4, bad),) + reads[4:])
 
 
 def test_random_requires_seed_and_min_size():
@@ -189,9 +198,21 @@ def test_vertex_transitivity_of_baseline():
         for i in range(64)
     )
     rotated = GraphTopology(64, reads, "baseline_rotated")
+    assert rotated.circulant
     rep2 = spectral_report(rotated)
     assert abs(rep.spectral_gap - rep2.spectral_gap) < 1e-9
     assert rep.diameter == rep2.diameter
+
+
+def test_circulant_is_derived_from_the_read_sets():
+    for variant in ("baseline", "poor_expander", "cycle", "irregular34"):
+        g = build_topology(variant, 32)
+        assert g.circulant and g.transposed().circulant
+        assert GraphTopology(g.n, g.read_sets).circulant
+    assert not build_topology("random3regular", 32, seed=1).circulant
+    # One vertex reading another neighbour breaks the rotation symmetry.
+    reads = build_topology("baseline", 32).read_sets
+    assert not GraphTopology(32, reads[:5] + ((4, 6, 14),) + reads[6:]).circulant
 
 
 def test_mixing_bound_values():

@@ -729,6 +729,8 @@ def test_exact_single_bit_count_validation():
         exact_single_bit_output_count(Block.from_int(1, 16), 4, key)
     with pytest.raises(ValueError):
         exact_single_bit_output_count(Block.from_int(1, 8), 2, key)
+    with pytest.raises(ValueError, match="branch width <= 20"):
+        exact_single_bit_output_count(Block.from_int(1, 21), 2, MasterKey(1, 2, 21))
 
 
 def test_zero_diff_deterministic_and_threaded():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from egc128 import trails
 from egc128.boolfun import ddt
-from egc128.graphs import build_topology
+from egc128.graphs import GraphTopology, build_topology
 from egc128.params import RULE_A_TRUTH_TABLE, CipherParams
 from egc128.trails import (
     SingleLayerReport,
@@ -187,11 +187,29 @@ def test_bruteforce_low_weight_starts_width16():
         assert brute == min_active("linear", rounds, g).min_active
 
 
+def test_read_set_circulant_graph_gets_the_orbit_reduction():
+    # Built from read sets alone, the baseline still gets one start per
+    # right-branch bit, not all 64 x 64, and the same bound.
+    g = GraphTopology(64, BASE.read_sets)
+    assert len(trails._candidate_starts("differential", g)) == 64
+    assert len(trails._candidate_starts("linear", g)) == 2
+    assert min_active("differential", 3, g) == min_active("differential", 3, BASE)
+
+
 def test_min_active_noncirculant_graph():
     g = build_topology("random3regular", 16, seed=9)
     rep = min_active("differential", 2, g)
     assert rep.min_active >= 1
     assert rep.start_left and rep.start_right
+
+
+def test_trail_inputs_are_checked():
+    with pytest.raises(ValueError, match="rounds must be >= 1"):
+        propagate_activation(1, 0, 0, BASE)
+    with pytest.raises(ValueError, match="unknown mode 'integral'"):
+        bound_series("integral", 2, BASE)
+    with pytest.raises(ValueError, match="unknown mode 'integral'"):
+        extrapolate_full(10.0, "integral")
 
 
 # --- weights and extrapolation ----------------------------------------------

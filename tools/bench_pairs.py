@@ -4,38 +4,44 @@
         --pairs zero-scan=4 stat-suite=6 keystream=10 reference=4 \
         --control zero-scan=3 stat-suite=3 keystream=5 reference=3
 
-Run from the root of a source checkout.  The change is this checkout's
-working tree; the parent is `--base` (default HEAD), exported with
-`git archive` into a temporary directory that is removed afterwards.
-For each workload the tool runs `perfbench/run.py --trace 0` for both
-sides at the run length of BENCHMARK.json, one pair per fresh seed
-(`--first-seed`, `--first-seed` + 1, ...), alternating which side runs
-first.  It then runs each side once at seed 0 for one pass, where
-perfbench checks every result against its committed digest.
+Run from the root of a source checkout.  Both sides run from trees that
+`git archive` exports into a temporary directory, removed afterwards:
+the parent is `--base` (default HEAD); the change is the checkout as it
+stands, tracked edits and files .gitignore does not exclude included.
+`git read-tree HEAD`, `git add -A` and `git write-tree` write its tree
+through a scratch GIT_INDEX_FILE, so the checkout's own index and files
+never change.  For each workload the tool runs `perfbench/run.py
+--trace 0` for both sides at the run length of BENCHMARK.json, one pair
+per fresh seed (`--first-seed`, `--first-seed` + 1, ...), alternating
+which side runs first, then each side once at seed 0, where perfbench
+checks every result against its committed digest.
 
-`--control` adds a control set: the same alternated pairs with the
-parent on both sides, from two separate exports, on the seeds after
-the change's pairs.  Its summary reads as the change's does, with the
-second export in the change's place, so its medians, wins and gain
-flags show how far two runs of identical code move apart on this host.
-A workload with a control set records, per metric, the distance between
-the control set's two medians as `control_gap`.
+`--control` adds a control set, run right after the workload's change
+pairs: the same alternated pairs with the parent on both sides, from
+two separate exports.  Its summary reads as the change's does, so its
+medians, wins and gain flags show how far two runs of identical code
+move apart on this host; the change's summary records, per metric, the
+distance between the control set's two medians as `control_gap`.
 
-The output holds the host (processor count, Python and numpy
-versions), every run's JSON line, and per workload and end-to-end
-metric each side's median and quartiles, the change's wins (ties count
-for neither side), whether the change is within the benchmark's bound,
-and whether it meets the gain rule: wins in at least nine tenths of the
-pairs and a median better by more than the parent's quartile spread
-and, where the workload has a control set, by more than `control_gap`.
-Standard library only; the sides run under the interpreter that runs
-this script.
+The output holds the host (processor count, Python and numpy versions),
+every run's JSON line, and per workload and end-to-end metric each
+side's median and quartiles, the change's wins (ties count for neither
+side) and three verdicts.  `within_bound`: the change's median is worse
+than the parent's by no more than the benchmark's bound.  `resolved`:
+the parent's quartile spread is within that bound, or every change run
+beats every parent run; if not, the spread could hide a regression of
+the bound's size, and the metric is unresolved, not unchanged.  `gain`:
+at least 10 pairs, change wins in at least nine tenths of them, and a
+median better by more than the parent's quartile spread and, where the
+workload has a control set, by more than `control_gap`.  Standard
+library only; the sides run under the interpreter that runs this script.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import os
 import platform
@@ -49,16 +55,27 @@ from pathlib import Path
 ROOT = Path.cwd()
 #: The two sides of a pair; in the control set both run the parent.
 SIDES = ("parent", "change")
+#: The fewest pairs a gain may rest on.  Below 10 the nine-tenths rule
+#: asks for every pair, and identical code wins 4 of 4 one time in 16.
+MIN_GAIN_PAIRS = 10
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+def git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
                           capture_output=True, text=True).stdout.strip()
 
 
-def export(rev: str, dest: Path) -> None:
-    """The files of commit `rev` under `dest` (no git metadata)."""
-    tar = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+def checkout_tree(index: Path) -> str:
+    """The tree of the checkout as it stands, written through the index file `index`."""
+    env = dict(os.environ, GIT_INDEX_FILE=str(index))
+    git("read-tree", "HEAD", env=env)
+    git("add", "-A", env=env)
+    return git("write-tree", env=env)
+
+
+def export(tree: str, dest: Path) -> None:
+    """The files of commit or tree `tree` under `dest` (no git metadata)."""
+    tar = subprocess.run(["git", "archive", tree], cwd=ROOT, check=True,
                          capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
@@ -101,13 +118,18 @@ def summarise(pairs: list[dict], metric: dict, control: dict | None = None) -> d
     parent, change = map(spread, zip(*both))
     gap = sign * (parent["median"] - change["median"])
     bound = metric["bound"] * parent["median"]
+    iqr = parent["q3"] - parent["q1"]
+    beats_all = max(sign * c for _, c in both) < min(sign * p for p, _ in both)
     out = {
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         "parent": parent, "change": change,
         "change_wins": wins, "pairs": len(pairs),
         "change_vs_parent": change["median"] / parent["median"] - 1 if parent["median"] else None,
         "within_bound": gap >= -bound,
-        "gain": wins >= 0.9 * len(pairs) and gap > parent["q3"] - parent["q1"],
+        # A parent spread past the bound hides a regression of the bound's
+        # size, unless every change run beats every parent run.
+        "resolved": iqr <= bound or beats_all,
+        "gain": len(pairs) >= MIN_GAIN_PAIRS and wins >= 0.9 * len(pairs) and gap > iqr,
     }
     if control is not None:
         # A control set without the metric cannot show the gap is real.
@@ -122,16 +144,15 @@ def log(line: str) -> None:
     print(line, file=sys.stderr, flush=True)
 
 
-def run_pairs(dirs: dict, name: str, n: int, seed: int, seconds: float) -> list[dict]:
-    """`n` alternated pairs of `name` runs on seeds `seed`, `seed` + 1, ...;
-    `dirs` maps each of SIDES to the tree it runs in."""
+def run_pairs(dirs: dict, name: str, n: int, seeds, seconds: float) -> list[dict]:
+    """`n` alternated pairs of `name` runs on the next `n` `seeds`, each side in `dirs[side]`."""
     pairs = []
-    for i in range(n):
+    for i, seed in zip(range(n), seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {"seed": seed + i, "first": order[0]}
+        pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run(dirs[side], name, seed + i, seconds)
-            log(f"{name} seed {seed + i} {side}: " + ", ".join(
+            pair[side] = run(dirs[side], name, seed, seconds)
+            log(f"{name} seed {seed} {side}: " + ", ".join(
                 f"{k}={v['value']:.4g}" for k, v in pair[side]["metrics"].items()))
         pairs.append(pair)
     return pairs
@@ -169,56 +190,47 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
-    counts = dict.fromkeys(names, 10)
-    if args.pairs is not None:
-        counts = parse_counts(parser, "--pairs", args.pairs, names)
+    counts = parse_counts(parser, "--pairs", args.pairs or [f"{n}=10" for n in names], names)
     control = parse_counts(parser, "--control", args.control, names)
     seconds = bench["run_seconds"]
     base_commit = git("rev-parse", args.base)
+    end_to_end = bench["end_to_end"]
 
     report = {
         "command": " ".join([Path(sys.argv[0]).name] + (sys.argv[1:] if argv is None else argv)),
         "host": host_info(),
         "parent": {"rev": args.base, "commit": base_commit},
-        "change": {"commit": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "change": {"head": git("rev-parse", "HEAD")},
         "run_seconds": seconds,
         "workloads": {},
     }
-    if control:
-        report["control"] = {}
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent, again = Path(tmp) / "parent", Path(tmp) / "again"
-        sides = {"parent": parent, "change": ROOT}
-        export(base_commit, parent)
-        seed = args.first_seed
-        for name, n in counts.items():
-            pairs = run_pairs(sides, name, n, seed, seconds)
-            seed += n
-            seed0 = {side: run(sides[side], name, 0, 0)["correct"] for side in sides}
-            report["workloads"][name] = {
-                "pairs": pairs,
-                "correct": {side: all(p[side]["correct"] for p in pairs) for side in sides},
-                "seed0_digests_match": seed0,
-                "metrics": {m["name"]: summarise(pairs, m) for m in bench["end_to_end"]},
-            }
-            log(f"{name}: " + json.dumps(report["workloads"][name]["metrics"]))
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        dirs = {side: Path(tmp) / side for side in ("parent", "change", "again")}
+        report["change"]["tree"] = checkout_tree(Path(tmp) / "index")
+        export(base_commit, dirs["parent"])
+        export(report["change"]["tree"], dirs["change"])
         if control:
-            export(base_commit, again)
-        for name, n in control.items():
-            pairs = run_pairs({"parent": parent, "change": again}, name, n, seed, seconds)
-            seed += n
-            report["control"][name] = {
-                "pairs": pairs,
-                "metrics": {m["name"]: summarise(pairs, m) for m in bench["end_to_end"]},
-            }
-            log(f"{name} control: " + json.dumps(report["control"][name]["metrics"]))
-            if name in report["workloads"]:   # its gain flags now weigh the control gap
-                entry = report["workloads"][name]
-                entry["metrics"] = {
-                    m["name"]: summarise(entry["pairs"], m,
-                                         report["control"][name]["metrics"][m["name"]])
-                    for m in bench["end_to_end"]}
+            export(base_commit, dirs["again"])
+        seeds = itertools.count(args.first_seed)
+        for name in names:
+            pairs = run_pairs(dirs, name, counts.get(name, 0), seeds, seconds)
+            ctrl = {}
+            if name in control:
+                again = run_pairs(dict(dirs, change=dirs["again"]), name, control[name],
+                                  seeds, seconds)
+                ctrl = {m["name"]: summarise(again, m) for m in end_to_end}
+                report.setdefault("control", {})[name] = {"pairs": again, "metrics": ctrl}
+                log(f"{name} control: " + json.dumps(ctrl))
+            if pairs:
+                report["workloads"][name] = {
+                    "pairs": pairs,
+                    "correct": {side: all(p[side]["correct"] for p in pairs) for side in SIDES},
+                    "seed0_digests_match": {side: run(dirs[side], name, 0, 0)["correct"]
+                                            for side in SIDES},
+                    "metrics": {m["name"]: summarise(pairs, m, ctrl.get(m["name"]))
+                                for m in end_to_end},
+                }
+                log(f"{name}: " + json.dumps(report["workloads"][name]["metrics"]))
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
