@@ -55,8 +55,9 @@ no view of its own; only a narrower last tile binds them again.
   computes once, when it is created), so the lanes read at each
   neighbour offset form one contiguous row range;
 * NOT Rule-A is five gates on those rows with no complemented input
-  (:func:`_xor_not_f_core`), XORed straight into the L tile that becomes
-  the new R, so no complemented copy of R and no F_core output exist;
+  (:func:`egc128.cipher._xor_not_f_core`, shared with the word-array
+  F_core), XORed straight into the L tile that becomes the new R, so no
+  complemented copy of R and no F_core output exist;
 * the round key enters as one XOR with a precomputed ``(width, 1)``
   broadcast column, which also carries F_core's final NOT; with one key
   per sample the column holds the round constant, and the engine builds
@@ -80,7 +81,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cipher import derive_round_keys
+from .cipher import _xor_not_f_core, derive_round_keys
 from .params import Block, CipherParams, MasterKey
 
 _ONE = np.uint64(1)
@@ -275,24 +276,6 @@ def collect_tiles(tiles, words: int):
     return out
 
 
-def _xor_not_f_core(x0, x1, x2, x3, out, A, B):
-    """out ^= NOT F_core(R), for x0..x3 the rows of padded R that Rule-A
-    reads (the engine's read slices, see :class:`BitslicedCipher`); A and
-    B are scratch of the shape of out.
-
-    Rule-A at vertex i reads x0 = R[i], x1 = R[i+s1], x2 = R[i+s2] and
-    x3 = R[i+s3]; its complement is x2 ^ ((x1 ^ (x0 & x2)) & (x2 ^ x3)),
-    five gates on uncomplemented inputs.  The final NOT is left to the
-    caller, which folds it into the round-key column.
-    """
-    np.bitwise_and(x0, x2, out=A)                              # x0 & x2
-    A ^= x1                                                    # x1 ^ (x0 & x2)
-    np.bitwise_xor(x2, x3, out=B)                              # x2 ^ x3
-    A &= B
-    out ^= A
-    out ^= x2
-
-
 class BitslicedCipher:
     """Batch encryption engine for one parameter set."""
 
@@ -317,10 +300,6 @@ class BitslicedCipher:
         # (see `tiles`); read-only, since threads may share the engine.
         self._rc_bytes = _column_bytes([rc ^ p.branch_mask for rc in p.round_constants],
                                        p.branch_width)
-        # The key-schedule LFSR's taps past tap 0, and the rows of one
-        # feedback slice (see `tiles`).
-        self._taps = p.lfsr_taps[1:]
-        self._lfsr_slice = p.branch_width - p.lfsr_taps[-1]
 
     def f_core(self, R: np.ndarray) -> np.ndarray:
         """F_core of every sample of lanes R (width along axis 0)."""
@@ -431,6 +410,7 @@ class BitslicedCipher:
             # reads rows j-w+t for the taps t, so a slice of w - max tap
             # rows reads only rows written before it.
             lfsr = np.empty((w + nr, k * tile), dtype=np.uint64)
+            lfsr_slice = w - p.lfsr_taps[-1]
             klow = np.empty((w, k * tile), dtype=np.uint64)
         bound = 0
         for cs in column_slices(words, tile):
@@ -468,11 +448,11 @@ class BitslicedCipher:
                 np.bitwise_or.reduce(S[:w], axis=0, out=A[0])
                 np.invert(A[0], out=A[0])
                 S[0] |= A[0]
-                for a in range(0, nr, self._lfsr_slice):
-                    b = min(a + self._lfsr_slice, nr)
+                for a in range(0, nr, lfsr_slice):
+                    b = min(a + lfsr_slice, nr)
                     feedback = S[w + a : w + b]
                     np.copyto(feedback, S[a:b])          # tap 0
-                    for t in self._taps:
+                    for t in p.lfsr_taps[1:]:
                         feedback ^= S[a + t : b + t]
             if 0 in wanted:
                 yield cs, 0, Lt, Rt

@@ -14,9 +14,11 @@ Feistel update for round r (branches L, R; round key RK_r):
     L' = R
     R' = L xor F_core(R) xor RK_r
 
-Round keys come from a width-wide LFSR seeded with the high key half
-(with 0 mapped to 1 to avoid the degenerate all-zero state), XORed with
-the low key half and a per-round constant.
+Round keys RK_r = K_low xor S_r xor RC_r come from a width-wide LFSR
+seeded with the high key half (0 is mapped to 1, avoiding the all-zero
+state), read from one int whose bits r..r+w-1 are state S_r
+(:func:`_lfsr_stream`).  :class:`Cipher` runs each round as one inline
+expression on Python ints, with no function call per round.
 
 A :class:`CipherParams` (width, offsets, rounds) names every instance;
 a reduced-round scalar cipher is ``Cipher(CipherParams(64, rounds=3))``.
@@ -38,29 +40,36 @@ def rule_a_eval(x0: int, x1: int, x2: int, x3: int) -> int:
     return (1 ^ x2 ^ (x0 & x2) ^ (x1 & x2) ^ (x1 & x3) ^ (x0 & x2 & x3)) & 1
 
 
-def _rule_a_gates(x0, x1, x2, x3, mask):
-    """Rule-A at every bit of the words x0..x3 (x_k holds each bit's k-th
-    input), as one word under `mask`; bits of x1..x3 outside the mask are
-    dropped."""
-    # Rule-A is 1 ^ x2 ^ x0x2 ^ x1x2 ^ x1x3 ^ x0x2x3, and the sum without
-    # the 1 is x2 ^ ((x1 ^ x0x2) & (x2 ^ x3)): five gates, the form the
-    # bitsliced engine evaluates, and one more XOR with the mask.
-    return (mask ^ x2 ^ ((x1 ^ (x0 & x2)) & (x2 ^ x3))) & mask
-
-
-def _int_layer(params: CipherParams):
-    """F_core of `params` on one branch word given as a Python int in
-    range (unchecked)."""
+def _feistel(L: int, R: int, low: int, t: int, schedule, params: CipherParams):
+    """Branches (L, R) after the rounds of `schedule`, pairs (r, RC_r xor
+    mask), under K_low = `low` and the LFSR stream `t` (see
+    :func:`_lfsr_stream`): round r's key is low xor S_r xor RC_r."""
     w, mask = params.branch_width, params.branch_mask
     k1, k2, k3 = params.rotations
+    for r, c in schedule:
+        # Bits 0..w-1 of xx >> k are R rotated right by k (bit i is bit
+        # i + k of R): Rule-A's inputs x1..x3, with x0 = R.  NOT Rule-A is
+        # x2 ^ ((x1 ^ x0x2) & (x2 ^ x3)), the engine's five gates; c holds
+        # the final NOT, and bits above the width drop at the end.
+        xx = R << w | R
+        x2 = xx >> k2
+        L, R = R, (L ^ low ^ (t >> r) ^ c ^ x2 ^ ((xx >> k1 ^ (R & x2)) & (x2 ^ xx >> k3))) & mask
+    return L, R
 
-    def layer(x: int) -> int:
-        # Bits 0..w-1 of xx >> k are x rotated right by k, so bit i is
-        # bit i + k of x; the bits above the width are dropped at the end.
-        xx = x << w | x
-        return _rule_a_gates(x, xx >> k1, xx >> k2, xx >> k3, mask)
 
-    return layer
+def _xor_not_f_core(x0, x1, x2, x3, out, A, B):
+    """out ^= NOT F_core, in place: x0..x3 are word arrays of each bit's
+    Rule-A inputs, and A, B scratch of out's shape.  NOT Rule-A is
+    x2 ^ ((x1 ^ (x0 & x2)) & (x2 ^ x3)), five gates on uncomplemented
+    inputs; the caller supplies the final NOT (the word-array F_core
+    starts `out` at all ones, the engine folds it into its key column).
+    """
+    np.bitwise_and(x0, x2, out=A)                              # x0 & x2
+    A ^= x1                                                    # x1 ^ (x0 & x2)
+    np.bitwise_xor(x2, x3, out=B)                              # x2 ^ x3
+    A &= B
+    out ^= A
+    out ^= x2
 
 
 def f_core(x, params: CipherParams):
@@ -69,19 +78,22 @@ def f_core(x, params: CipherParams):
 
     `x` is one branch word as a Python int, or an array of branch words
     of an unsigned numpy dtype at least `branch_width` bits wide; every
-    output bit is computed from the unmodified input word.  An int goes
-    through the layer `Cipher` binds, which rotates by shifting the
-    doubled word ``x << w | x``; an array, which cannot hold that word at
-    width 64, is rotated by two shifts per rotation.
+    output bit is computed from the unmodified input word.  An int runs
+    one round of :func:`_feistel` with L, K_low, the key stream and the
+    round constant zero.  An array, which cannot hold the doubled word
+    at width 64, is rotated by two shifts per rotation.
     """
     w, mask = params.branch_width, params.branch_mask
     if isinstance(x, int):
         if not 0 <= x <= mask:
             raise ValueError(f"branch value does not fit in {w} bits")
-        return _int_layer(params)(x)
+        return _feistel(0, x, 0, 0, ((0, mask),), params)[1]
     k1, k2, k3 = params.rotations
-    return _rule_a_gates(x, x >> k1 | x << (w - k1), x >> k2 | x << (w - k2),
-                         x >> k3 | x << (w - k3), mask)
+    out = np.full_like(x, mask)                # out ^ NOT F_core is F_core under the mask
+    _xor_not_f_core(x, x >> k1 | x << (w - k1), x >> k2 | x << (w - k2),
+                    x >> k3 | x << (w - k3), out, np.empty_like(x), np.empty_like(x))
+    out &= mask                                # drop the rotations' bits above the width
+    return out
 
 
 def lfsr_init(k_high: int) -> int:
@@ -116,19 +128,32 @@ def lfsr_inverse_step(s, params: CipherParams):
     return ((s << 1) & params.branch_mask) | b0
 
 
+def _lfsr_stream(k_high: int, params: CipherParams) -> int:
+    """The key-schedule LFSR as one int: bits r..r+w-1 are state S_r for
+    each round r of `params`, from S_0 = ``lfsr_init(k_high)``.
+
+    Bit j >= w is the feedback of S_(j-w), the XOR of its bits j-w+t for
+    the taps t, so a slice of w - max(tap) feedback bits reads only bits
+    below it: one shifted XOR per tap, as in the engine's unrolled rows.
+    """
+    w, taps = params.branch_width, params.lfsr_taps
+    step = w - taps[-1]
+    t = lfsr_init(k_high)
+    for a in range(0, params.rounds - 1, step):
+        s = fb = t >> a
+        for tap in taps[1:]:
+            fb ^= s >> tap
+        t |= (fb & ((1 << step) - 1)) << (a + w)
+    return t
+
+
 def derive_round_keys(key: MasterKey, params: CipherParams) -> tuple[int, ...]:
-    """Round keys RK_r = K_low xor S_r xor RC_r, advancing the LFSR once
-    per round after each key is emitted."""
+    """Round keys RK_r = K_low xor S_r xor RC_r, with S_r the LFSR state
+    after r steps (read from :func:`_lfsr_stream`)."""
     if key.width != params.branch_width:
         raise ValueError("key width does not match cipher parameters")
-    s = lfsr_init(key.high)
-    low, taps, top = key.low, params.lfsr_tap_mask, params.branch_width - 1
-    keys = []
-    for rc in params.round_constants:
-        keys.append(low ^ s ^ rc)
-        # lfsr_step on one Python int.
-        s = s >> 1 | ((s & taps).bit_count() & 1) << top
-    return tuple(keys)
+    t, low, mask = _lfsr_stream(key.high, params), key.low, params.branch_mask
+    return tuple([low ^ rc ^ (t >> r & mask) for r, rc in enumerate(params.round_constants)])
 
 
 class Cipher:
@@ -140,28 +165,24 @@ class Cipher:
 
     def __init__(self, params: CipherParams):
         self.params = params
-        self._f_core = _int_layer(params)
+        # (r, RC_r xor mask) per round: the mask is F_core's final NOT.
+        self._schedule = tuple((r, rc ^ params.branch_mask)
+                               for r, rc in enumerate(params.round_constants))
 
-    def _round_keys(self, key: MasterKey, block: Block) -> tuple[int, ...]:
+    def _rounds(self, key: MasterKey, block: Block, L: int, R: int, schedule):
         p = self.params
         if key.width != p.branch_width or block.width != p.branch_width:
             raise ValueError("key/block width does not match cipher parameters")
-        return derive_round_keys(key, p)
-
-    def _feistel(self, L: int, R: int, rks) -> tuple[int, int]:
-        f = self._f_core
-        for rk in rks:
-            L, R = R, L ^ f(R) ^ rk
-        return L, R
+        return _feistel(L, R, key.low, _lfsr_stream(key.high, p), schedule, p)
 
     def encrypt_block(self, key: MasterKey, pt: Block) -> Block:
-        L, R = self._feistel(pt.left, pt.right, self._round_keys(key, pt))
+        L, R = self._rounds(key, pt, pt.left, pt.right, self._schedule)
         return Block(L, R, self.params.branch_width)
 
     def decrypt_block(self, key: MasterKey, ct: Block) -> Block:
         # The rounds in reverse order on the swapped block (R, L) undo
         # encryption; swapping the result back gives the plaintext.
-        R, L = self._feistel(ct.right, ct.left, reversed(self._round_keys(key, ct)))
+        R, L = self._rounds(key, ct, ct.right, ct.left, reversed(self._schedule))
         return Block(L, R, self.params.branch_width)
 
 

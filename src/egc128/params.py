@@ -71,6 +71,7 @@ class CipherParams:
     # Offsets mod the width, and as lane shifts in (-width/2, width/2].
     rotations: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     shifts: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    lfsr_taps: tuple[int, ...] = field(init=False, repr=False, compare=False)
     lfsr_tap_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -96,6 +97,7 @@ class CipherParams:
         object.__setattr__(self, "branch_mask", mask)
         object.__setattr__(self, "rotations", tuple(residues))
         object.__setattr__(self, "shifts", tuple(k if k <= w // 2 else k - w for k in residues))
+        object.__setattr__(self, "lfsr_taps", tuple(t for t in LFSR_TAPS if t < w))
         object.__setattr__(self, "lfsr_tap_mask", sum(1 << t for t in self.lfsr_taps))
 
     def round_count(self, rounds: int | None) -> int:
@@ -105,10 +107,6 @@ class CipherParams:
         if not 0 <= nr <= self.rounds:
             raise ValueError(f"rounds {nr} outside 0..{self.rounds}")
         return nr
-
-    @property
-    def lfsr_taps(self) -> tuple[int, ...]:
-        return tuple(t for t in LFSR_TAPS if t < self.branch_width)
 
     @classmethod
     def full(cls) -> "CipherParams":

@@ -314,7 +314,8 @@ def _instances(draw):
     residues = draw(st.lists(st.integers(1, width - 1), min_size=3, max_size=3, unique=True))
     # Any representative of a residue names the same neighbour.
     offsets = tuple(k - width if draw(st.booleans()) else k for k in residues)
-    schedule = draw(st.integers(1, 24))
+    # Schedules of w - 2 rounds or more read a second slice of LFSR feedback rows.
+    schedule = draw(st.integers(1, 24) | st.integers(max(1, width - 4), 2 * width + 5))
     params = CipherParams(width, offsets, rounds=schedule)
     rounds = draw(st.integers(0, schedule))
     tile = tile_words(width)
@@ -329,6 +330,9 @@ def _instances(draw):
 #: lanes, all negative none above them, so one wrap copy is empty.
 _NO_LOW_PADDING = (CipherParams(16, (1, 2, 3)), 3, 20, {0, 1, 20}, True, 7)
 _NO_HIGH_PADDING = (CipherParams(16, (-1, -2, -3)), 3, 20, {2, 19}, False, 8)
+#: Per-sample keys whose states read the second and third slices of the
+#: unrolled LFSR rows (25 feedback rows each at width 29).
+_THREE_LFSR_SLICES = (CipherParams(29, rounds=63), 2, 63, {26, 27, 63}, True, 11)
 
 
 def _sample(lanes: np.ndarray, j: int) -> int:
@@ -341,6 +345,7 @@ def _sample(lanes: np.ndarray, j: int) -> int:
 @given(_instances())
 @example(_NO_LOW_PADDING)
 @example(_NO_HIGH_PADDING)
+@example(_THREE_LFSR_SLICES)
 def test_bitsliced_matches_scalar_property(case):
     params, words, rounds, snapshots, per_sample, seed = case
     w = params.branch_width

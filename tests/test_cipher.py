@@ -11,7 +11,7 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egc128.bitslice import BitslicedCipher
@@ -223,6 +223,15 @@ def test_lfsr_width4_drops_tap_4():
     assert lfsr_inverse_step(0b1101, p) == 0b1011
 
 
+@pytest.mark.parametrize("width, taps", [(4, (0, 1, 3)), (5, (0, 1, 3, 4))])
+def test_lfsr_taps_are_derived_once(width, taps):
+    # Taps at or above the width are dropped when the instance is built;
+    # a read returns that tuple, not a new one.
+    p = CipherParams(width)
+    assert p.lfsr_taps == taps and p.lfsr_taps is p.lfsr_taps
+    assert p.lfsr_tap_mask == sum(1 << t for t in taps)
+
+
 # --- key schedule -----------------------------------------------------------
 
 def _naive_schedule(key, p):
@@ -236,8 +245,10 @@ def _naive_schedule(key, p):
 
 @pytest.mark.parametrize("width", [4, 5, 8, 16, 31, 33, 64])
 def test_derive_round_keys_matches_naive_schedule(width):
+    # From w - 2 rounds on, the states need a second slice of w - max(tap)
+    # LFSR feedback bits; 2w + 5 rounds need a third.
     rnd = random.Random(100 + width)
-    for rounds in (1, 7, 20, 24):
+    for rounds in sorted({1, 7, 20, 24, 2 * width + 5} | {max(1, width - k) for k in (4, 3, 2)}):
         p = CipherParams(width, rounds=rounds)
         keys = [MasterKey(0, 0, width), MasterKey(0, p.branch_mask, width)]
         keys += [MasterKey(rnd.getrandbits(width), rnd.getrandbits(width), width) for _ in range(50)]
@@ -281,6 +292,16 @@ def test_params_offsets_default_to_scaled_offsets():
     assert hash(full) == hash((64, (-1, 1, 16), 20))
     assert repr(full) == ("CipherParams(branch_width=64, offsets=(-1, 1, 16), rounds=20, "
                           f"round_constants={ROUND_CONSTANTS})")
+
+
+def test_params_differing_only_in_derived_fields_compare_and_hash_equal():
+    p = CipherParams(16)
+    derived = [f.name for f in dataclasses.fields(p) if not f.init]
+    assert {"round_constants", "branch_mask", "lfsr_taps", "lfsr_tap_mask"} <= set(derived)
+    for name in derived:
+        q = copy.copy(p)
+        object.__setattr__(q, name, None)
+        assert q == p and hash(q) == hash(p)
 
 
 def test_params_offsets_list_equals_tuple():
@@ -556,7 +577,9 @@ def _family_cases(draw):
     residues = draw(st.lists(st.integers(1, width - 1), min_size=3, max_size=3, unique=True))
     # Any representative of a residue names the same neighbour.
     offsets = tuple(k - width if draw(st.booleans()) else k for k in residues)
-    p = CipherParams(width, offsets, rounds=draw(st.integers(1, 24)))
+    # Schedules of w - 2 rounds or more read a second slice of LFSR feedback.
+    rounds = draw(st.integers(1, 24) | st.integers(max(1, width - 4), 2 * width + 5))
+    p = CipherParams(width, offsets, rounds=rounds)
     key = MasterKey(draw(st.integers(0, p.branch_mask)), draw(st.integers(0, p.branch_mask)), width)
     block = Block(draw(st.integers(0, p.branch_mask)), draw(st.integers(0, p.branch_mask)), width)
     return p, key, block
@@ -564,9 +587,10 @@ def _family_cases(draw):
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(_family_cases())
+@example((CipherParams(33, rounds=71), MasterKey(0, 5, 33), Block(1, 2, 33)))
 def test_scalar_cipher_matches_naive_loop_across_family(case):
     # The doubled-word rotation depends on the width and the offsets, so
-    # the whole family is drawn, schedules of 1 to 24 rounds included,
+    # the whole family is drawn, schedules of 1 to 2w + 5 rounds included,
     # against the per-vertex F_core and the per-tap key schedule.
     p, key, block = case
     c = Cipher(p)
