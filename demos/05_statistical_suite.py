@@ -56,7 +56,7 @@ print(f"  round-key difference mean weight {rk.overall_mean:.2f}/64, "
 print("\nInvariant affine subspaces (dimensions 2/4/6, 50 trials each):")
 sub = invariant_subspace_search((2, 4, 6), 50, cfg)
 print(f"  invariants found: {sub.invariants_found} "
-      f"({sub.total_evaluations} layer evaluations)")
+      f"({sub.total_evaluations} coset points tested)")
 
 print("\nReduced 32-bit instance, zero-differential scan (2^20 samples):")
 zd = reduced_zero_diff_scan(Block.from_int(1, 16), 3, 1 << 20, cfg)

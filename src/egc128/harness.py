@@ -417,6 +417,14 @@ def round_key_difference(dk_high, dk_low) -> list:
 
 @dataclass(frozen=True)
 class SubspaceTestReport:
+    """Outcome of :func:`invariant_subspace_search`.
+
+    `total_evaluations` counts the coset points in the test's scope:
+    trials x points per coset (2^k, or `SUBSPACE_MAX_POINTS` sampled
+    ones above that), summed over `dims`.  It is not a count of map
+    calls: a trial rejected on its first 64 points is mapped no
+    further."""
+
     dims: tuple[int, ...]
     trials_per_dim: int
     invariants_found: int
@@ -426,10 +434,12 @@ class SubspaceTestReport:
 
 #: Coset points tested per subspace; larger subspaces are sampled.
 SUBSPACE_MAX_POINTS = 4096
-#: Coset points checked together.  At 64 KiB per uint64 array the map's
+#: Most points per call of the map.  At 64 KiB per uint64 array the map's
 #: temporaries stay below malloc's 128 KiB mmap threshold, so they are
 #: reused from the heap instead of being page-faulted in on every batch.
 _SUBSPACE_BATCH_POINTS = 1 << 13
+#: Points of every trial that stage 1 of `_coset_check` maps.
+_SUBSPACE_HEAD_POINTS = 64
 
 
 def invariant_subspace_search(dims, trials_per_dim: int,
@@ -440,10 +450,10 @@ def invariant_subspace_search(dims, trials_per_dim: int,
     every sampled coset point maps into a single coset of V.
 
     Each trial draws from its own substream, and trials are checked in
-    batches of at most `_SUBSPACE_BATCH_POINTS` points, so the report does
-    not depend on the batch size.  `map_fn` substitutes another vectorised
-    map over uint64 arrays (the identity map serves as the positive
-    control)."""
+    batches whose first stage maps at most `_SUBSPACE_BATCH_POINTS`
+    points, so the report does not depend on the batch size.  `map_fn`
+    substitutes another vectorised map over uint64 arrays (the identity
+    map serves as the positive control)."""
     dims = tuple(sorted(dims))
     if not dims or any(d < 1 or d > 16 for d in dims):
         raise ValueError("dims must list one or more subspace dimensions in 1..16")
@@ -457,7 +467,7 @@ def invariant_subspace_search(dims, trials_per_dim: int,
     evals = 0
     for k in dims:
         points = min(1 << k, SUBSPACE_MAX_POINTS)
-        per_batch = max(1, _SUBSPACE_BATCH_POINTS // points)
+        per_batch = _SUBSPACE_BATCH_POINTS // min(points, _SUBSPACE_HEAD_POINTS)
         for first in range(0, trials_per_dim, per_batch):
             pivots, bases, offsets, picks = [], [], [], []
             for trial in range(first, min(first + per_batch, trials_per_dim)):
@@ -488,32 +498,64 @@ def _coset_check(pivots: np.ndarray, bases: np.ndarray, offsets: np.ndarray, fn,
     holds each vector's leading bit, as `_random_basis` keys them.  Point
     i of a coset is its offset XOR the basis vectors at the set bits of
     i; all 2^k points are checked, or only those at the (trials, points)
-    indices `picks`."""
+    indices `picks`.
+
+    A trial that fails nearly always fails within its first points, so
+    the check is staged.  Stage 1 maps the first 64 points of every
+    trial in one call; stage 2 maps the remaining points of the trials
+    left, at most `_SUBSPACE_BATCH_POINTS` points per call.  Without
+    `picks`, points 0..63 are the span of the first six vectors, and
+    stage 2 doubles on from them; a sampled coset is doubled whole,
+    as many at a time as fill one such call, and picked."""
     trials, k = bases.shape
-    # Doubling: points m..2m-1 are points 0..m-1 XOR the next vector.
-    pts = np.empty((trials, 1 << k), dtype=np.uint64)
-    pts[:, 0] = offsets
-    for j in range(k):
-        np.bitwise_xor(pts[:, :1 << j], bases[:, j:j + 1], out=pts[:, 1 << j:2 << j])
-    if picks is not None:
-        pts = np.take_along_axis(pts, picks, 1)
-    images = fn(pts.reshape(-1)).reshape(pts.shape)
-    diffs = images ^ images[:, :1]
-    # A trial that fails nearly always fails within its first points, so
-    # every trial reduces its first 64 and only the ones left reduce the rest.
-    passed = np.ones(trials, dtype=bool)
-    for cols in (slice(0, 64), slice(64, None)):
-        d = diffs[passed, cols]
-        # Reduce from the highest pivot down: clearing a high pivot may set
-        # lower bits, which later steps then absorb.
-        bit = np.empty_like(d)
-        for j in reversed(range(k)):
-            np.right_shift(d, pivots[passed, j:j + 1], out=bit)
-            bit &= _U1
-            bit *= bases[passed, j:j + 1]
-            d ^= bit
-        passed[passed] = ~d.any(axis=1)
+    points = 1 << k if picks is None else picks.shape[1]
+    head = min(points, _SUBSPACE_HEAD_POINTS)
+    per = max(1, _SUBSPACE_BATCH_POINTS // points)     # trials per stage-2 call
+    if picks is None:
+        pts = _doubled(offsets[:, None], bases, head.bit_length() - 1)
+        rest = lambda rows: _doubled(pts[rows], bases[rows], k)[:, head:]
+    else:
+        def picked(rows, cols):
+            return np.take_along_axis(_doubled(offsets[rows, None], bases[rows], k),
+                                      picks[rows, cols], 1)
+        pts = np.concatenate([picked(slice(t, t + per), slice(0, head))
+                              for t in range(0, trials, per)])
+        rest = lambda rows: picked(rows, slice(head, None))
+    heads = fn(pts.reshape(-1)).reshape(pts.shape)
+    passed = _in_spans(heads ^ heads[:, :1], pivots, bases)
+    if points > head:
+        left = np.flatnonzero(passed)
+        for i in range(0, len(left), per):
+            rows = left[i:i + per]
+            tail = rest(rows)
+            images = fn(tail.reshape(-1)).reshape(tail.shape)
+            passed[rows] = _in_spans(images ^ heads[rows, :1], pivots[rows], bases[rows])
     return passed
+
+
+def _doubled(start: np.ndarray, bases: np.ndarray, dim: int) -> np.ndarray:
+    """The (trials, 2^dim) points of each coset start[t, 0] + span of
+    bases[t, :dim], in doubling order: points m..2m-1 are points 0..m-1
+    XOR the next vector.  `start` holds each trial's first 2^j points
+    (the span of its first j vectors), and the doubling goes on from them."""
+    pts = np.empty((len(start), 1 << dim), dtype=np.uint64)
+    pts[:, :start.shape[1]] = start
+    for j in range(start.shape[1].bit_length() - 1, dim):
+        np.bitwise_xor(pts[:, :1 << j], bases[:, j:j + 1], out=pts[:, 1 << j:2 << j])
+    return pts
+
+
+def _in_spans(d: np.ndarray, pivots: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """For each row t, whether every word of d[t] lies in span(bases[t]).
+    Reduces from the highest pivot down, in place: clearing a high pivot
+    may set lower bits, which later steps then absorb."""
+    bit = np.empty_like(d)
+    for j in reversed(range(bases.shape[1])):
+        np.right_shift(d, pivots[:, j:j + 1], out=bit)
+        bit &= _U1
+        bit *= bases[:, j:j + 1]
+        d ^= bit
+    return ~d.any(axis=1)
 
 
 def _u64_stream(rng: np.random.Generator, n: int):
@@ -793,13 +835,21 @@ def truncated_coverage_scan(pairs: int, checkpoints=(5, 10, 15, 18, 20),
     # `pairs` where no pair does: the padding samples past `pairs` cannot
     # lower it.
     first = {r: np.full(128, pairs) for r in checkpoints}
-    for cs, r, D in _FULL_ENGINE.pair_differences(L, R, delta, key, checkpoints):
-        nonzero = D != 0
-        word = nonzero.argmax(axis=1)
-        lowest = D[np.arange(128), word]
-        ctz = np.bitwise_count(~lowest & (lowest - _U1))   # trailing zeros
-        found = np.where(nonzero.any(axis=1), 64 * (cs.start + word) + ctz, pairs)
-        np.minimum(first[r], found, out=first[r])
+    # Word column 0 nearly always sets every bit; a later column can then
+    # lower no index, so the rest run only if some bit is still unset.
+    for cols in (slice(0, 1), slice(1, L.shape[1])):
+        if cols.start and all((f < pairs).all() for f in first.values()):
+            break
+        for cs, r, D in _FULL_ENGINE.pair_differences(
+                L[:, cols], R[:, cols], delta[:, cols], tuple(x[:, cols] for x in key),
+                checkpoints):
+            nonzero = D != 0
+            word = nonzero.argmax(axis=1)
+            lowest = D[np.arange(128), word]
+            ctz = np.bitwise_count(~lowest & (lowest - _U1))   # trailing zeros
+            found = np.where(nonzero.any(axis=1), 64 * (cols.start + cs.start + word) + ctz,
+                             pairs)
+            np.minimum(first[r], found, out=first[r])
     never = tuple(int((first[r] == pairs).sum()) for r in checkpoints)
     cover = tuple(None if k else int(first[r].max()) + 1 for r, k in zip(checkpoints, never))
     return CoverageReport(pairs, checkpoints, never, cover)

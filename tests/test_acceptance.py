@@ -200,7 +200,7 @@ def test_criterion_15_invariant_subspaces():
     ok = rep.invariants_found == 0 and control.invariants_found == 10
     _finish(15, "invariant subspace search", t0, 300.0, ok,
             f"1800 trials, found {rep.invariants_found}, "
-            f"{rep.total_evaluations} evaluations, positive control OK")
+            f"{rep.total_evaluations} coset points, positive control OK")
 
 
 def test_criterion_16_zero_differential_scan():

@@ -494,47 +494,105 @@ def test_coset_check_accepts_period_subspaces(p):
     assert passed.tolist() == [True, False][:len(bases)]
 
 
+def _staged_subspace_loop(dims, trials, f):
+    """(found, examples, points, stage-2 rejections per dimension) of the
+    subspace search under the scalar map `f`, from scalar draws and Python
+    ints.  A trial passes stage 1 when the images of its first 64 points
+    lie in one coset of its span, and passes when all of them do.  The
+    points are in the order the map must see them: per batch, the first 64
+    of each trial, then the rest of each stage-1 survivor."""
+    found, examples, points, late = 0, [], [], Counter()
+    for k in dims:
+        per_batch = harness._SUBSPACE_BATCH_POINTS // min(1 << k, SUBSPACE_MAX_POINTS, 64)
+        for first in range(0, trials, per_batch):
+            rests = []
+            for t in range(first, min(first + per_batch, trials)):
+                rng = CFG.generator("subspace", k, t)
+                draw = lambda: int(rng.integers(0, 2**32)) << 32 | int(rng.integers(0, 2**32))
+                echelon = {}
+                while len(echelon) < k:
+                    w = draw()
+                    while w and w.bit_length() - 1 in echelon:
+                        w ^= echelon[w.bit_length() - 1]
+                    if w:
+                        echelon[w.bit_length() - 1] = w
+                basis = sorted(echelon.values())
+                coset = [draw()]
+                for v in basis:
+                    coset += [x ^ v for x in coset]
+                if len(coset) > SUBSPACE_MAX_POINTS:
+                    coset = [coset[i] for i in rng.integers(0, len(coset), SUBSPACE_MAX_POINTS)]
+
+                def in_coset(x):
+                    d = f(x) ^ f(coset[0])
+                    while d and d.bit_length() - 1 in echelon:
+                        d ^= echelon[d.bit_length() - 1]
+                    return d == 0
+
+                points += coset[:64]
+                if not all(map(in_coset, coset[:64])):
+                    continue
+                rests += coset[64:]
+                if all(map(in_coset, coset[64:])):
+                    found += 1
+                    examples.append(tuple(basis))
+                else:
+                    late[k] += 1
+            points += rests
+    return found, examples, points, late
+
+
 def test_subspace_search_matches_per_trial_loop():
-    # x -> x ^ bit63(x) * C is linear and fixes every word below 2^63, so a
-    # trial passes exactly when none of its basis vectors has its pivot at
-    # bit 63 (C lies in none of these spans).  The loop redraws every trial
-    # with scalar draws and rebuilds its points in the order the map sees them.
+    # x -> x ^ bit63(x) * C fixes every word below 2^63: a vector with its
+    # pivot at bit 63 past the first six passes stage 1 and fails stage 2.
+    # x -> x ^ [top 7 bits set] * C is hit by about 1 point in 128, so a
+    # sampled coset's first 64 picks often miss it and its later ones do not.
     c = 0x0123456789ABCDEF
     dims, trials = (3, 12, 13), 24
+    maps = ((lambda x: x ^ (x >> 63) * c, lambda a: a >> np.uint64(63), {12}),
+            (lambda x: x ^ (x >> 57 == 127) * c,
+             lambda a: (a >> np.uint64(57) == 127).astype(np.uint64), {12, 13}))
+    for f, hit, late_dims in maps:
+        seen = []
+
+        def map_fn(a):
+            seen.append(a.copy())
+            return a ^ hit(a) * np.uint64(c)
+
+        rep = invariant_subspace_search(dims, trials, CFG, map_fn=map_fn)
+        found, examples, points, late = _staged_subspace_loop(dims, trials, f)
+        assert 0 < found < trials
+        assert all(late[k] > 0 for k in late_dims)
+        assert max(len(a) for a in seen) <= harness._SUBSPACE_BATCH_POINTS
+        assert rep.invariants_found == found
+        assert rep.invariant_examples == tuple(examples[:8])
+        assert rep.total_evaluations == trials * (8 + 4096 + 4096)
+        assert np.concatenate(seen).tolist() == points
+
+
+def test_subspace_search_maps_only_points_a_verdict_reads():
+    # Criterion 15's shape: F_core rejects every trial on its first 64
+    # points, so 4 + 16 + 4 * 64 points per trial reach the map, where
+    # 4 + 16 + ... + 4096 are in scope.  Every trial of the identity
+    # control passes, so each of its points is mapped exactly once.
     seen = []
 
-    def map_fn(a):
-        seen.append(a.copy())
-        return a ^ (a >> np.uint64(63)) * np.uint64(c)
+    def counting(fn):
+        def map_fn(a):
+            seen.append(a.copy())
+            return fn(a)
+        return map_fn
 
-    rep = invariant_subspace_search(dims, trials, CFG, map_fn=map_fn)
-    found, examples, points = 0, [], []
-    for k in dims:
-        for t in range(trials):
-            rng = CFG.generator("subspace", k, t)
-            draw = lambda: int(rng.integers(0, 2**32)) << 32 | int(rng.integers(0, 2**32))
-            echelon = {}
-            while len(echelon) < k:
-                w = draw()
-                while w and w.bit_length() - 1 in echelon:
-                    w ^= echelon[w.bit_length() - 1]
-                if w:
-                    echelon[w.bit_length() - 1] = w
-            basis = sorted(echelon.values())
-            coset = [draw()]
-            for v in basis:
-                coset += [x ^ v for x in coset]
-            if len(coset) > SUBSPACE_MAX_POINTS:
-                coset = [coset[i] for i in rng.integers(0, len(coset), SUBSPACE_MAX_POINTS)]
-            points += coset
-            if max(basis) < 1 << 63:
-                found += 1
-                examples.append(tuple(basis))
-    assert 0 < found < trials
-    assert rep.invariants_found == found
-    assert rep.invariant_examples == tuple(examples[:8])
-    assert rep.total_evaluations == len(points) == trials * (8 + 4096 + 4096)
-    assert np.concatenate(seen).tolist() == points
+    rep = invariant_subspace_search((2, 4, 6, 8, 10, 12), 300, CFG,
+                                    counting(lambda a: f_core(a, CipherParams.full())))
+    assert rep.invariants_found == 0
+    assert sum(map(len, seen)) == 300 * 276 == 82_800
+    assert rep.total_evaluations == 300 * (4 + 16 + 64 + 256 + 1024 + 4096)
+    seen.clear()
+    control = invariant_subspace_search((2, 4), 5, CFG, counting(lambda a: a))
+    assert control.invariants_found == 10
+    assert sum(map(len, seen)) == control.total_evaluations == 100
+    assert len(set(np.concatenate(seen).tolist())) == 100
 
 
 # --- reduced zero-differential scan ------------------------------------------------
